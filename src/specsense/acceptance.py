@@ -393,7 +393,7 @@ def _reference_pd(cfg: DetectorConfig, p: FadingParams) -> float:
     ncut = int(live[-1]) + 1 if live.size else 0
     if ncut == 0:
         return 1.0
-    coeff = np.exp(_ln_series_coeff(cfg.u, p, ncut))
+    coeff = np.exp(_ln_series_coeff(p, 0, ncut))
     miss = float(np.sum(weights[:ncut] * coeff))
     return min(max(1.0 - miss, 0.0), 1.0)
 

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, special
 
 from .fading import FadingParams
 from .special_fn import (
@@ -147,29 +147,23 @@ def pfa(cfg: DetectorConfig) -> float:
 
 
 def threshold_for_pfa(u: int, target_pfa: float) -> float:
-    """Threshold lambda with pfa(u, lambda) within 1e-12 of the target.
+    """Threshold lambda whose false-alarm probability Q(u, lambda/2) is the
+    target to double-precision relative accuracy.
 
-    Bisection on the monotone-decreasing map lambda -> pfa.
+    Inverts the regularized upper incomplete gamma with
+    scipy.special.gammainccinv, so the contract is relative all the way
+    down to targets of 1e-15 and below.
     """
     if not (isinstance(u, (int, np.integer)) and u >= 1):
         raise ValueError("u must be an integer >= 1")
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must lie strictly inside (0, 1)")
-    lo, hi = 0.0, 2.0 * u + 2.0
-    while reg_gamma_q(float(u), 0.5 * hi) > target_pfa:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ConvergenceError("threshold_for_pfa failed to bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = reg_gamma_q(float(u), 0.5 * mid)
-        if abs(val - target_pfa) <= 1e-12:
-            return mid
-        if val > target_pfa:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError("threshold_for_pfa bisection stalled")
+    lam = 2.0 * float(special.gammainccinv(u, target_pfa))
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ConvergenceError(
+            f"threshold_for_pfa found no finite positive threshold (u={u}, pf={target_pfa})"
+        )
+    return lam
 
 
 def pd_awgn(cfg: DetectorConfig, gamma: float) -> float:
@@ -188,16 +182,16 @@ def pd_awgn(cfg: DetectorConfig, gamma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ln_series_coeff(u: int, p: FadingParams, count: int) -> np.ndarray:
+def _ln_series_coeff(p: FadingParams, start: int, stop: int) -> np.ndarray:
     """ln of C * Gamma(n+m)/Gamma(n+1) * U(m+m_s; m_s-n+1; z) for
-    n = 0..count-1. These coefficients sum (times 1) to exactly 1."""
+    n = start..stop-1. Over all n >= 0 these coefficients sum to exactly 1."""
     m, ms = p.m, p.m_s
     z = p.snr_scale
-    n = np.arange(count, dtype=float)
+    n = np.arange(start, stop, dtype=float)
     ln_u = ln_tricomi_u_grid(m + ms, ms - n + 1.0, z, _ACC)
-    # ln Gamma(n+m) and ln Gamma(n+1) by cumulative recurrence
-    ln_gm = ln_gamma(m) + np.concatenate(([0.0], np.cumsum(np.log(m + n[:-1]))))
-    ln_fact = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
+    # ln Gamma(n+m) and ln Gamma(n+1) by cumulative recurrence from n = start
+    ln_gm = ln_gamma(start + m) + np.concatenate(([0.0], np.cumsum(np.log(m + n[:-1]))))
+    ln_fact = ln_gamma(start + 1.0) + np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
     ln_c = ms * math.log(z) - ln_beta(m, ms)
     return ln_c + ln_gm - ln_fact + ln_u
 
@@ -228,8 +222,21 @@ def _stop_index(terms: np.ndarray, rel_tol: float) -> int:
     return -1
 
 
+# Ladder growth: the first block covers the Poisson bulk of the smallest
+# threshold, later blocks add at least _MIN_BLOCK rows (and half the ladder,
+# so a slow series needs few blocks), and no block exceeds _MAX_BLOCK rows,
+# which bounds the quadrature temporaries whatever max_terms is.
+_MIN_BLOCK = 16
+_MAX_BLOCK = 256
+
+
 def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
     """Average Pd for a batch of effective thresholds sharing one channel.
+
+    The U-coefficient ladder is built in blocks, in increasing order of
+    threshold, and grows only while the threshold at hand has not met the
+    3-small-terms rule on the rows built so far; it never passes
+    ctl.max_terms.
 
     Returns (pd array, terms_used array, last_term array).
     """
@@ -240,22 +247,22 @@ def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
 
     live = lam_effs > 0.0
     out[~live] = 1.0  # zero threshold detects everything
-    if not np.any(live):
-        return out, used, last
+    live_idx = np.nonzero(live)[0]
+    coeff = np.empty(0)
 
-    x_max = 0.5 * float(np.max(lam_effs[live]))
-    count = min(ctl.max_terms, int(math.ceil(x_max + 20.0 * math.sqrt(x_max) + 40.0)) + u + 16)
-    ln_coeff = _ln_series_coeff(u, p, count)
-    coeff = np.exp(ln_coeff)
-
-    for i in np.nonzero(live)[0]:
+    for i in live_idx[np.argsort(lam_effs[live_idx], kind="stable")]:
         x = 0.5 * lam_effs[i]
-        terms = _reg_p_int_shapes(u, count, x) * coeff
-        stop = _stop_index(terms, ctl.rel_tol)
-        if stop < 0 and count < ctl.max_terms:
-            # slow-convergence fallback: evaluate the full allowed window
-            full_coeff = np.exp(_ln_series_coeff(u, p, ctl.max_terms))
-            terms = _reg_p_int_shapes(u, ctl.max_terms, x) * full_coeff
+        stop = -1
+        if coeff.shape[0]:
+            terms = _reg_p_int_shapes(u, coeff.shape[0], x) * coeff
+            stop = _stop_index(terms, ctl.rel_tol)
+        while stop < 0 and coeff.shape[0] < ctl.max_terms:
+            count = coeff.shape[0]
+            bulk = math.ceil(x + 4.0 * math.sqrt(x)) + _MIN_BLOCK
+            want = max(bulk, count + max(_MIN_BLOCK, count // 2))
+            grown = min(want, count + _MAX_BLOCK, ctl.max_terms)
+            coeff = np.concatenate((coeff, np.exp(_ln_series_coeff(p, count, grown))))
+            terms = _reg_p_int_shapes(u, grown, x) * coeff
             stop = _stop_index(terms, ctl.rel_tol)
         if stop < 0:
             raise ConvergenceError(
@@ -300,7 +307,7 @@ def average_pd_direct(cfg: DetectorConfig, p: FadingParams, n_terms: int) -> flo
     if not n_terms >= 1:
         raise ValueError("n_terms must be >= 1")
     lam_eff = cfg.effective_threshold
-    coeff = np.exp(_ln_series_coeff(cfg.u, p, n_terms))
+    coeff = np.exp(_ln_series_coeff(p, 0, n_terms))
     if lam_eff == 0.0:
         return float(np.sum(coeff))
     q = 1.0 - _reg_p_int_shapes(cfg.u, n_terms, 0.5 * lam_eff)
@@ -363,10 +370,14 @@ def average_pd_quadrature(cfg: DetectorConfig, p: FadingParams) -> float:
     if lam_eff == 0.0:
         return 1.0
     u = cfg.u
-    rv = stats.betaprime(p.m, p.m_s, scale=p.snr_scale)
+    m, ms, s = p.m, p.m_s, p.snr_scale
+    ln_norm = -special.betaln(m, ms) - math.log(s)
 
     def integrand(g):
-        return stats.ncx2.cdf(lam_eff, 2 * u, 2.0 * g) * rv.pdf(g)
+        # noncentral chi-square CDF times the closed-form beta-prime density
+        r = g / s
+        ln_pdf = ln_norm + (m - 1.0) * math.log(r) - (m + ms) * math.log1p(r)
+        return special.chndtr(lam_eff, 2 * u, 2.0 * g) * math.exp(ln_pdf)
 
     cut = 0.5 * (math.sqrt(lam_eff) + 45.0) ** 2
     miss, err = integrate.quad(integrand, 0.0, cut, limit=400, epsabs=1e-11, epsrel=1e-10)

@@ -3,8 +3,10 @@
 Everything here is hand-rolled on top of math/numpy: log-gamma, digamma,
 regularized incomplete gamma (series + continued fraction), the Kummer and
 Tricomi confluent hypergeometric functions, and the generalized Marcum Q.
-No external special-function library is used; numpy only supplies the node
-arrays for the Tricomi quadrature.
+No external special-function library is used here; numpy only supplies the
+node arrays for the Tricomi quadrature. Threshold inversion
+(detection.threshold_for_pfa) is the exception: it uses
+scipy.special.gammainccinv.
 """
 
 from __future__ import annotations

@@ -81,6 +81,15 @@ class TestPdCommand:
         assert code == 1
         assert "non-convergence" in err
 
+    def test_deep_false_alarm_target(self, capsys):
+        argv = ["pd", "--u", "2", "--m", "2", "--ms", "3", "--snr-db", "5", "--pfa", "1e-13"]
+        code, out, _ = _run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        lam = json.loads(out)["params"]["threshold"]
+        assert math.isclose(lam, threshold_for_pfa(2, 1e-13), rel_tol=1e-15)
+        # the exact upper-gamma tail at u = 2 is (1 + lam/2) e^{-lam/2}
+        assert math.isclose((1.0 + lam / 2.0) * math.exp(-lam / 2.0), 1e-13, rel_tol=1e-12)
+
     def test_threshold_pfa_exclusivity(self, capsys):
         base = ["pd", "--u", "2", "--m", "2", "--ms", "3", "--snr-db", "5"]
         code_neither, _, _ = _run(capsys, base)

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from specsense import detection
+from specsense.acceptance import _criterion4_grid
 from specsense.detection import (
     DetectorConfig,
     RocCurve,
@@ -29,6 +31,10 @@ from specsense.detection import (
     sls_pfa,
     threshold_for_pfa,
     truncation_bound,
+    _ln_series_coeff,
+    _reg_p_int_shapes,
+    _series_batch,
+    _stop_index,
 )
 from specsense.fading import FadingParams
 from specsense.special_fn import ConvergenceError, marcum_q
@@ -94,8 +100,9 @@ class TestFalseAlarm:
 
 class TestThresholdInversion:
     def test_frozen_anchors(self):
-        # the solver promises |pfa(lam) - target| <= 1e-12, so lam itself
-        # is pinned only up to the local slope of the tail function
+        # the solver promises pfa(lam) equal to the target to double
+        # precision, so lam itself is pinned only up to the local slope of
+        # the tail function
         for (u, target), want in (
             ((1, 0.1), 4.6051701859880913),
             ((2, 0.1), 7.779440339734858),
@@ -106,8 +113,8 @@ class TestThresholdInversion:
             assert math.isclose(threshold_for_pfa(u, target), want, rel_tol=1e-9)
 
     def test_exponential_case_closed_form(self):
-        # at u = 1 the exact inverse is -2 ln(target); the solver's
-        # 1e-12 pfa tolerance translates to a lambda window of 2e-12/target
+        # at u = 1 the exact inverse is -2 ln(target); a 1e-12 pfa
+        # tolerance translates to a lambda window of 2e-12/target
         for p in (0.3, 0.05, 1e-6):
             got = threshold_for_pfa(1, p)
             assert abs(got - (-2.0 * math.log(p))) <= 2.1e-12 / p
@@ -118,6 +125,12 @@ class TestThresholdInversion:
             for target in (0.9, 0.5, 0.1, 1e-3, 1e-8):
                 lam = threshold_for_pfa(u, target)
                 assert abs(pfa(DetectorConfig(u=u, threshold=lam)) - target) <= 1e-12
+
+    @pytest.mark.parametrize("u", (1, 2, 8, 32))
+    @pytest.mark.parametrize("target", (1e-15, 1e-13, 1e-10, 0.1, 0.999))
+    def test_relative_accuracy_down_to_deep_targets(self, u, target):
+        lam = threshold_for_pfa(u, target)
+        assert abs(pfa(DetectorConfig(u=u, threshold=lam)) - target) <= 1e-12 * target
 
     def test_rejects_bad_targets(self):
         with pytest.raises(ValueError):
@@ -182,6 +195,14 @@ class TestAveragePd:
     def test_truncation_failure_raises(self):
         with pytest.raises(ConvergenceError):
             average_pd(DetectorConfig(u=2, threshold=60.0), CH, SeriesControl(max_terms=10))
+
+    def test_truncation_failure_names_parameters(self):
+        cfg = DetectorConfig(u=2, threshold=60.0)
+        with pytest.raises(ConvergenceError) as info:
+            average_pd(cfg, CH, SeriesControl(rel_tol=1e-300, max_terms=10))
+        msg = str(info.value)
+        for part in ("u=2", "lam=60.0", f"m={CH.m}", f"m_s={CH.m_s}", f"snr={CH.mean_snr}"):
+            assert part in msg
 
     def test_bounded(self):
         rng = np.random.default_rng(17)
@@ -356,3 +377,31 @@ class TestRocCurve:
             roc_curve(-1.0, cfg, pf_grid=np.array([0.1, 0.5]))
         with pytest.raises(ValueError):
             roc_curve([], cfg, pf_grid=np.array([0.1, 0.5]))
+
+
+class TestBlockLadder:
+    def test_ladder_grows_only_as_far_as_the_series_runs(self, monkeypatch):
+        rows = []
+        ladder = detection.ln_tricomi_u_grid
+
+        def counted(a, b_values, z, acc=None):
+            rows.append(np.size(b_values))
+            return ladder(a, b_values, z, acc)
+
+        monkeypatch.setattr(detection, "ln_tricomi_u_grid", counted)
+        cfg = DetectorConfig(u=2, threshold=threshold_for_pfa(2, 0.1))
+        _, used, _ = average_pd_detail(cfg, CH, SeriesControl(rel_tol=1e-300, max_terms=600))
+        assert used == 222
+        assert sum(rows) <= used + max(16, used // 2)
+
+    def test_blocks_match_one_shot_window(self):
+        # reference: one generously sized ladder batch, cut by the same rule
+        ctl = SeriesControl()
+        for cfg, p in _criterion4_grid():
+            x = 0.5 * cfg.effective_threshold
+            window = int(math.ceil(x + 20.0 * math.sqrt(x) + 40.0)) + cfg.u + 16
+            terms = _reg_p_int_shapes(cfg.u, window, x) * np.exp(_ln_series_coeff(p, 0, window))
+            stop = _stop_index(terms, ctl.rel_tol)
+            got, used, _ = _series_batch(cfg.u, [cfg.effective_threshold], p, ctl)
+            assert used[0] == stop + 1
+            assert abs(got[0] - (1.0 - float(np.sum(terms[: stop + 1])))) <= 1e-13
