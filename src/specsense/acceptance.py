@@ -30,6 +30,7 @@ from .detection import (
     truncation_bound,
 )
 from .entropy import (
+    _TABLE_PAIRS,
     cross_entropy_nakagami,
     cross_entropy_rayleigh,
     fit_nakagami_mle,
@@ -48,8 +49,7 @@ from .montecarlo import (
 
 __all__ = ["CRITERIA", "run_criterion", "run_all"]
 
-# Entropy/MLE anchor table: (m, m_s) rows at 5 dB and 15 dB mean SNR.
-_TABLE_PAIRS = ((2.0, 3.0), (2.0, 30.0), (20.0, 3.0), (20.0, 30.0))
+# Entropy/MLE anchors for the _TABLE_PAIRS rows at 5 dB and 15 dB mean SNR.
 _H_P = {5.0: (3.005, 2.959, 2.730, 1.870), 15.0: (6.327, 6.281, 6.051, 5.191)}
 _H_RAY = {5.0: 3.104, 15.0: 6.426}
 _H_NAK = {5.0: (3.096, 2.960, 2.913, 1.876), 15.0: (6.418, 6.282, 6.235, 5.198)}
@@ -380,8 +380,9 @@ def criterion_8() -> tuple[bool, str]:
     return ok, "all six suites passed (200 draws each)" if ok else f"failed: {failures[0]}"
 
 
-def _reference_pd(cfg: DetectorConfig, p: FadingParams) -> float:
-    """Complementary series summed over the full 1e4-term window.
+def _reference_weights(cfg: DetectorConfig) -> np.ndarray:
+    """Poisson factors of the complementary series over the 1e4-term
+    window, cut after the last nonzero one.
 
     Terms whose Poisson factor underflows to exactly zero contribute
     exactly zero, so their U coefficients are skipped without changing the
@@ -390,11 +391,13 @@ def _reference_pd(cfg: DetectorConfig, p: FadingParams) -> float:
     x = 0.5 * cfg.effective_threshold
     weights = _reg_p_int_shapes(cfg.u, 10_000, x)
     live = np.nonzero(weights > 0.0)[0]
-    ncut = int(live[-1]) + 1 if live.size else 0
-    if ncut == 0:
-        return 1.0
-    coeff = np.exp(_ln_series_coeff(p, 0, ncut))
-    miss = float(np.sum(weights[:ncut] * coeff))
+    return weights[: int(live[-1]) + 1 if live.size else 0]
+
+
+def _reference_pd(weights: np.ndarray, coeff: np.ndarray) -> float:
+    """Complementary series summed over the live window of `weights`;
+    `coeff` is the channel's coefficient ladder, at least as long."""
+    miss = float(np.sum(weights * coeff[: weights.size]))
     return min(max(1.0 - miss, 0.0), 1.0)
 
 
@@ -408,11 +411,19 @@ def criterion_9() -> tuple[bool, str]:
             if not math.isinf(bound):
                 return False, f"closed-form bound finite at m={m}, m_s={ms}"
 
+    # the u values share each channel, so build its U ladder once, as long
+    # as the longest window any u needs, and slice it per point
+    points = [(cfg, p, _reference_weights(cfg)) for cfg, p in _criterion4_grid()]
+    rows = {}
+    for _, p, weights in points:
+        rows[p] = max(rows.get(p, 0), weights.size)
+    ladders = {p: np.exp(_ln_series_coeff(p, 0, n)) for p, n in rows.items()}
+
     ctl = SeriesControl()
     worst = 0.0
-    for cfg, p in _criterion4_grid():
-        rem = abs(average_pd(cfg, p, ctl) - _reference_pd(cfg, p))
-        worst = max(worst, rem)
+    for cfg, p, weights in points:
+        ref = _reference_pd(weights, ladders[p])
+        worst = max(worst, abs(average_pd(cfg, p, ctl) - ref))
     ok = worst < ctl.rel_tol
     return ok, (
         f"closed-form bound is +inf for all m>0; max adaptive remainder="

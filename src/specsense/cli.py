@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from . import acceptance
 from .auc import auc_average, auc_instantaneous
 from .detection import (
     DetectorConfig,
@@ -28,7 +27,7 @@ from .detection import (
     sls_average_pd,
     threshold_for_pfa,
 )
-from .entropy import entropy_report
+from .entropy import _TABLE_PAIRS, entropy_report
 from .fading import FadingParams, db_to_linear
 from .montecarlo import (
     SimConfig,
@@ -42,7 +41,7 @@ from .special_fn import ConvergenceError
 SCHEMA_VERSION = "1"
 DEFAULT_SEED = 1729
 
-__all__ = ["run", "main", "console_main", "SCHEMA_VERSION", "DEFAULT_SEED"]
+__all__ = ["run", "console_main", "SCHEMA_VERSION", "DEFAULT_SEED"]
 
 
 def _emit(fmt: str, command: str, params: dict, columns: list[str], rows, stream) -> None:
@@ -203,8 +202,6 @@ def _cmd_auc(args, stream) -> int:
     return 0
 
 
-_REFERENCE_PAIRS = ((2.0, 3.0), (2.0, 30.0), (20.0, 3.0), (20.0, 30.0))
-
 _ENTROPY_COLUMNS = [
     "m", "ms", "snr_db", "h_p", "h_pq_ray", "h_pq_nak", "kl_ray", "kl_nak",
     "m_hat", "mean_snr_n",
@@ -228,7 +225,7 @@ def _cmd_entropy(args, stream) -> int:
     if args.table:
         rows = []
         for snr_db in (5.0, 15.0):
-            for k, (m, ms) in enumerate(_REFERENCE_PAIRS):
+            for k, (m, ms) in enumerate(_TABLE_PAIRS):
                 rows.append(_entropy_row(m, ms, snr_db, args.samples, args.seed + k))
     else:
         if args.m is None or args.ms is None or args.snr_db is None:
@@ -268,6 +265,9 @@ def _cmd_simulate(args, stream) -> int:
 
 
 def _cmd_selftest(args, stream) -> int:
+    # acceptance loads scipy.stats and scipy.integrate; only selftest needs them
+    from . import acceptance
+
     only = None
     if args.only:
         only = [int(tok) for chunk in args.only for tok in chunk.split(",") if tok]
@@ -375,10 +375,6 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"specsense {args.command}: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    return run(argv)
 
 
 def console_main() -> None:

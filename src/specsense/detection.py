@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .fading import FadingParams
 from .special_fn import (
@@ -364,8 +364,11 @@ def average_pd_quadrature(cfg: DetectorConfig, p: FadingParams) -> float:
     (sqrt(lam)+45)^2/2 regardless of the heavy F-distribution SNR tail, so
     the cutoff never loses more than ~1e-12 of mass. Deliberately built on
     scipy (noncentral chi-square CDF and beta-prime density) rather than
-    this package's own special functions.
+    this package's own special functions. scipy's integrator is imported on
+    the first call, so importing the package does not load it.
     """
+    from scipy import integrate
+
     lam_eff = cfg.effective_threshold
     if lam_eff == 0.0:
         return 1.0

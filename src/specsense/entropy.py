@@ -32,6 +32,10 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
+# (m, m_s) rows of the reference entropy table, shared by the CLI's
+# `entropy --table` and the acceptance anchors.
+_TABLE_PAIRS = ((2.0, 3.0), (2.0, 30.0), (20.0, 3.0), (20.0, 30.0))
+
 
 class FittedEncoders(NamedTuple):
     m_hat: float
