@@ -23,6 +23,8 @@ reach 1e-12 territory for every parameter regime.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,10 +160,19 @@ def threshold_for_pfa(u: int, target_pfa: float) -> float:
         raise ValueError("u must be an integer >= 1")
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must lie strictly inside (0, 1)")
-    lam = 2.0 * float(special.gammainccinv(u, target_pfa))
-    if not (math.isfinite(lam) and lam > 0.0):
+    return float(_thresholds(u, target_pfa))
+
+
+def _thresholds(u: int, pf):
+    """2*gammainccinv(u, pf) for a scalar or an array of targets; raises
+    ConvergenceError naming u and the first pf without a finite positive
+    threshold."""
+    lam = 2.0 * special.gammainccinv(u, pf)
+    ok = np.isfinite(lam) & (lam > 0.0)
+    if not ok.all():
         raise ConvergenceError(
-            f"threshold_for_pfa found no finite positive threshold (u={u}, pf={target_pfa})"
+            "threshold_for_pfa found no finite positive threshold "
+            f"(u={u}, pf={float(np.asarray(pf)[~ok][0])})"
         )
     return lam
 
@@ -184,42 +195,47 @@ def pd_awgn(cfg: DetectorConfig, gamma: float) -> float:
 
 def _ln_series_coeff(p: FadingParams, start: int, stop: int) -> np.ndarray:
     """ln of C * Gamma(n+m)/Gamma(n+1) * U(m+m_s; m_s-n+1; z) for
-    n = start..stop-1. Over all n >= 0 these coefficients sum to exactly 1."""
+    n = start..stop-1. Over all n >= 0 these coefficients sum to exactly 1.
+
+    Each row takes its log-gammas from gammaln directly, so a coefficient
+    is the same whichever block it was built in.
+    """
     m, ms = p.m, p.m_s
     z = p.snr_scale
     n = np.arange(start, stop, dtype=float)
     ln_u = ln_tricomi_u_grid(m + ms, ms - n + 1.0, z, _ACC)
-    # ln Gamma(n+m) and ln Gamma(n+1) by cumulative recurrence from n = start
-    ln_gm = ln_gamma(start + m) + np.concatenate(([0.0], np.cumsum(np.log(m + n[:-1]))))
-    ln_fact = ln_gamma(start + 1.0) + np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
     ln_c = ms * math.log(z) - ln_beta(m, ms)
-    return ln_c + ln_gm - ln_fact + ln_u
+    return ln_c + special.gammaln(n + m) - special.gammaln(n + 1.0) + ln_u
 
 
-def _reg_p_int_shapes(u: int, count: int, x: float) -> np.ndarray:
-    """P(u+n, x) for n = 0..count-1 by a reverse Poisson cumsum.
+def _reg_p_int_shapes(u: int, count: int, x) -> np.ndarray:
+    """P(u+n, x) for n = 0..count-1 by a reverse Poisson cumsum; one row per
+    entry when x is an array.
 
     P(k, x) equals the Poisson(x) mass at or above k; summing the pmf from
     the top down gives every shape at once with purely positive additions.
+    Each row's sum starts at its own top, so a row does not depend on the
+    other entries of x.
     """
-    top = int(math.ceil(x + 40.0 * math.sqrt(x) + 60.0)) + u + count
-    j = np.arange(top + 1, dtype=float)
-    ln_fact = np.concatenate(([0.0], np.cumsum(np.log(j[1:]))))
-    pmf = np.exp(-x + j * math.log(x) - ln_fact)
-    upper = np.cumsum(pmf[::-1])[::-1]
-    return upper[u : u + count]
+    xs = np.array(x, dtype=float, ndmin=1)[:, None]
+    tops = np.ceil(xs + 40.0 * np.sqrt(xs) + 60.0) + (u + count)
+    top = tops.max()
+    j = np.arange(u, top + 1.0)
+    ln_fact = np.cumsum(np.log(np.arange(1.0, top + 1.0)))[u - 1 :]  # ln j!
+    pmf = np.exp(-xs + j * np.log(xs) - ln_fact)
+    pmf[j > tops] = 0.0
+    upper = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+    return upper[:, :count] if np.ndim(x) else upper[0, :count]
 
 
-def _stop_index(terms: np.ndarray, rel_tol: float) -> int:
-    """First index satisfying the 3-consecutive-small-terms rule, or -1."""
-    csum = np.cumsum(terms)
+def _stop_index(terms: np.ndarray, csum: np.ndarray, rel_tol: float) -> np.ndarray:
+    """First index along the last axis satisfying the 3-consecutive-small-terms
+    rule, or -1; csum is the running sum of terms along that axis."""
     small = terms < rel_tol * np.maximum(csum, 1e-300)
-    run = 0
-    for i in range(terms.shape[0]):
-        run = run + 1 if small[i] else 0
-        if run >= 3:
-            return i
-    return -1
+    run = small[..., 2:] & small[..., 1:-1] & small[..., :-2]
+    if run.shape[-1] == 0:
+        return np.full(run.shape[:-1], -1)
+    return np.where(run.any(axis=-1), run.argmax(axis=-1) + 2, -1)
 
 
 # Ladder growth: the first block covers the Poisson bulk of the smallest
@@ -228,55 +244,103 @@ def _stop_index(terms: np.ndarray, rel_tol: float) -> int:
 # which bounds the quadrature temporaries whatever max_terms is.
 _MIN_BLOCK = 16
 _MAX_BLOCK = 256
+# Thresholds are scanned in slices of at most this many Poisson-table cells,
+# which bounds the scan's temporaries the same way.
+_MAX_CELLS = 1 << 18
+
+# Coefficient ladders, exp(_ln_series_coeff(p, 0, n)), of the channels used
+# most recently. They depend on the channel alone, not on u, the threshold
+# or the noise uncertainty, so ROC sweeps, several u values and SLS branches
+# share one; _LADDER_CHANNELS ladders at max_terms=10_000 hold 2.4 MiB.
+_LADDER_CHANNELS = 32
+_ladders: OrderedDict = OrderedDict()
+_ladders_lock = threading.Lock()
+
+
+def _ladder(p: FadingParams, rows: int) -> np.ndarray:
+    """The channel's cached coefficient ladder, grown to at least `rows` rows."""
+    with _ladders_lock:
+        coeff = _ladders.get(p)
+        if coeff is not None:
+            _ladders.move_to_end(p)
+    if coeff is None:
+        coeff = np.empty(0)
+    if coeff.shape[0] >= rows:
+        return coeff
+    coeff = np.concatenate((coeff, np.exp(_ln_series_coeff(p, coeff.shape[0], rows))))
+    coeff.setflags(write=False)
+    with _ladders_lock:
+        # rows are pure functions of (p, n), so the longest ladder wins
+        if p not in _ladders or _ladders[p].shape[0] < coeff.shape[0]:
+            _ladders[p] = coeff
+        _ladders.move_to_end(p)
+        while len(_ladders) > _LADDER_CHANNELS:
+            _ladders.popitem(last=False)
+    return coeff
+
+
+def _settle(u: int, lam_effs, rows, coeff, rel_tol: float, out, used, last) -> np.ndarray:
+    """Sum the series of the given rows, in ascending order of threshold, on
+    the ladder coeff. Rows that meet the stop rule get their Pd, terms used
+    and last term written to out, used and last; the others are returned."""
+    x = 0.5 * lam_effs[rows]
+    width = math.ceil(x[-1] + 40.0 * math.sqrt(x[-1]) + 60.0) + u + coeff.shape[0] + 1
+    step = max(1, _MAX_CELLS // width)
+    left = []
+    for lo in range(0, rows.shape[0], step):
+        part = rows[lo : lo + step]
+        terms = _reg_p_int_shapes(u, coeff.shape[0], x[lo : lo + step]) * coeff
+        csum = np.cumsum(terms, axis=1)
+        stop = _stop_index(terms, csum, rel_tol)
+        k = np.nonzero(stop >= 0)[0]
+        miss = csum[k, stop[k]]
+        ok = (miss >= -1e-9) & (miss <= 1.0 + 1e-9)
+        if not ok.all():
+            raise ConvergenceError(
+                f"average_pd series left [0,1] by more than 1e-9 (sum={miss[~ok][0]})"
+            )
+        out[part[k]] = np.clip(1.0 - miss, 0.0, 1.0)
+        used[part[k]] = stop[k] + 1
+        last[part[k]] = terms[k, stop[k]]
+        left.append(part[stop < 0])
+    return np.concatenate(left)
 
 
 def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
     """Average Pd for a batch of effective thresholds sharing one channel.
 
-    The U-coefficient ladder is built in blocks, in increasing order of
-    threshold, and grows only while the threshold at hand has not met the
-    3-small-terms rule on the rows built so far; it never passes
-    ctl.max_terms.
+    All thresholds are scanned at once on the channel's cached coefficient
+    ladder: one table of Poisson tails, its terms and their running sums,
+    and the vectorized 3-small-terms rule. Thresholds still unresolved grow
+    the ladder by one block, sized for the smallest of them, and are scanned
+    again; no call uses more than ctl.max_terms rows. The rows are the same
+    whatever the cache held, so a result does not depend on call history.
 
     Returns (pd array, terms_used array, last_term array).
     """
     lam_effs = np.asarray(lam_effs, dtype=float)
-    out = np.empty(lam_effs.shape[0])
+    out = np.ones(lam_effs.shape[0])  # zero threshold detects everything
     used = np.zeros(lam_effs.shape[0], dtype=int)
     last = np.zeros(lam_effs.shape[0])
 
-    live = lam_effs > 0.0
-    out[~live] = 1.0  # zero threshold detects everything
-    live_idx = np.nonzero(live)[0]
-    coeff = np.empty(0)
-
-    for i in live_idx[np.argsort(lam_effs[live_idx], kind="stable")]:
-        x = 0.5 * lam_effs[i]
-        stop = -1
+    live = np.nonzero(lam_effs > 0.0)[0]
+    todo = live[np.argsort(lam_effs[live], kind="stable")]
+    coeff = _ladder(p, 0)[: ctl.max_terms]
+    while todo.shape[0]:
         if coeff.shape[0]:
-            terms = _reg_p_int_shapes(u, coeff.shape[0], x) * coeff
-            stop = _stop_index(terms, ctl.rel_tol)
-        while stop < 0 and coeff.shape[0] < ctl.max_terms:
-            count = coeff.shape[0]
-            bulk = math.ceil(x + 4.0 * math.sqrt(x)) + _MIN_BLOCK
-            want = max(bulk, count + max(_MIN_BLOCK, count // 2))
-            grown = min(want, count + _MAX_BLOCK, ctl.max_terms)
-            coeff = np.concatenate((coeff, np.exp(_ln_series_coeff(p, count, grown))))
-            terms = _reg_p_int_shapes(u, grown, x) * coeff
-            stop = _stop_index(terms, ctl.rel_tol)
-        if stop < 0:
+            todo = _settle(u, lam_effs, todo, coeff, ctl.rel_tol, out, used, last)
+            if not todo.shape[0]:
+                break
+        count = coeff.shape[0]
+        if count >= ctl.max_terms:
             raise ConvergenceError(
                 f"average_pd series did not converge within {ctl.max_terms} terms "
-                f"(u={u}, lam={lam_effs[i]}, m={p.m}, m_s={p.m_s}, snr={p.mean_snr})"
+                f"(u={u}, lam={lam_effs[todo[0]]}, m={p.m}, m_s={p.m_s}, snr={p.mean_snr})"
             )
-        miss = float(np.sum(terms[: stop + 1]))
-        if not -1e-9 <= miss <= 1.0 + 1e-9:
-            raise ConvergenceError(
-                f"average_pd series left [0,1] by more than 1e-9 (sum={miss})"
-            )
-        out[i] = min(max(1.0 - miss, 0.0), 1.0)
-        used[i] = stop + 1
-        last[i] = terms[stop]
+        x = 0.5 * lam_effs[todo[0]]
+        bulk = math.ceil(x + 4.0 * math.sqrt(x)) + _MIN_BLOCK
+        want = max(bulk, count + max(_MIN_BLOCK, count // 2))
+        coeff = _ladder(p, min(want, count + _MAX_BLOCK, ctl.max_terms))[: ctl.max_terms]
     return out, used, last
 
 
@@ -519,7 +583,7 @@ def roc_curve(
         n_units = 1
         unit_pf = pf_grid
 
-    lams = np.array([threshold_for_pfa(cfg.u, t) for t in unit_pf])
+    lams = _thresholds(cfg.u, unit_pf)
     alpha2 = cfg.alpha ** 2
 
     if kind == "awgn":

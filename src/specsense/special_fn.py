@@ -372,14 +372,20 @@ def ln_tricomi_u_grid(a: float, b_values, z: float, acc: Accuracy | None = None)
     shift = _phi(y_star, a, bma1[:, 0], z)
     edges = y_star[:, None] + sigma[:, None] * _OFFSETS[None, :]
 
+    # A row stops refining once it converges, so its value depends on its
+    # own b alone and not on which other rows share the call.
     tol = max(acc.rel_tol, 5e-14)
+    out = np.empty(b.shape[0])
+    todo = np.arange(b.shape[0])
     prev = _panel_sum(edges, a, bma1, z, shift)
     for _ in range(3):
         edges = _refine(edges)
         vals = _panel_sum(edges, a, bma1, z, shift)
-        if np.all(np.abs(vals - prev) <= tol * np.abs(vals)):
-            return shift + np.log(vals) - ln_gamma(a)
-        prev = vals
+        done = np.abs(vals - prev) <= tol * np.abs(vals)
+        out[todo[done]] = shift[done] + np.log(vals[done]) - ln_gamma(a)
+        if np.all(done):
+            return out
+        todo, edges, bma1, shift, prev = todo[~done], edges[~done], bma1[~done], shift[~done], vals[~done]
     raise ConvergenceError("tricomi_u quadrature did not reach tolerance")
 
 

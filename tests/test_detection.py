@@ -7,6 +7,8 @@ the documented diagnostics and failure modes.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -380,7 +382,7 @@ class TestRocCurve:
 
 
 class TestBlockLadder:
-    def test_ladder_grows_only_as_far_as_the_series_runs(self, monkeypatch):
+    def test_ladder_grows_only_as_far_as_the_series_runs(self, monkeypatch, cold_ladders):
         rows = []
         ladder = detection.ln_tricomi_u_grid
 
@@ -390,9 +392,14 @@ class TestBlockLadder:
 
         monkeypatch.setattr(detection, "ln_tricomi_u_grid", counted)
         cfg = DetectorConfig(u=2, threshold=threshold_for_pfa(2, 0.1))
-        _, used, _ = average_pd_detail(cfg, CH, SeriesControl(rel_tol=1e-300, max_terms=600))
+        ctl = SeriesControl(rel_tol=1e-300, max_terms=600)
+        first = average_pd_detail(cfg, CH, ctl)
+        _, used, _ = first
         assert used == 222
-        assert sum(rows) <= used + max(16, used // 2)
+        assert 0 < sum(rows) <= used + max(16, used // 2)
+        rows.clear()
+        assert average_pd_detail(cfg, CH, ctl) == first
+        assert sum(rows) == 0
 
     def test_blocks_match_one_shot_window(self):
         # reference: one generously sized ladder batch, cut by the same rule
@@ -401,7 +408,110 @@ class TestBlockLadder:
             x = 0.5 * cfg.effective_threshold
             window = int(math.ceil(x + 20.0 * math.sqrt(x) + 40.0)) + cfg.u + 16
             terms = _reg_p_int_shapes(cfg.u, window, x) * np.exp(_ln_series_coeff(p, 0, window))
-            stop = _stop_index(terms, ctl.rel_tol)
+            stop = int(_stop_index(terms, np.cumsum(terms), ctl.rel_tol))
             got, used, _ = _series_batch(cfg.u, [cfg.effective_threshold], p, ctl)
             assert used[0] == stop + 1
             assert abs(got[0] - (1.0 - float(np.sum(terms[: stop + 1])))) <= 1e-13
+
+    def test_stop_rule_matches_a_running_count(self):
+        rng = np.random.default_rng(4)
+        terms = 10.0 ** rng.uniform(-14.0, 0.0, size=(60, 40))
+        got = _stop_index(terms, np.cumsum(terms, axis=1), 1e-10)
+        for row, stop in zip(terms, got):
+            csum, run, want = np.cumsum(row), 0, -1
+            for i in range(row.size):
+                run = run + 1 if row[i] < 1e-10 * max(csum[i], 1e-300) else 0
+                if run >= 3:
+                    want = i
+                    break
+            assert stop == want
+        assert np.any(got == -1) and np.any(got >= 0)
+        assert _stop_index(terms[0, :2], np.cumsum(terms[0, :2]), 1.0) == -1
+
+
+FIGURE_CHANNELS = [
+    FadingParams.from_db(m, ms, db)
+    for m, ms, db in ((2.0, 3.0, 5.0), (2.0, 30.0, 15.0), (20.0, 3.0, 5.0), (20.0, 30.0, 15.0), (1.3, 2.7, 6.0))
+]
+
+
+def _ladder_rows(p):
+    with detection._ladders_lock:
+        return detection._ladders[p].shape[0] if p in detection._ladders else 0
+
+
+class TestLadderCache:
+    @staticmethod
+    def _results(ch):
+        cfg = DetectorConfig(u=2, threshold=1.0)
+        return (
+            average_pd_detail(DetectorConfig(u=2, threshold=threshold_for_pfa(2, 0.1)), ch),
+            roc_curve(ch, cfg).points,
+            roc_curve(ch, cfg, fusion="or", n_users=3).points,
+            roc_curve([ch, ch], cfg).points,
+        )
+
+    @pytest.mark.parametrize("ch", FIGURE_CHANNELS)
+    def test_results_do_not_depend_on_call_history(self, ch, cold_ladders):
+        cold = self._results(ch)
+        with detection._ladders_lock:
+            detection._ladders.clear()
+        roc_curve(ch, DetectorConfig(u=5, threshold=1.0))
+        assert self._results(ch) == cold
+        rows = _ladder_rows(ch)
+        average_pd(DetectorConfig(u=8, threshold=threshold_for_pfa(8, 1e-12)), ch)
+        assert _ladder_rows(ch) > rows
+        assert self._results(ch) == cold
+
+    def test_slicing_the_threshold_scan_changes_nothing(self, monkeypatch):
+        cfg = DetectorConfig(u=5, threshold=1.0, noise_uncertainty_db=2.0)
+        whole = roc_curve(CH, cfg).points
+        monkeypatch.setattr(detection, "_MAX_CELLS", 2000)
+        assert roc_curve(CH, cfg).points == whole
+
+    def test_max_terms_caps_a_longer_cached_ladder(self, cold_ladders):
+        cfg = DetectorConfig(u=2, threshold=threshold_for_pfa(2, 0.1))
+        average_pd(cfg, CH, SeriesControl(rel_tol=1e-300, max_terms=600))
+        assert _ladder_rows(CH) > 200
+        with pytest.raises(ConvergenceError):
+            average_pd(DetectorConfig(u=2, threshold=60.0), CH, SeriesControl(max_terms=10))
+
+    def test_cache_keeps_the_32_latest_channels(self, cold_ladders):
+        cfg = DetectorConfig(u=1, threshold=1.0)
+        chans = [FadingParams(m=1.0 + k, m_s=3.0, mean_snr=2.0) for k in range(40)]
+        for p in chans:
+            average_pd(cfg, p)
+        assert len(detection._ladders) == 32
+        assert all(_ladder_rows(p) > 0 for p in chans[-32:])
+
+    def test_threads_share_the_cache_safely(self, cold_ladders):
+        cfg = DetectorConfig(u=2, threshold=1.0)
+        grid = np.geomspace(1e-4, 0.9, 40)
+        chans = [FadingParams(m=1.0 + k, m_s=3.0, mean_snr=2.0) for k in range(36)]
+        want = [roc_curve(p, cfg, pf_grid=grid).points for p in chans]
+        with detection._ladders_lock:
+            detection._ladders.clear()
+        got, errors = {}, []
+
+        def work(offset):
+            try:
+                for k in range(len(chans)):
+                    i = (k + offset) % len(chans)
+                    got[offset, i] = roc_curve(chans[i], cfg, pf_grid=grid).points
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(7 * t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert all(got[off, i] == want[i] for off in range(0, 28, 7) for i in range(len(chans)))
+        assert len(detection._ladders) <= 32

@@ -242,6 +242,16 @@ class TestTricomiU:
         for b, g in zip((0.5, -1.5, 3.0), got):
             assert math.isclose(math.exp(float(g)), tricomi_u(2.2, b, 1.7), rel_tol=1e-12)
 
+    def test_grid_rows_do_not_depend_on_their_neighbours(self):
+        # series ladder of the channel m=1.5, m_s=6600 at 22 dB, where a few
+        # rows need one more refinement pass than the rest
+        m, ms = 1.5, 6600.0
+        a, z = m + ms, (ms - 1.0) * 10.0 ** 2.2 / m
+        b = ms - np.arange(300.0) + 1.0
+        one_call = ln_tricomi_u_grid(a, b, z)
+        for k in range(b.size):
+            assert one_call[k] == ln_tricomi_u_grid(a, b[k : k + 1], z)[0]
+
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
             tricomi_u(-1.0, 0.5, 1.0)
