@@ -7,15 +7,19 @@ they agree with the analytic counterparts within binomial error.
 
 import math
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from specsense import montecarlo
 from specsense.auc import auc_average
 from specsense.detection import (
     DetectorConfig,
     average_pd,
     collaborative_pd,
+    pd_awgn,
     sls_average_pd,
     sls_pfa,
     threshold_for_pfa,
@@ -130,6 +134,58 @@ class TestStatistic:
             sample_statistic(2, 1.0, "H2", rng)
         with pytest.raises(ValueError):
             sample_statistic(0, 1.0, "H1", rng)
+
+    def test_non_finite_snr_is_rejected(self):
+        # a NaN statistic would silently count as a miss
+        rng = philox_stream(1, 0)
+        for g in (np.array([np.nan, 1.0, np.inf]), np.nan, np.inf, -np.inf, -1.0):
+            with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
+                sample_statistic(2, g, "H1", rng, size=3)
+
+
+class TestLargeU:
+    @pytest.mark.parametrize("u, gamma", [(32, 8.0), (500, 30.0)])
+    def test_exceedance_rates_match_closed_forms(self, u, gamma):
+        cfg = DetectorConfig(u=u, threshold=threshold_for_pfa(u, 0.1))
+        n = 200_000
+        rng = philox_stream(6100 + u, 0)
+        for hyp, g, want in (("H0", 0.0, 0.1), ("H1", gamma, pd_awgn(cfg, gamma))):
+            est = float(np.count_nonzero(sample_statistic(u, g, hyp, rng, size=n) > cfg.threshold)) / n
+            assert abs(est - want) < 3.0 * math.sqrt(want * (1.0 - want) / n), hyp
+        # the stacked (trials, branches) draw of selection combining
+        r = simulate_sls(cfg, [CH, CH], SimConfig(trials=100_000, seed=6200 + u, stream_count=1),
+                         hypothesis="H0")
+        assert abs(r.estimate - sls_pfa(u, cfg.threshold, 2)) < 3.0 * (r.ci95_halfwidth / 1.96)
+
+    def test_memory_does_not_grow_with_u(self):
+        # 2u normals per trial would peak near 130 MiB here
+        cfg = DetectorConfig(u=32, threshold=threshold_for_pfa(32, 0.1))
+        sim = SimConfig(trials=140_000, seed=6300, stream_count=1)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            simulate_average_pd(cfg, CH, sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+
+class TestThreadCap:
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-2"])
+    def test_invalid_cap_is_rejected(self, monkeypatch, value):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
+        monkeypatch.setenv("SPECSENSE_THREADS", value)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match=f"SPECSENSE_THREADS .*{re.escape(repr(value))}"):
+            simulate_average_pd(CFG, CH, SimConfig(trials=1000, seed=1))
+
+    def test_valid_cap_is_capped_by_streams(self, monkeypatch):
+        for value, want in (("1", 1), (" 3 ", 3), ("16", 8)):
+            monkeypatch.setenv("SPECSENSE_THREADS", value)
+            assert montecarlo._worker_count(8) == want
 
 
 class TestDeterminism:
