@@ -64,21 +64,19 @@ def auc_instantaneous(u: int, gamma: float) -> float:
     u = _check_u(u)
     if not gamma >= 0.0:
         raise ValueError("gamma must be nonnegative")
+    if gamma == 0.0:
+        # the chance line Pd = Pf; the double sum is exactly 1/2 here
+        return 0.5
     total = 0.0
     for l in range(u):
         for i in range(l + 1):
-            if gamma == 0.0:
-                if i > 0:
-                    continue
-                ln_t = _ln_binom(l + u - 1.0, float(l)) - (l + u) * _LN2
-            else:
-                ln_t = (
-                    _ln_binom(l + u - 1.0, float(l - i))
-                    + i * math.log(gamma)
-                    - ln_gamma(i + 1.0)
-                    - (l + u + i) * _LN2
-                    - 0.5 * gamma
-                )
+            ln_t = (
+                _ln_binom(l + u - 1.0, float(l - i))
+                + i * math.log(gamma)
+                - ln_gamma(i + 1.0)
+                - (l + u + i) * _LN2
+                - 0.5 * gamma
+            )
             total += math.exp(ln_t)
     return min(max(1.0 - total, 0.0), 1.0)
 

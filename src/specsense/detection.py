@@ -22,13 +22,13 @@ reach 1e-12 territory for every parameter regime.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .fading import FadingParams
 from .special_fn import (
@@ -80,10 +80,10 @@ class DetectorConfig:
     def __post_init__(self):
         if not (isinstance(self.u, (int, np.integer)) and self.u >= 1):
             raise ValueError("u must be an integer >= 1")
-        if not self.threshold >= 0.0:
-            raise ValueError("threshold must be nonnegative")
-        if not self.noise_uncertainty_db >= 0.0:
-            raise ValueError("noise_uncertainty_db must be nonnegative")
+        if not 0.0 <= self.threshold < math.inf:
+            raise ValueError("threshold must be finite and nonnegative")
+        if not 0.0 <= self.noise_uncertainty_db < math.inf:
+            raise ValueError("noise_uncertainty_db must be finite and nonnegative")
 
     @property
     def alpha(self) -> float:
@@ -152,29 +152,106 @@ def threshold_for_pfa(u: int, target_pfa: float) -> float:
     """Threshold lambda whose false-alarm probability Q(u, lambda/2) is the
     target to double-precision relative accuracy.
 
-    Inverts the regularized upper incomplete gamma with
-    scipy.special.gammainccinv, so the contract is relative all the way
-    down to targets of 1e-15 and below.
+    Inverts the closed-form integer-u tail Q(u, x) = e^{-x} sum_{k<u} x^k/k!
+    by Halley's method (see _thresholds), so the contract is relative all
+    the way down to targets of 1e-15 and below.
     """
     if not (isinstance(u, (int, np.integer)) and u >= 1):
         raise ValueError("u must be an integer >= 1")
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must lie strictly inside (0, 1)")
-    return float(_thresholds(u, target_pfa))
+    return float(_thresholds(u, target_pfa)[0])
 
 
-def _thresholds(u: int, pf):
-    """2*gammainccinv(u, pf) for a scalar or an array of targets; raises
-    ConvergenceError naming u and the first pf without a finite positive
-    threshold."""
-    lam = 2.0 * special.gammainccinv(u, pf)
-    ok = np.isfinite(lam) & (lam > 0.0)
-    if not ok.all():
-        raise ConvergenceError(
-            "threshold_for_pfa found no finite positive threshold "
-            f"(u={u}, pf={float(np.asarray(pf)[~ok][0])})"
-        )
+# Halley's method converges cubically, so a step below _STEP_TOL (relative)
+# leaves an error of order its cube.
+_STEP_TOL = 1e-6
+_MAX_HALLEY = 20
+# Targets within _NEAR_ONE of 1 solve P(u, x) = 1 - pf instead of
+# Q(u, x) = pf: there ln Q is so flat that its rounding error moves x by
+# more than _STEP_TOL, while ln P stays well conditioned.
+_NEAR_ONE = 1e-6
+
+
+@functools.lru_cache(maxsize=64)
+def _poisson_tables(u: int):
+    """Per-u tables for _thresholds: ((c, e) of Q, (c, e) of P, ln (u-1)!,
+    ln u!).
+
+    With w(x) = sum_i exp(c_i + e_i ln x), both tails are pmf(u-1; x) w(x):
+    Q(u, x) for c = ln((u-1)!/k!), e = k-u+1 over k < u, and P(u, x) for
+    c = -ln((u-1+j)!/(u-1)!), e = j over 1 <= j <= 10 sqrt(u) + 20, which
+    leaves out less than 1e-21 of P wherever x <= u.
+    """
+    ln_top = math.lgamma(u)
+    k = np.arange(u, dtype=float)
+    j = np.arange(1.0, math.ceil(10.0 * math.sqrt(u)) + 21.0)
+    q_form = (np.array([ln_top - math.lgamma(v + 1.0) for v in k]), k - (u - 1.0))
+    p_form = (np.array([ln_top - math.lgamma(u + v) for v in j]), j)
+    for table in q_form + p_form:
+        table.setflags(write=False)
+    return q_form, p_form, ln_top, math.lgamma(u + 1.0)
+
+
+def _thresholds(u: int, pf) -> np.ndarray:
+    """Thresholds lambda = 2x with Q(u, x) = pf for a scalar or an array of
+    targets in (0, 1); always returns an array.
+
+    The start is Wilson-Hilferty with the Abramowitz-Stegun 26.2.22 normal
+    quantile, floored at (u!(1-pf))^{1/u}, a lower bound of the root since
+    P(u, x) <= x^u/u!. _halley then solves ln Q = ln pf, or ln P = ln(1-pf)
+    for targets within _NEAR_ONE of 1. Every entry depends on its own target
+    alone. Raises ConvergenceError naming u and the first pf that did not
+    converge.
+    """
+    pf = np.array(pf, dtype=float, ndmin=1)
+    q_form, p_form, ln_top, ln_ufact = _poisson_tables(u)
+    ln_pf = np.log(pf)
+    ln_pq = np.log1p(-pf)
+    t = np.sqrt(-2.0 * np.minimum(ln_pf, ln_pq))
+    z = np.copysign(t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t)), 0.5 - pf)
+    x = u * (1.0 - 1.0 / (9.0 * u) + z / (3.0 * math.sqrt(u))) ** 3  # < 0 falls to the floor
+    x = np.maximum(x, np.exp((ln_ufact + ln_pq) / u))
+
+    lam = np.empty_like(x)
+    near = pf > 1.0 - _NEAR_ONE
+    forms = ((~near, q_form, -1.0, ln_pf), (near, p_form, 1.0, ln_pq))
+    for sel, (c, e), sign, ln_target in forms:
+        if sel.any():
+            lam[sel] = 2.0 * _halley(u, x[sel], ln_top + ln_target[sel], c, e, sign, pf[sel])
     return lam
+
+
+def _halley(u: int, x, shift, c, e, sign: float, pf) -> np.ndarray:
+    """Root of f(x) = (u-1) ln x - x + ln w(x) - shift, that is
+    ln(pmf(u-1; x) w(x)) = shift - ln (u-1)!, with w from _poisson_tables.
+
+    f' = r = sign/w, where sign is -1 for the Q form and +1 for the P form,
+    and f'' = r ((u-1)/x - 1 - r). Each entry stops once its own step is
+    below _STEP_TOL relative and is then frozen.
+    """
+    out = np.empty_like(x)
+    todo = np.arange(x.shape[0])
+    for _ in range(_MAX_HALLEY):
+        ln_x = np.log(x)
+        w = np.exp(c + np.multiply.outer(ln_x, e)).sum(axis=1)
+        r = sign / w
+        f = (u - 1.0) * ln_x - x + np.log(w) - shift
+        dx = f / (0.5 * f * ((u - 1.0) / x - 1.0 - r) - r)
+        x = x + dx
+        done = np.abs(dx) <= _STEP_TOL * x
+        n_done = np.count_nonzero(done)
+        if n_done == x.shape[0]:
+            out[todo] = x
+            return out
+        if n_done:
+            out[todo[done]] = x[done]
+            keep = ~done
+            todo, x, shift = todo[keep], x[keep], shift[keep]
+    raise ConvergenceError(
+        f"threshold_for_pfa did not converge in {_MAX_HALLEY} Halley steps "
+        f"(u={u}, pf={float(pf[todo[0]])})"
+    )
 
 
 def pd_awgn(cfg: DetectorConfig, gamma: float) -> float:
@@ -183,8 +260,8 @@ def pd_awgn(cfg: DetectorConfig, gamma: float) -> float:
     Any configured noise uncertainty is folded in through the effective
     threshold.
     """
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError("gamma must be finite and nonnegative")
     return marcum_q(cfg.u, math.sqrt(2.0 * gamma), math.sqrt(cfg.effective_threshold))
 
 
@@ -197,15 +274,16 @@ def _ln_series_coeff(p: FadingParams, start: int, stop: int) -> np.ndarray:
     """ln of C * Gamma(n+m)/Gamma(n+1) * U(m+m_s; m_s-n+1; z) for
     n = start..stop-1. Over all n >= 0 these coefficients sum to exactly 1.
 
-    Each row takes its log-gammas from gammaln directly, so a coefficient
-    is the same whichever block it was built in.
+    Each row takes its log-gammas from math.lgamma directly, so a
+    coefficient is the same whichever block it was built in.
     """
     m, ms = p.m, p.m_s
     z = p.snr_scale
     n = np.arange(start, stop, dtype=float)
     ln_u = ln_tricomi_u_grid(m + ms, ms - n + 1.0, z, _ACC)
     ln_c = ms * math.log(z) - ln_beta(m, ms)
-    return ln_c + special.gammaln(n + m) - special.gammaln(n + 1.0) + ln_u
+    ln_g = np.array([math.lgamma(k + m) - math.lgamma(k + 1.0) for k in range(start, stop)])
+    return ln_c + ln_g + ln_u
 
 
 def _reg_p_int_shapes(u: int, count: int, x) -> np.ndarray:
@@ -428,10 +506,10 @@ def average_pd_quadrature(cfg: DetectorConfig, p: FadingParams) -> float:
     (sqrt(lam)+45)^2/2 regardless of the heavy F-distribution SNR tail, so
     the cutoff never loses more than ~1e-12 of mass. Deliberately built on
     scipy (noncentral chi-square CDF and beta-prime density) rather than
-    this package's own special functions. scipy's integrator is imported on
-    the first call, so importing the package does not load it.
+    this package's own special functions. scipy is imported on the first
+    call, so importing the package does not load it.
     """
-    from scipy import integrate
+    from scipy import integrate, special
 
     lam_eff = cfg.effective_threshold
     if lam_eff == 0.0:
@@ -545,8 +623,8 @@ def roc_curve(
     pf_grid = np.asarray(pf_grid, dtype=float)
     if pf_grid.ndim != 1 or pf_grid.size == 0:
         raise ValueError("pf_grid must be a non-empty 1-d sequence")
-    if np.any(pf_grid <= 0.0) or np.any(pf_grid >= 1.0):
-        raise ValueError("pf_grid entries must lie strictly inside (0, 1)")
+    if not np.all((pf_grid > 0.0) & (pf_grid < 1.0)):
+        raise ValueError("pf_grid entries must be finite and lie strictly inside (0, 1)")
     if np.any(np.diff(pf_grid) <= 0.0):
         raise ValueError("pf_grid must be strictly increasing")
 
@@ -560,8 +638,8 @@ def roc_curve(
         kind = "sls"
     else:
         gamma = float(channel)
-        if gamma < 0.0:
-            raise ValueError("AWGN SNR must be nonnegative")
+        if not 0.0 <= gamma < math.inf:
+            raise ValueError("AWGN SNR must be finite and nonnegative")
         kind = "awgn"
 
     fusion = fusion.lower()

@@ -53,15 +53,15 @@ class FadingParams:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not self.m > 0.0:
-            raise ValueError("m must be positive")
-        if not self.m_s > 1.0:
+        if not 0.0 < self.m < math.inf:
+            raise ValueError("m must be finite and positive")
+        if not 1.0 < self.m_s < math.inf:
             # the (m_s - 1) mean normalization degenerates at m_s = 1
-            raise ValueError("m_s must exceed 1")
-        if not self.mean_snr > 0.0:
-            raise ValueError("mean_snr must be positive")
-        if not self.omega > 0.0:
-            raise ValueError("omega must be positive")
+            raise ValueError("m_s must be finite and exceed 1")
+        if not 0.0 < self.mean_snr < math.inf:
+            raise ValueError("mean_snr must be finite and positive")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be finite and positive")
 
     @classmethod
     def from_db(cls, m: float, m_s: float, mean_snr_db: float, omega: float = 1.0) -> "FadingParams":

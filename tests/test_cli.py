@@ -284,3 +284,33 @@ class TestParserBasics:
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
+
+    def test_commands_load_no_scipy(self):
+        # every command but selftest runs on numpy alone; the oracle still
+        # loads scipy on its first call
+        chan = "--u 2 --m 2 --ms 3 --snr-db 5 "
+        commands = [
+            "pd " + chan + "--pfa 0.1",
+            "roc " + chan + "--pf-grid 1e-4:0.999:50",
+            "roc " + chan + "--fusion or --users 3",
+            "auc --u 2 --snr-db 2 --sweep m:1:15:3 --sweep ms:1.5:30:3",
+            "entropy --table --samples 2000",
+            "simulate " + chan + "--pfa 0.1 --kind fusion --users 3 --rule or --trials 2000",
+        ]
+        code = (
+            "import contextlib, io, sys\n"
+            "from specsense.cli import run\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert run(argv.split()) == 0, argv\n"
+            "loaded = [n for n in sys.modules if n.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n"
+            "from specsense.detection import DetectorConfig, average_pd, average_pd_quadrature\n"
+            "from specsense.fading import FadingParams\n"
+            "cfg, p = DetectorConfig(u=2, threshold=9.5), FadingParams.from_db(2.0, 3.0, 5.0)\n"
+            "diff = abs(average_pd_quadrature(cfg, p) - average_pd(cfg, p))\n"
+            "assert diff <= 1e-8, diff\n"
+            "assert 'scipy.special' in sys.modules\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr

@@ -12,7 +12,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from specsense import detection
 from specsense.acceptance import _criterion4_grid
@@ -75,6 +75,29 @@ class TestConfigTypes:
         c = RocCurve(points=((0.1, 0.3), (0.2, 0.5)), sweep="two points")
         np.testing.assert_array_equal(c.pf, [0.1, 0.2])
         np.testing.assert_array_equal(c.pd, [0.3, 0.5])
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", (math.inf, math.nan))
+    def test_detector_config_fields(self, value):
+        with pytest.raises(ValueError, match="^threshold must be finite"):
+            DetectorConfig(u=2, threshold=value)
+        with pytest.raises(ValueError, match="^noise_uncertainty_db must be finite"):
+            DetectorConfig(u=2, threshold=1.0, noise_uncertainty_db=value)
+
+    def test_roc_pf_grid_entries(self):
+        cfg = DetectorConfig(u=2, threshold=1.0)
+        for grid in ([0.1, math.nan], [math.nan, 0.1], [0.1, math.inf]):
+            with pytest.raises(ValueError, match="^pf_grid entries must be finite"):
+                roc_curve(CH, cfg, pf_grid=grid)
+
+    @pytest.mark.parametrize("snr", (math.inf, math.nan))
+    def test_roc_awgn_snr(self, snr):
+        cfg = DetectorConfig(u=2, threshold=1.0)
+        with pytest.raises(ValueError, match="^AWGN SNR must be finite"):
+            roc_curve(snr, cfg, pf_grid=[0.1, 0.5])
+        with pytest.raises(ValueError, match="^gamma must be finite"):
+            pd_awgn(cfg, snr)
 
 
 class TestFalseAlarm:
@@ -141,6 +164,31 @@ class TestThresholdInversion:
             threshold_for_pfa(2, 1.0)
         with pytest.raises(ValueError):
             threshold_for_pfa(0, 0.1)
+
+    @pytest.mark.parametrize("u", tuple(range(1, 65)) + (100, 200, 500))
+    def test_property_grid(self, u):
+        grid = np.unique(np.concatenate((np.geomspace(1e-15, 0.999, 60), [0.5, 1.0 - 1e-9])))
+        lam = detection._thresholds(u, grid)
+        got = special.gammaincc(u, 0.5 * lam)
+        bound = 1e-12 if u <= 64 else 5e-12
+        assert np.max(np.abs(got - grid) / grid) <= bound
+        assert np.all(np.diff(lam) < 0.0)
+        for i, p in enumerate(grid):
+            assert threshold_for_pfa(u, float(p)) == lam[i]
+
+    @pytest.mark.parametrize("u", (1, 2, 8, 128, 374, 1000))
+    def test_targets_next_to_one(self, u):
+        # ln Q cannot resolve these; the inversion switches to ln P, which
+        # holds the complement 1 - pf to a relative 1e-11
+        for pf in (1.0 - 1e-7, 1.0 - 1e-13, 1.0 - 1e-15):
+            lam = threshold_for_pfa(u, pf)
+            assert lam > 0.0
+            assert abs(special.gammainc(u, 0.5 * lam) - (1.0 - pf)) <= 1e-11 * (1.0 - pf)
+
+    def test_iteration_cap_names_u_and_pf(self, monkeypatch):
+        monkeypatch.setattr(detection, "_MAX_HALLEY", 1)
+        with pytest.raises(ConvergenceError, match=r"u=5, pf=0\.01\)"):
+            threshold_for_pfa(5, 0.01)
 
 
 class TestAwgnDetection:

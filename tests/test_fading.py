@@ -33,6 +33,16 @@ class TestParams:
         with pytest.raises(ValueError):
             FadingParams(m=1.0, m_s=2.0, mean_snr=1.0, omega=-1.0)
 
+    @pytest.mark.parametrize("field", ("m", "m_s", "mean_snr", "omega"))
+    @pytest.mark.parametrize("value", (math.inf, math.nan))
+    def test_non_finite_fields_are_rejected(self, field, value):
+        # an infinite shape or SNR used to reach the series and grow NaN
+        # ladder rows up to max_terms
+        kwargs = dict(m=2.0, m_s=3.0, mean_snr=1.0, omega=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            FadingParams(**kwargs)
+
     def test_db_round_trip(self):
         p = FadingParams.from_db(2.0, 3.0, 7.5)
         assert math.isclose(p.mean_snr, db_to_linear(7.5), rel_tol=1e-15)

@@ -5,11 +5,14 @@ Frozen reference values come from 30-digit arbitrary precision evaluation
 """
 
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+from specsense import special_fn
 from specsense.special_fn import (
     Accuracy,
     ConvergenceError,
@@ -66,6 +69,49 @@ class TestLnGamma:
             ln_gamma(0.0)
         with pytest.raises(ValueError):
             ln_gamma(-3.2)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            ln_gamma(math.nan)
+
+
+class TestNonFiniteArguments:
+    # each of these used to spin forever in the incomplete-gamma continued
+    # fraction, so each runs in a subprocess that a hang fails instead of
+    # stalling the suite
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "reg_gamma_q(2.0, math.inf) == 0.0",
+            "reg_gamma_p(2.0, math.inf) == 1.0",
+            "marcum_q(2, 1.0, math.inf) == 0.0",
+            "raises(lambda: reg_gamma_q(2.0, math.nan))",
+            "raises(lambda: reg_gamma_p(2.0, math.nan))",
+            "raises(lambda: marcum_q(2, 1.0, math.nan))",
+            "raises(lambda: marcum_q(2, math.nan, 1.0))",
+            "raises(lambda: pfa(DetectorConfig(2, math.inf)))",
+        ],
+    )
+    def test_returns_or_raises_promptly(self, expr):
+        code = (
+            "import math\n"
+            "from specsense.detection import DetectorConfig, pfa\n"
+            "from specsense.special_fn import marcum_q, reg_gamma_p, reg_gamma_q\n"
+            "def raises(fn):\n"
+            "    try:\n"
+            "        fn()\n"
+            "    except ValueError:\n"
+            "        return True\n"
+            "    return False\n"
+            f"assert {expr}\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+
+    def test_continued_fraction_is_capped(self, monkeypatch):
+        monkeypatch.setattr(special_fn, "_MAX_CF_TERMS", 5)
+        with pytest.raises(ConvergenceError, match=r"a=100\.0, x=101\.0"):
+            reg_gamma_q(100.0, 101.0)
 
 
 class TestDigamma:
