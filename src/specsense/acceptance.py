@@ -62,10 +62,6 @@ _GRID_SNR_DB = (0.0, 3.0, 7.0, 15.0)
 _GRID_U = (1, 2, 3)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.3g}"
-
-
 def criterion_1() -> tuple[bool, str]:
     """Noise-uncertainty anchors and the 5 dB sensitivity shift."""
     t0 = time.perf_counter()

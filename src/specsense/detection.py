@@ -1,9 +1,10 @@
 """Energy-detection probabilities over AWGN and F composite fading.
 
-Covers the AWGN baseline (false alarm, Marcum-Q detection), the average
-detection probability over F composite fading via a confluent
-hypergeometric series, collaborative OR/AND fusion, square-law selection
-diversity, worst-case noise-power uncertainty, and ROC generation.
+Covers the AWGN baseline (false alarm, and Marcum-Q detection, one
+vectorized call for pd_awgn and the AWGN ROC alike), the average detection
+probability over F composite fading via a confluent hypergeometric series,
+collaborative OR/AND fusion, square-law selection diversity, worst-case
+noise-power uncertainty, and ROC generation.
 
 The average-Pd series here is the exact complementary rearrangement of the
 direct Tricomi-U expansion: using the normalization identity
@@ -38,6 +39,9 @@ from .special_fn import (
     ln_gamma,
     ln_tricomi_u_grid,
     marcum_q,
+    marcum_q_grid,
+    poisson_pmf,
+    poisson_reach,
     reg_gamma_q,
 )
 
@@ -126,21 +130,19 @@ class RocCurve:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        last = -1.0
-        for pf_i, pd_i in self.points:
-            if not (0.0 <= pf_i <= 1.0 and 0.0 <= pd_i <= 1.0):
-                raise ValueError("ROC entries must lie in [0, 1]")
-            if pf_i < last:
-                raise ValueError("ROC points must be sorted by pf ascending")
-            last = pf_i
+        pts = np.array(self.points, dtype=float).reshape(-1, 2)
+        if not np.all((pts >= 0.0) & (pts <= 1.0)):
+            raise ValueError("ROC entries must lie in [0, 1]")
+        if np.any(np.diff(pts[:, 0]) < 0.0):
+            raise ValueError("ROC points must be sorted by pf ascending")
 
     @property
     def pf(self) -> np.ndarray:
-        return np.array([q[0] for q in self.points])
+        return np.array(self.points, dtype=float).reshape(-1, 2)[:, 0]
 
     @property
     def pd(self) -> np.ndarray:
-        return np.array([q[1] for q in self.points])
+        return np.array(self.points, dtype=float).reshape(-1, 2)[:, 1]
 
 
 def pfa(cfg: DetectorConfig) -> float:
@@ -292,17 +294,14 @@ def _reg_p_int_shapes(u: int, count: int, x) -> np.ndarray:
 
     P(k, x) equals the Poisson(x) mass at or above k; summing the pmf from
     the top down gives every shape at once with purely positive additions.
-    Each row's sum starts at its own top, so a row does not depend on the
-    other entries of x.
+    Each row's sum starts at its own top, poisson_reach(x) past max(x,
+    u+count-1), so a row does not depend on the other entries of x.
     """
     xs = np.array(x, dtype=float, ndmin=1)[:, None]
-    tops = np.ceil(xs + 40.0 * np.sqrt(xs) + 60.0) + (u + count)
-    top = tops.max()
-    j = np.arange(u, top + 1.0)
+    tops = np.ceil(np.maximum(xs, u + count - 1.0) + poisson_reach(xs))
+    top = int(tops.max())
     ln_fact = np.cumsum(np.log(np.arange(1.0, top + 1.0)))[u - 1 :]  # ln j!
-    pmf = np.exp(-xs + j * np.log(xs) - ln_fact)
-    pmf[j > tops] = 0.0
-    upper = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+    upper = np.cumsum(poisson_pmf(xs, u, top, u, tops, ln_fact)[:, ::-1], axis=1)[:, ::-1]
     return upper[:, :count] if np.ndim(x) else upper[0, :count]
 
 
@@ -362,7 +361,7 @@ def _settle(u: int, lam_effs, rows, coeff, rel_tol: float, out, used, last) -> n
     the ladder coeff. Rows that meet the stop rule get their Pd, terms used
     and last term written to out, used and last; the others are returned."""
     x = 0.5 * lam_effs[rows]
-    width = math.ceil(x[-1] + 40.0 * math.sqrt(x[-1]) + 60.0) + u + coeff.shape[0] + 1
+    width = math.ceil(max(x[-1], u + coeff.shape[0] - 1.0) + poisson_reach(x[-1])) - u + 1
     step = max(1, _MAX_CELLS // width)
     left = []
     for lo in range(0, rows.shape[0], step):
@@ -665,18 +664,17 @@ def roc_curve(
     alpha2 = cfg.alpha ** 2
 
     if kind == "awgn":
-        unit_pd = np.array(
-            [marcum_q(cfg.u, math.sqrt(2.0 * gamma), math.sqrt(alpha2 * lam)) for lam in lams]
-        )
-        pd_vals = unit_pd
+        # the same squares of square roots as pd_awgn's marcum_q call
+        a, b = math.sqrt(2.0 * gamma), np.sqrt(alpha2 * lams)
+        pd_vals = marcum_q_grid(cfg.u, 0.5 * a * a, 0.5 * b * b)
     elif kind == "fading":
-        unit_pd, _, _ = _series_batch(cfg.u, alpha2 * lams, channel, ctl)
-        pd_vals = unit_pd
+        pd_vals, _, _ = _series_batch(cfg.u, alpha2 * lams, channel, ctl)
     else:
+        # equal branches share one series; the misses still multiply in order
+        pds = {bp: _series_batch(cfg.u, alpha2 * lams, bp, ctl)[0] for bp in dict.fromkeys(sls_branches)}
         miss = np.ones(lams.shape[0])
         for bp in sls_branches:
-            branch_pd, _, _ = _series_batch(cfg.u, alpha2 * lams, bp, ctl)
-            miss *= 1.0 - branch_pd
+            miss *= 1.0 - pds[bp]
         pd_vals = 1.0 - miss
 
     if fusion == "or":
@@ -699,5 +697,5 @@ def roc_curve(
     else:
         meta["awgn_snr"] = gamma
     sweep = f"{pf_grid.size} pf targets in [{pf_grid[0]:.3g}, {pf_grid[-1]:.3g}]"
-    points = tuple((float(a), float(b)) for a, b in zip(pf_grid, pd_vals))
+    points = tuple(zip(pf_grid.tolist(), pd_vals.tolist()))
     return RocCurve(points=points, sweep=sweep, meta=meta)

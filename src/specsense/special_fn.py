@@ -3,8 +3,10 @@
 Everything here is built on the standard library's math module and numpy:
 log-gamma (a checked math.lgamma), digamma, regularized incomplete gamma
 (series + continued fraction), the Kummer and Tricomi confluent
-hypergeometric functions, and the generalized Marcum Q. numpy supplies the
-node arrays for the Tricomi quadrature. Nothing here uses scipy; in this
+hypergeometric functions, Poisson pmf tables, and the generalized Marcum Q
+as a Poisson mixture of gamma tails, vectorized over the threshold. numpy
+supplies the node arrays for the Tricomi quadrature and the Poisson
+tables. Nothing here uses scipy; in this
 package only the independent oracle (detection.average_pd_quadrature), the
 acceptance suite behind `selftest` and the tests do.
 """
@@ -387,79 +389,83 @@ def tricomi_u(a: float, b: float, z: float, acc: Accuracy | None = None) -> floa
     return math.exp(ln_u)
 
 
+def poisson_reach(x):
+    """9 sqrt(x) + 40: past this distance from a point beyond its mean, the
+    Poisson(x) pmf adds less than 1e-16 of the sums a table feeds."""
+    return 9.0 * np.sqrt(x) + 40.0
+
+
+def poisson_pmf(xs, lo: int, hi: int, first, last, ln_fact=None) -> np.ndarray:
+    """Poisson(x) pmf at j = lo..hi, one row per entry of the column xs, and
+    0 outside that row's [first, last]. ln_fact, ln j! for those j, defaults
+    to math.lgamma of each j."""
+    j = np.arange(lo, hi + 1.0)
+    if ln_fact is None:
+        ln_fact = np.array([math.lgamma(v + 1.0) for v in range(lo, hi + 1)])
+    pmf = np.exp(-xs + j * np.log(xs) - ln_fact)
+    pmf[(j < first) | (j > last)] = 0.0
+    return pmf
+
+
+_MAX_CELLS = 1 << 18  # cells per slice of a Poisson table, bounding its temporaries
+
+
+def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
+    """Q_u(sqrt(2g), sqrt(2x)) for one g >= 0 and an array of x >= 0.
+
+    The direct Poisson(g) mixture sum_n w_n Q(u+n, x), each Q(u+n, x) the
+    Poisson(x) mass below u+n, adds positive terms only, so a small result
+    keeps its relative accuracy. n runs from g - poisson_reach(g) to the
+    reach past max(g, min(x - u, peak)), the largest term lying below the
+    root peak of (n+1)(n+u) = g(n+u+x); k from the reach below min(x, u+n)
+    to the reach above x. Each pmf is normalised over its bulk, which
+    cancels the rounding of ln k!. An entry depends on its own x alone.
+    """
+    x = np.array(x, dtype=float, ndmin=1)
+    if g == 0.0:
+        return np.array([reg_gamma_q(float(u), v) for v in x.tolist()])
+    out = (x == 0.0).astype(float)  # b = 0 detects everything, b = inf nothing
+    live = np.nonzero((x > 0.0) & (x < math.inf))[0]
+    xl = x[live]
+    n_lo = max(0, math.floor(g - poisson_reach(g)))
+    peak = 0.5 * (g - u - 1.0 + np.sqrt((u - 1.0 + g) ** 2 + 4.0 * g * xl))
+    far = np.maximum(g, np.minimum(xl - u, peak))
+    n_top = np.ceil(far + poisson_reach(far)).astype(int)
+    n = np.arange(n_lo, max(n_top.max(initial=0), n_lo) + 1)
+    w = poisson_pmf(g, n_lo, n[-1], n_lo, n[-1])
+    w /= w[: math.ceil(g + poisson_reach(g)) - n_lo + 1].sum()
+    k_lo = np.maximum(0.0, np.floor(np.minimum(xl, u + n_lo - 1.0) - poisson_reach(xl))).astype(int)
+    bulk_hi = np.ceil(xl + poisson_reach(xl)).astype(int)
+    k_hi = np.minimum(u + n_top - 1, bulk_hi)
+    step = max(1, _MAX_CELLS // (int(k_hi.max(initial=0) - k_lo.min(initial=0)) + 1 + n.shape[0]))
+    for lo in range(0, xl.shape[0], step):
+        rows = slice(lo, lo + step)
+        k0, k1 = int(k_lo[rows].min()), int(k_hi[rows].max())
+        pmf = poisson_pmf(xl[rows, None], k0, k1, k_lo[rows, None], k_hi[rows, None])
+        lower = np.cumsum(pmf, axis=1)  # lower[:, i] = Q(k0 + i + 1, x)
+        whole = np.where(k_hi[rows] == bulk_hi[rows], lower[:, -1], 1.0)  # zeros past k_hi
+        terms = w * lower[:, np.minimum(n + (u - 1), k1) - k0] / whole[:, None]
+        terms[n > n_top[rows, None]] = 0.0
+        # a running sum, so the zeros past a row's own window change nothing
+        out[live[rows]] = np.minimum(np.cumsum(terms, axis=1)[:, -1], 1.0)
+    return out
+
+
 def marcum_q(u: int, a: float, b: float, acc: Accuracy | None = None) -> float:
     """Generalized Marcum Q_u(a, b) for integer order u >= 1.
 
-    Canonical series: with g = a^2/2 and x = b^2/2,
-    Q_u(a, b) = sum_n e^{-g} g^n / n! * Q(n + u, x), summed outward from
-    the Poisson mode so that e^{-g} never underflows on its own.
+    With g = a^2/2 and x = b^2/2, Q_u(a, b) = sum_n e^{-g} g^n / n! Q(n+u, x),
+    evaluated as a one-element marcum_q_grid call; g = 0 reduces to the
+    gamma tail reg_gamma_q(u, x).
 
     Args:
       u: integer order (time-bandwidth product in the detector context).
       a: noncentrality-side argument, finite and >= 0.
       b: threshold-side argument, >= 0; b = inf gives 0.
-      acc: optional tolerance bundle.
+      acc: unused; marcum_q_grid's windows leave out under 1e-16 of the sum.
     """
-    if acc is None:
-        acc = _DEFAULT_ACC
     if not (isinstance(u, (int, np.integer)) and u >= 1):
         raise ValueError("marcum_q requires integer u >= 1")
     if not (0.0 <= a < math.inf and b >= 0.0):
         raise ValueError("marcum_q requires finite a >= 0 and b >= 0 (not NaN)")
-    if b == 0.0:
-        return 1.0
-    if b == math.inf:
-        return 0.0
-    g = 0.5 * a * a
-    x = 0.5 * b * b
-    if g == 0.0:
-        return reg_gamma_q(float(u), x)
-
-    tol = 0.1 * acc.rel_tol
-    n0 = int(g)
-    w0 = math.exp(-g + n0 * math.log(g) - ln_gamma(n0 + 1.0))
-    r0 = reg_gamma_q(n0 + u, x)
-    total = w0 * r0
-
-    # Upward sweep. Gamma-tail recurrence: Q(s+1, x) = Q(s, x) + T(s) with
-    # T(s) = x^s e^{-x} / Gamma(s+1); here s = n + u.
-    lt = (n0 + u) * math.log(x) - x - ln_gamma(n0 + u + 1.0)
-    t_up = math.exp(lt) if lt > -MAXLOG else 0.0
-    w = w0
-    r = r0
-    n = n0
-    while True:
-        r += t_up
-        n += 1
-        t_up *= x / (n + u)
-        w *= g / n
-        total += w * r
-        if n + 1 > g:
-            rho = g / (n + 1)
-            # remaining Poisson mass bounded by the geometric tail; R <= 1
-            if w * rho / (1.0 - rho) <= tol * total:
-                break
-        if n - n0 > 10_000_000:
-            raise ConvergenceError("marcum_q upward sweep did not converge")
-
-    # Downward sweep. Q(s-1, x) = Q(s, x) - T(s-1); terms below the mode
-    # stop mattering once R itself is negligible against the total.
-    lt = (n0 + u - 1) * math.log(x) - x - ln_gamma(n0 + u)
-    t_dn = math.exp(lt) if lt > -MAXLOG else 0.0
-    w = w0
-    r = r0
-    n = n0
-    while n > 0:
-        r -= t_dn
-        t_dn *= (n + u - 1) / x
-        w *= n / g
-        n -= 1
-        if r <= 0.0:
-            # rounding artifact of the subtraction; true R is tiny here
-            break
-        total += w * r
-        rho = n / g
-        if rho < 1.0 and r * w * rho / (1.0 - rho) <= tol * total:
-            break
-
-    return min(max(total, 0.0), 1.0)
+    return float(marcum_q_grid(u, 0.5 * a * a, [0.5 * b * b])[0])

@@ -216,6 +216,24 @@ class TestAwgnDetection:
         rough = pd_awgn(DetectorConfig(u=2, threshold=lam, noise_uncertainty_db=2.0), 3.0)
         assert rough < clean
 
+    @pytest.mark.parametrize("u", [1, 2, 8, 32, 200])
+    def test_roc_is_pd_awgn_and_matches_noncentral_chi_square(self, u):
+        # one path: each ROC point is pd_awgn at its threshold, bit for bit,
+        # and both stay relative down to Pd of 1e-30
+        grid = np.geomspace(1e-12, 0.999, 40)
+        lams = np.array([threshold_for_pfa(u, pf) for pf in grid])
+        worst = 0.0
+        for gamma in (0.1, 1.0, 3.16, 31.6, 1000.0, 1e4):
+            for beta in (0.0, 2.0):
+                curve = roc_curve(gamma, DetectorConfig(u=u, threshold=1.0, noise_uncertainty_db=beta), grid)
+                for lam, got in zip(lams, curve.pd):
+                    cfg = DetectorConfig(u=u, threshold=float(lam), noise_uncertainty_db=beta)
+                    assert got == pd_awgn(cfg, gamma)
+                    want = stats.ncx2.sf(cfg.effective_threshold, 2 * u, 2.0 * gamma)
+                    if want >= 1e-30:
+                        worst = max(worst, abs(got - want) / want)
+        assert worst <= 1e-12
+
 
 class TestAveragePd:
     def test_zero_threshold(self):
@@ -253,6 +271,15 @@ class TestAveragePd:
         msg = str(info.value)
         for part in ("u=2", "lam=60.0", f"m={CH.m}", f"m_s={CH.m_s}", f"snr={CH.mean_snr}"):
             assert part in msg
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the stop rule fires before the factorial tail")
+    def test_stops_within_rel_tol_at_a_deep_target(self):
+        # pd_scatter seed 7041, round 11, query 33: 124 terms give 2.93e-9
+        # where the oracle and a rel_tol=1e-16 sum give 6.95e-10
+        ch = FadingParams(m=12.076910843575192, m_s=3.706436347537164, mean_snr=0.4249692944307139)
+        lam = threshold_for_pfa(8, 2.309243887087424e-14)
+        cfg = DetectorConfig(u=8, threshold=lam, noise_uncertainty_db=2.8938335889037337)
+        assert abs(average_pd(cfg, ch) - average_pd_quadrature(cfg, ch)) <= 1e-10
 
     def test_bounded(self):
         rng = np.random.default_rng(17)
@@ -350,6 +377,24 @@ class TestSquareLawSelection:
         vals = [sls_average_pd(cfg, [CH] * n) for n in (1, 2, 4)]
         assert vals[0] < vals[1] < vals[2]
         assert sls_pfa(2, 9.0, 1) < sls_pfa(2, 9.0, 2) < sls_pfa(2, 9.0, 4)
+
+    @pytest.mark.parametrize("branches", [[CH] * 4, [CH, FadingParams.from_db(1.3, 2.7, 6.0), CH]])
+    def test_roc_sums_each_distinct_branch_once(self, branches, monkeypatch):
+        calls = []
+        batch = detection._series_batch
+
+        def counted(*args):
+            calls.append(args[2])
+            return batch(*args)
+
+        monkeypatch.setattr(detection, "_series_batch", counted)
+        grid = np.geomspace(1e-4, 0.9, 25)
+        curve = roc_curve(branches, DetectorConfig(u=2, threshold=1.0), grid)
+        assert len(calls) == len(set(branches))
+        unit = 1.0 - (1.0 - grid) ** (1.0 / len(branches))
+        for pf_i, u_pf, (got_pf, got_pd) in zip(grid, unit, curve.points):
+            cfg = DetectorConfig(u=2, threshold=threshold_for_pfa(2, u_pf))
+            assert (got_pf, got_pd) == (pf_i, sls_average_pd(cfg, branches))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -460,6 +505,24 @@ class TestBlockLadder:
             got, used, _ = _series_batch(cfg.u, [cfg.effective_threshold], p, ctl)
             assert used[0] == stop + 1
             assert abs(got[0] - (1.0 - float(np.sum(terms[: stop + 1])))) <= 1e-13
+
+    @pytest.mark.parametrize("u", [1, 2, 8, 32, 200, 500])
+    def test_poisson_table_matches_a_generous_top(self, u):
+        # reference: each row summed from x + 40 sqrt(x) + 60 + u + count, far
+        # past the top the table now stops at
+        def generous(count, x):
+            xs = x[:, None]
+            tops = np.ceil(xs + 40.0 * np.sqrt(xs) + 60.0) + (u + count)
+            top = tops.max()
+            j = np.arange(u, top + 1.0)
+            ln_fact = np.cumsum(np.log(np.arange(1.0, top + 1.0)))[u - 1 :]
+            pmf = np.exp(-xs + j * np.log(xs) - ln_fact)
+            pmf[j > tops] = 0.0
+            return np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1][:, :count]
+
+        x = np.geomspace(1e-6, 3000.0, 25)
+        for count in (10, 49, 300, 2000, 10_000):
+            assert np.array_equal(_reg_p_int_shapes(u, count, x), generous(count, x))
 
     def test_stop_rule_matches_a_running_count(self):
         rng = np.random.default_rng(4)

@@ -7,6 +7,7 @@ Frozen reference values come from 30-digit arbitrary precision evaluation
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -334,6 +335,16 @@ class TestMarcumQ:
             assert marcum_q(u, a + 0.3, b) >= q - 1e-13
             assert marcum_q(u, a, b + 0.3) <= q + 1e-13
             assert marcum_q(u + 1, a, b) >= q - 1e-13
+
+    def test_memory_grows_with_the_root_of_the_noncentrality(self):
+        tracemalloc.start()
+        try:
+            q = marcum_q(2, math.sqrt(2e6), math.sqrt(2e6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 < q < 0.51
+        assert peak <= 16 * 2**20
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
