@@ -33,6 +33,7 @@ import numpy as np
 
 from .fading import FadingParams
 from .special_fn import (
+    _MAX_CELLS,
     Accuracy,
     ConvergenceError,
     ln_beta,
@@ -130,7 +131,10 @@ class RocCurve:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float).reshape(-1, 2)
+        pts = np.array(self.points, dtype=float)
+        if pts.shape != (0,) and (pts.ndim != 2 or pts.shape[1] != 2):
+            raise ValueError("ROC points must be (pf, pd) pairs")
+        pts = pts.reshape(-1, 2)  # no points give shape (0,)
         if not np.all((pts >= 0.0) & (pts <= 1.0)):
             raise ValueError("ROC entries must lie in [0, 1]")
         if np.any(np.diff(pts[:, 0]) < 0.0):
@@ -321,9 +325,6 @@ def _stop_index(terms: np.ndarray, csum: np.ndarray, rel_tol: float) -> np.ndarr
 # which bounds the quadrature temporaries whatever max_terms is.
 _MIN_BLOCK = 16
 _MAX_BLOCK = 256
-# Thresholds are scanned in slices of at most this many Poisson-table cells,
-# which bounds the scan's temporaries the same way.
-_MAX_CELLS = 1 << 18
 
 # Coefficient ladders, exp(_ln_series_coeff(p, 0, n)), of the channels used
 # most recently. They depend on the channel alone, not on u, the threshold

@@ -395,19 +395,34 @@ def poisson_reach(x):
     return 9.0 * np.sqrt(x) + 40.0
 
 
-def poisson_pmf(xs, lo: int, hi: int, first, last, ln_fact=None) -> np.ndarray:
+def poisson_pmf(xs, lo: int, hi: int, first, last, ln_fact) -> np.ndarray:
     """Poisson(x) pmf at j = lo..hi, one row per entry of the column xs, and
-    0 outside that row's [first, last]. ln_fact, ln j! for those j, defaults
-    to math.lgamma of each j."""
+    0 outside that row's [first, last]; ln_fact holds ln j! for those j."""
     j = np.arange(lo, hi + 1.0)
-    if ln_fact is None:
-        ln_fact = np.array([math.lgamma(v + 1.0) for v in range(lo, hi + 1)])
     pmf = np.exp(-xs + j * np.log(xs) - ln_fact)
     pmf[(j < first) | (j > last)] = 0.0
     return pmf
 
 
+def _ln_factorials(lo: int, hi: int) -> np.ndarray:
+    """ln j! for j = lo..hi, each from math.lgamma."""
+    return np.fromiter(map(math.lgamma, range(lo + 1, hi + 2)), float, hi - lo + 1)
+
+
+def _chernoff(g: float, x, s) -> np.ndarray:
+    """Least over n of the Chernoff exponents of Poisson(g) at n plus
+    Poisson(x) at n + s, taken at n(n + s) = g x. Where the two tails face
+    each other, exp(-it) bounds every term of their mixture."""
+    r = math.sqrt(g) * np.sqrt(x)
+    n = 2.0 * r * (r / (s + np.hypot(s, 2.0 * r)))
+    k = n + s
+    with np.errstate(divide="ignore", invalid="ignore"):  # n underflowing to 0: NaN, settles nothing
+        return n * np.log(n / g) - n + g + k * np.log(k / x) - k + x
+
+
+_SURE = 800.0  # a sum of terms all below exp(-_SURE) rounds to 0
 _MAX_CELLS = 1 << 18  # cells per slice of a Poisson table, bounding its temporaries
+_MAX_WINDOW = 1 << 20  # Poisson terms per row of a marcum_q_grid call
 
 
 def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
@@ -415,10 +430,14 @@ def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
 
     The direct Poisson(g) mixture sum_n w_n Q(u+n, x), each Q(u+n, x) the
     Poisson(x) mass below u+n, adds positive terms only, so a small result
-    keeps its relative accuracy. n runs from g - poisson_reach(g) to the
-    reach past max(g, min(x - u, peak)), the largest term lying below the
-    root peak of (n+1)(n+u) = g(n+u+x); k from the reach below min(x, u+n)
-    to the reach above x. Each pmf is normalised over its bulk, which
+    keeps its relative accuracy. An entry whose terms, or those of 1 - Q,
+    all lie below exp(-_SURE) by _chernoff is 0, or 1, with no table; the
+    rest have sqrt(x) within about 30 + sqrt(u) of sqrt(g). For those, n
+    runs from g - poisson_reach(g) to the reach past max(g, min(x - u,
+    peak)), peak the root of (n+1)(n+u) = g(n+u+x) past which the terms
+    fall, and k from the reach below min(x, u+n) to the reach above x. The
+    windows are O(sqrt(g) + sqrt(x) + u) wide; one wider than _MAX_WINDOW
+    raises ConvergenceError. Each pmf is normalised over its bulk, which
     cancels the rounding of ln k!. An entry depends on its own x alone.
     """
     x = np.array(x, dtype=float, ndmin=1)
@@ -426,22 +445,32 @@ def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
         return np.array([reg_gamma_q(float(u), v) for v in x.tolist()])
     out = (x == 0.0).astype(float)  # b = 0 detects everything, b = inf nothing
     live = np.nonzero((x > 0.0) & (x < math.inf))[0]
+    # past g + u - 1 the terms of Q are the small ones, below it those of 1 - Q
+    above = x[live] > g + u - 1.0
+    sure = _chernoff(g, x[live], np.where(above, u - 1.0, float(u))) > _SURE
+    out[live[sure & ~above]] = 1.0
+    live = live[~sure]
+    if live.size == 0:
+        return out
     xl = x[live]
     n_lo = max(0, math.floor(g - poisson_reach(g)))
     peak = 0.5 * (g - u - 1.0 + np.sqrt((u - 1.0 + g) ** 2 + 4.0 * g * xl))
     far = np.maximum(g, np.minimum(xl - u, peak))
-    n_top = np.ceil(far + poisson_reach(far)).astype(int)
-    n = np.arange(n_lo, max(n_top.max(initial=0), n_lo) + 1)
-    w = poisson_pmf(g, n_lo, n[-1], n_lo, n[-1])
+    n_top = np.ceil(far + poisson_reach(far))
+    k_lo = np.maximum(0.0, np.floor(np.minimum(xl, u + n_lo - 1.0) - poisson_reach(xl)))
+    bulk_hi = np.ceil(xl + poisson_reach(xl))
+    k_hi = np.minimum(u + n_top - 1.0, bulk_hi)
+    if max(n_top.max() - n_lo, (k_hi - k_lo).max()) >= _MAX_WINDOW:
+        raise ConvergenceError(f"marcum_q needs over {_MAX_WINDOW} Poisson terms (u={u}, g={g})")
+    n_hi = max(int(n_top.max()), n_lo)
+    n = np.arange(n_lo, n_hi + 1)
+    w = poisson_pmf(g, n_lo, n_hi, n_lo, n_hi, _ln_factorials(n_lo, n_hi))
     w /= w[: math.ceil(g + poisson_reach(g)) - n_lo + 1].sum()
-    k_lo = np.maximum(0.0, np.floor(np.minimum(xl, u + n_lo - 1.0) - poisson_reach(xl))).astype(int)
-    bulk_hi = np.ceil(xl + poisson_reach(xl)).astype(int)
-    k_hi = np.minimum(u + n_top - 1, bulk_hi)
-    step = max(1, _MAX_CELLS // (int(k_hi.max(initial=0) - k_lo.min(initial=0)) + 1 + n.shape[0]))
+    step = max(1, _MAX_CELLS // (int(k_hi.max() - k_lo.min()) + 1 + n.shape[0]))
     for lo in range(0, xl.shape[0], step):
         rows = slice(lo, lo + step)
         k0, k1 = int(k_lo[rows].min()), int(k_hi[rows].max())
-        pmf = poisson_pmf(xl[rows, None], k0, k1, k_lo[rows, None], k_hi[rows, None])
+        pmf = poisson_pmf(xl[rows, None], k0, k1, k_lo[rows, None], k_hi[rows, None], _ln_factorials(k0, k1))
         lower = np.cumsum(pmf, axis=1)  # lower[:, i] = Q(k0 + i + 1, x)
         whole = np.where(k_hi[rows] == bulk_hi[rows], lower[:, -1], 1.0)  # zeros past k_hi
         terms = w * lower[:, np.minimum(n + (u - 1), k1) - k0] / whole[:, None]

@@ -9,6 +9,7 @@ the documented diagnostics and failure modes.
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,9 @@ class TestConfigTypes:
             RocCurve(points=((0.2, 0.5), (0.1, 0.6)), sweep="x")
         with pytest.raises(ValueError):
             RocCurve(points=((0.1, 1.5),), sweep="x")
+        for bad in (((0.1, 0.2, 0.3), (0.4, 0.5, 0.6)), (0.1, 0.2), ((),)):
+            with pytest.raises(ValueError):
+                RocCurve(points=bad, sweep="x")
         c = RocCurve(points=((0.1, 0.3), (0.2, 0.5)), sweep="two points")
         np.testing.assert_array_equal(c.pf, [0.1, 0.2])
         np.testing.assert_array_equal(c.pd, [0.3, 0.5])
@@ -215,6 +219,19 @@ class TestAwgnDetection:
         clean = pd_awgn(DetectorConfig(u=2, threshold=lam), 3.0)
         rough = pd_awgn(DetectorConfig(u=2, threshold=lam, noise_uncertainty_db=2.0), 3.0)
         assert rough < clean
+
+    @pytest.mark.parametrize(
+        "threshold, gamma, want", [(1e13, 10.0, 0.0), (1e16, 10.0, 0.0), (1e-3, 1e13, 1.0)]
+    )
+    def test_far_tails_are_exact_and_cheap(self, threshold, gamma, want):
+        tracemalloc.start()
+        try:
+            got = pd_awgn(DetectorConfig(2, threshold), gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 16 * 2**20
 
     @pytest.mark.parametrize("u", [1, 2, 8, 32, 200])
     def test_roc_is_pd_awgn_and_matches_noncentral_chi_square(self, u):

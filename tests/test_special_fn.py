@@ -346,6 +346,40 @@ class TestMarcumQ:
         assert 0.5 < q < 0.51
         assert peak <= 16 * 2**20
 
+    @pytest.mark.parametrize(
+        "u, a, b", [(2, math.sqrt(20.0), 1e8), (2, 30.0, 1e10), (2, 30.0, 1e150), (2, 1e7, 1.0)]
+    )
+    def test_settled_tails_need_no_table(self, u, a, b):
+        # every term lies far below the smallest double, on Q's side or on
+        # 1 - Q's, so the call builds no window that grows with a * b
+        tracemalloc.start()
+        try:
+            q = marcum_q(u, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q == (1.0 if a > b else 0.0)
+        assert peak <= 16 * 2**20
+
+    @pytest.mark.parametrize("u", [1, 2, 50, 1000])
+    @pytest.mark.parametrize("g", [1e-3, 1.0, 10.0, 1e3, 1e4])
+    def test_settled_entries_agree_with_the_sum(self, u, g, monkeypatch):
+        # across the edges where entries are settled as 0 or 1 without a
+        # table, the full sum gives the same to rounding
+        lo, hi = max(math.sqrt(g) - 45.0, 1e-3), math.sqrt(g) + math.sqrt(u) + 45.0
+        x = np.linspace(lo, hi, 1000) ** 2
+        q = special_fn.marcum_q_grid(u, g, x)
+        monkeypatch.setattr(special_fn, "_SURE", math.inf)
+        summed = special_fn.marcum_q_grid(u, g, x)
+        zeros, ones = q == 0.0, q == 1.0
+        assert zeros.any()
+        assert np.all(summed[zeros] <= 1e-300)
+        assert np.all(summed[ones] >= 1.0 - 1e-12)
+
+    def test_huge_noncentrality_raises_instead_of_allocating(self):
+        with pytest.raises(ConvergenceError, match="Poisson terms"):
+            marcum_q(2, math.sqrt(2e13), math.sqrt(2e13))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             marcum_q(0, 1.0, 1.0)
