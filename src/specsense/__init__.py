@@ -6,7 +6,7 @@ selection, ROC and AUC analytics, channel entropies, and a Monte Carlo
 oracle that simulates the detector physics end to end.
 """
 
-from .auc import AucRequest, auc_average, auc_instantaneous
+from .auc import auc_average, auc_instantaneous
 from .detection import (
     DetectorConfig,
     RocCurve,
@@ -84,7 +84,7 @@ __all__ = [
     "average_pd_quadrature", "truncation_bound", "collaborative_pd",
     "collaborative_pfa", "sls_pfa", "sls_average_pd", "roc_curve",
     # auc
-    "AucRequest", "auc_instantaneous", "auc_average",
+    "auc_instantaneous", "auc_average",
     # entropy
     "EntropyReport", "FittedEncoders", "shannon_entropy", "mean_log_snr",
     "cross_entropy_rayleigh", "cross_entropy_nakagami", "fit_nakagami_mle",

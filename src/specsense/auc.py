@@ -1,109 +1,98 @@
 """Area under the detector's ROC curve.
 
-auc_instantaneous is the exact finite double sum for a fixed-SNR energy
-detector with integer time-bandwidth product; auc_average carries the same
-sum through the F composite fading average, which turns the exponential
-SNR factor into Tricomi-U coefficients evaluated at half the SNR scale.
+For a fixed SNR gamma the area of the integer-u energy detector is the
+finite double sum
+
+    A(gamma) = 1 - sum_{l<u} sum_{i<=l} C(l+u-1, l-i)
+                   * gamma^i / (i! 2^{l+u+i}) * exp(-gamma/2).
+
+Gathering the terms of each i turns it into one sum of u terms,
+
+    A(gamma) = 1 - sum_{i<u} w_i(u) * Pois(i; gamma/2),
+
+where Pois(i; x) = x^i e^{-x} / i! and the l-sum
+
+    w_i(u) = sum_{l=i}^{u-1} C(l+u-1, l-i) / 2^{l+u}
+           = P(Binomial(2u-1, 1/2) >= u+i)
+
+is a negative-binomial CDF: the chance that u+i fair successes arrive
+before u-i failures, that is within 2u-1 trials. The weights depend on u
+alone and cost O(u): a ratio recurrence for the binomial masses and a
+reversed cumsum. w_0 = 1/2, so A(0) = 1/2.
+
+Averaging over F composite fading only replaces Pois(i; gamma/2) by its
+fading average E[Pois(i; gamma/2)]. gamma/2 is the SNR of the same channel
+at half the mean SNR, so that average is c_i, the i-th coefficient of the
+half-SNR channel's series ladder (detection._ladder), which holds exactly
+the fading-averaged Poisson weights c_n = E[Pois(n; gamma)]. The AUC then
+shares the ladder cache with average_pd and the ROCs: a warm call is a
+u-term dot product, and a cold one builds u ladder rows.
+
+Both sums weigh probabilities by 0 <= w_i <= 1/2, so the areas lie in
+[1/2, 1] without clipping. They are taken by math.fsum, correctly rounded
+and independent of how the arrays were built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .detection import _ladder
 from .fading import FadingParams
-from .special_fn import Accuracy, ln_beta, ln_gamma, ln_tricomi_u_grid
+from .special_fn import _ln_factorials, check_count, poisson_pmf
 
-__all__ = ["AucRequest", "auc_instantaneous", "auc_average"]
-
-_ACC = Accuracy()
-_LN2 = math.log(2.0)
+__all__ = ["auc_instantaneous", "auc_average"]
 
 
-def _check_u(u) -> int:
-    if not (isinstance(u, (int, np.integer)) and u >= 1):
-        raise ValueError("u must be an integer >= 1")
-    return int(u)
+@functools.lru_cache(maxsize=64)
+def _weights(u: int):
+    """(w, ln i!) for i = 0..u-1, with w_i = P(Binomial(2u-1, 1/2) >= u+i).
 
-
-@dataclass(frozen=True)
-class AucRequest:
-    """One AUC evaluation: fading-averaged if channel is set, fixed-SNR if
-    gamma is set; exactly one of the two must be present."""
-
-    u: int
-    channel: FadingParams | None = None
-    gamma: float | None = None
-
-    def __post_init__(self):
-        _check_u(self.u)
-        if (self.channel is None) == (self.gamma is None):
-            raise ValueError("exactly one of channel/gamma must be given")
-        if self.gamma is not None and not self.gamma >= 0.0:
-            raise ValueError("gamma must be nonnegative")
-
-    def evaluate(self) -> float:
-        if self.channel is not None:
-            return auc_average(self.u, self.channel)
-        return auc_instantaneous(self.u, self.gamma)
-
-
-def _ln_binom(n: float, k: float) -> float:
-    return ln_gamma(n + 1.0) - ln_gamma(k + 1.0) - ln_gamma(n - k + 1.0)
+    The binomial masses at k = u..2u-1, relative to the one at k = u,
+    follow from their ratios (2u-1-k)/(k+1). w is their reversed cumsum,
+    smallest first, scaled so that w_0 is exactly 1/2, as the symmetric
+    binomial requires. Masses past the double-precision range read 0.
+    """
+    k = np.arange(u, 2 * u - 1, dtype=float)
+    mass = np.cumprod(np.concatenate(([1.0], (2 * u - 1 - k) / (k + 1.0))))
+    tail = np.cumsum(mass[::-1])[::-1]
+    w = 0.5 * (tail / tail[0])
+    ln_fact = _ln_factorials(0, u - 1)
+    for table in (w, ln_fact):
+        table.setflags(write=False)
+    return w, ln_fact
 
 
 def auc_instantaneous(u: int, gamma: float) -> float:
-    """Area under the AWGN ROC at SNR gamma.
+    """Area under the AWGN ROC at SNR gamma:
+    1 - sum_{i<u} w_i(u) Pois(i; gamma/2).
 
-    A(gamma) = 1 - sum_{l<u} sum_{i<=l} C(l+u-1, l-i)
-               * gamma^i / (i! 2^{l+u+i}) * exp(-gamma/2).
-    Runs from 0.5 (gamma = 0, u = 1) toward 1 as the SNR grows.
+    Runs from exactly 0.5 (the chance line, gamma = 0, or gamma/2
+    underflowing to 0) toward 1 as the SNR grows.
     """
-    u = _check_u(u)
-    if not gamma >= 0.0:
-        raise ValueError("gamma must be nonnegative")
-    if gamma == 0.0:
-        # the chance line Pd = Pf; the double sum is exactly 1/2 here
+    u = check_count(u)
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError("gamma must be finite and nonnegative")
+    x = 0.5 * gamma
+    if x == 0.0:
         return 0.5
-    total = 0.0
-    for l in range(u):
-        for i in range(l + 1):
-            ln_t = (
-                _ln_binom(l + u - 1.0, float(l - i))
-                + i * math.log(gamma)
-                - ln_gamma(i + 1.0)
-                - (l + u + i) * _LN2
-                - 0.5 * gamma
-            )
-            total += math.exp(ln_t)
-    return min(max(1.0 - total, 0.0), 1.0)
+    w, ln_fact = _weights(u)
+    return 1.0 - math.fsum((w * poisson_pmf(x, 0, u - 1, 0, u - 1, ln_fact)).tolist())
 
 
 def auc_average(u: int, p: FadingParams) -> float:
-    """Area under the ROC averaged over F composite fading.
+    """Area under the ROC averaged over F composite fading:
+    1 - sum_{i<u} w_i(u) c_i, with c_i = E[Pois(i; gamma/2)] the first u
+    coefficients of the channel at half the mean SNR.
 
-    Replacing gamma^i e^{-gamma/2} by its fading average turns each inner
-    term into Gamma(m+i) * U(m+m_s; m_s-i+1; z/2) with z the SNR scale;
-    everything is assembled in log-space.
+    The coefficients come from the shared ladder cache, and ladder rows do
+    not depend on which block built them, so the result is the same bit for
+    bit whatever the cache held.
     """
-    u = _check_u(u)
-    m, ms = p.m, p.m_s
-    z = p.snr_scale
-    i_vals = np.arange(u, dtype=float)
-    ln_u_fam = ln_tricomi_u_grid(m + ms, ms - i_vals + 1.0, 0.5 * z, _ACC)
-    ln_base = ms * math.log(z) - ln_beta(m, ms)
-    total = 0.0
-    for l in range(u):
-        for i in range(l + 1):
-            ln_t = (
-                _ln_binom(l + u - 1.0, float(l - i))
-                + ln_gamma(m + i)
-                - ln_gamma(i + 1.0)
-                + ln_base
-                - (l + u + ms) * _LN2
-                + float(ln_u_fam[i])
-            )
-            total += math.exp(ln_t)
-    return min(max(1.0 - total, 0.0), 1.0)
+    u = check_count(u)
+    w, _ = _weights(u)
+    half = FadingParams(p.m, p.m_s, 0.5 * p.mean_snr)
+    return 1.0 - math.fsum((w * _ladder(half, u)[:u]).tolist())

@@ -36,6 +36,7 @@ from .special_fn import (
     _MAX_CELLS,
     Accuracy,
     ConvergenceError,
+    check_count,
     ln_beta,
     ln_gamma,
     ln_tricomi_u_grid,
@@ -83,8 +84,7 @@ class DetectorConfig:
     noise_uncertainty_db: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.u, (int, np.integer)) and self.u >= 1):
-            raise ValueError("u must be an integer >= 1")
+        check_count(self.u)
         if not 0.0 <= self.threshold < math.inf:
             raise ValueError("threshold must be finite and nonnegative")
         if not 0.0 <= self.noise_uncertainty_db < math.inf:
@@ -162,8 +162,7 @@ def threshold_for_pfa(u: int, target_pfa: float) -> float:
     by Halley's method (see _thresholds), so the contract is relative all
     the way down to targets of 1e-15 and below.
     """
-    if not (isinstance(u, (int, np.integer)) and u >= 1):
-        raise ValueError("u must be an integer >= 1")
+    check_count(u)
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must lie strictly inside (0, 1)")
     return float(_thresholds(u, target_pfa)[0])
@@ -321,15 +320,16 @@ def _stop_index(terms: np.ndarray, csum: np.ndarray, rel_tol: float) -> np.ndarr
 
 # Ladder growth: the first block covers the Poisson bulk of the smallest
 # threshold, later blocks add at least _MIN_BLOCK rows (and half the ladder,
-# so a slow series needs few blocks), and no block exceeds _MAX_BLOCK rows,
-# which bounds the quadrature temporaries whatever max_terms is.
+# so a slow series needs few blocks) and at most _MAX_BLOCK. _ladder builds
+# at most _MAX_BLOCK rows per quadrature call, which bounds its temporaries.
 _MIN_BLOCK = 16
 _MAX_BLOCK = 256
 
 # Coefficient ladders, exp(_ln_series_coeff(p, 0, n)), of the channels used
 # most recently. They depend on the channel alone, not on u, the threshold
 # or the noise uncertainty, so ROC sweeps, several u values and SLS branches
-# share one; _LADDER_CHANNELS ladders at max_terms=10_000 hold 2.4 MiB.
+# share one, and auc_average reads the first u rows of the half-SNR
+# channel's; _LADDER_CHANNELS ladders at max_terms=10_000 hold 2.4 MiB.
 _LADDER_CHANNELS = 32
 _ladders: OrderedDict = OrderedDict()
 _ladders_lock = threading.Lock()
@@ -345,7 +345,11 @@ def _ladder(p: FadingParams, rows: int) -> np.ndarray:
         coeff = np.empty(0)
     if coeff.shape[0] >= rows:
         return coeff
-    coeff = np.concatenate((coeff, np.exp(_ln_series_coeff(p, coeff.shape[0], rows))))
+    blocks = [coeff] + [
+        np.exp(_ln_series_coeff(p, lo, min(lo + _MAX_BLOCK, rows)))
+        for lo in range(coeff.shape[0], rows, _MAX_BLOCK)
+    ]
+    coeff = np.concatenate(blocks)
     coeff.setflags(write=False)
     with _ladders_lock:
         # rows are pure functions of (p, n), so the longest ladder wins
@@ -547,8 +551,7 @@ def collaborative_pd(pd_single: float, n_users: int, rule: str) -> float:
     """Fused detection probability for N i.i.d. users at equal threshold."""
     if not 0.0 <= pd_single <= 1.0:
         raise ValueError("pd_single must lie in [0, 1]")
-    if not (isinstance(n_users, (int, np.integer)) and n_users >= 1):
-        raise ValueError("n_users must be an integer >= 1")
+    check_count(n_users, "n_users")
     if _validate_rule(rule) == "or":
         return 1.0 - (1.0 - pd_single) ** n_users
     return pd_single ** n_users
@@ -561,8 +564,7 @@ def collaborative_pfa(pfa_single: float, n_users: int, rule: str) -> float:
 
 def sls_pfa(u: int, lam: float, branches: int) -> float:
     """False-alarm probability of square-law selection over L branches."""
-    if not (isinstance(branches, (int, np.integer)) and branches >= 1):
-        raise ValueError("branches must be an integer >= 1")
+    check_count(branches, "branches")
     single = pfa(DetectorConfig(u=u, threshold=lam))
     if branches == 1:
         # skip the complement round-trip so L=1 reduces exactly
@@ -648,8 +650,7 @@ def roc_curve(
     if fusion != "none":
         if kind == "sls":
             raise ValueError("fusion rules do not combine with SLS branches")
-        if not (isinstance(n_users, (int, np.integer)) and n_users >= 1):
-            raise ValueError("n_users must be an integer >= 1")
+        check_count(n_users, "n_users")
 
     if kind == "sls":
         n_units = len(sls_branches)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fading import FadingParams, sample_snr
 from .montecarlo import philox_stream
-from .special_fn import _trigamma, digamma, ln_beta, ln_gamma
+from .special_fn import _trigamma, check_count, digamma, ln_beta, ln_gamma
 
 __all__ = [
     "FittedEncoders",
@@ -149,8 +149,7 @@ def nakagami_projection(p: FadingParams) -> tuple[float, float]:
 
 def entropy_report(p: FadingParams, sample_count: int, seed: int) -> EntropyReport:
     """Sample the channel, fit both encoders, and assemble the entropy row."""
-    if not (isinstance(sample_count, (int, np.integer)) and sample_count >= 100):
-        raise ValueError("sample_count must be an integer >= 100")
+    check_count(sample_count, "sample_count", 100)
     rng = philox_stream(seed, 0)
     samples = sample_snr(p, rng, size=int(sample_count))
     m_hat, mean_n = fit_nakagami_mle(samples)

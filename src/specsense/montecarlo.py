@@ -23,6 +23,7 @@ import numpy as np
 
 from .detection import DetectorConfig
 from .fading import FadingParams, sample_snr
+from .special_fn import check_count
 
 __all__ = [
     "SimConfig",
@@ -48,10 +49,8 @@ class SimConfig:
     stream_count: int = 8
 
     def __post_init__(self):
-        if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1000):
-            raise ValueError("trials must be an integer >= 1000")
-        if not (isinstance(self.stream_count, (int, np.integer)) and self.stream_count >= 1):
-            raise ValueError("stream_count must be an integer >= 1")
+        check_count(self.trials, "trials", 1000)
+        check_count(self.stream_count, "stream_count")
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError("seed must be an integer")
 
@@ -123,8 +122,7 @@ def sample_statistic(u: int, gamma, hypothesis: str, rng: np.random.Generator, s
     stays independent. gamma may be an array matching size for per-draw
     SNRs; under H1 it must be finite and nonnegative.
     """
-    if not (isinstance(u, (int, np.integer)) and u >= 1):
-        raise ValueError("u must be an integer >= 1")
+    check_count(u)
     hyp = hypothesis.upper()
     if hyp not in ("H0", "H1"):
         raise ValueError("hypothesis must be 'H0' or 'H1'")
@@ -164,8 +162,7 @@ def simulate_fusion(
 ) -> SimResult:
     """Collaborative detection estimate: n_users i.i.d. channel/statistic
     draws per trial, individual decisions fused by OR or AND."""
-    if not (isinstance(n_users, (int, np.integer)) and n_users >= 1):
-        raise ValueError("n_users must be an integer >= 1")
+    check_count(n_users, "n_users")
     r = rule.lower()
     if r not in ("or", "and"):
         raise ValueError("rule must be 'or' or 'and'")
@@ -225,8 +222,7 @@ def simulate_sls(
 def simulate_auc(u: int, p: FadingParams, sim: SimConfig) -> SimResult:
     """Rank-statistic AUC: fraction of paired (H1, H0) statistic draws with
     the H1 draw larger; ties count half. Fresh fading per pair."""
-    if not (isinstance(u, (int, np.integer)) and u >= 1):
-        raise ValueError("u must be an integer >= 1")
+    check_count(u)
 
     def task(rng, n):
         score = 0.0

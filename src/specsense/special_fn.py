@@ -46,6 +46,13 @@ class ConvergenceError(ArithmeticError):
     """An iterative evaluation failed to reach its tolerance."""
 
 
+def check_count(value, name: str = "u", least: int = 1) -> int:
+    """value as an int, or ValueError("<name> must be an integer >= <least>")."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Accuracy:
     """Tolerance bundle for the iterative evaluations.
@@ -295,12 +302,21 @@ _DROP = 90.0
 def _phi(y, a, bma1, z):
     """Exponent of the U integrand on the log axis, stable for large |y|.
 
-    bma1 is b - a - 1, either scalar or per-row column vector.
+    bma1 is b - a - 1, either scalar or per-row column vector. Works in
+    place, so a call holds at most three temporaries the size of y.
     """
-    t = np.exp(np.minimum(y, MAXLOG))
-    sp = np.where(y > 33.0, y + np.exp(-np.abs(y)), np.log1p(np.exp(np.minimum(y, 33.0))))
+    out = np.exp(np.minimum(y, MAXLOG))
     with np.errstate(over="ignore"):  # -z*t saturating to -inf is the intent
-        return -z * t + a * y + bma1 * sp
+        out *= -z
+    out += a * y
+    sp = np.minimum(y, 33.0)
+    np.log1p(np.exp(sp, out=sp), out=sp)
+    big = y > 33.0
+    if big.any():  # ln(1 + e^y) = y + ln(1 + e^-y), and e^-y < 1e-14 there
+        sp[big] = y[big] + np.exp(-y[big])
+    sp *= bma1
+    out += sp
+    return out
 
 
 def _panel_sum(edges, a, bma1_col, z, shift):
@@ -358,8 +374,7 @@ def ln_tricomi_u_grid(a: float, b_values, z: float, acc: Accuracy | None = None)
     y_star = np.log(t_star)
     # curvature -phi'' at the mode sets the core scale
     curv = z * t_star - bma1[:, 0] * t_star / (1.0 + t_star) ** 2
-    sigma = 1.0 / np.sqrt(np.clip(curv, 1e-8, None))
-    sigma = np.clip(sigma, 1e-6, 1e4)
+    sigma = np.minimum(np.maximum(1.0 / np.sqrt(np.maximum(curv, 1e-8)), 1e-6), 1e4)
 
     shift = _phi(y_star, a, bma1[:, 0], z)
     edges = y_star[:, None] + sigma[:, None] * _OFFSETS[None, :]
@@ -375,7 +390,7 @@ def ln_tricomi_u_grid(a: float, b_values, z: float, acc: Accuracy | None = None)
         vals = _panel_sum(edges, a, bma1, z, shift)
         done = np.abs(vals - prev) <= tol * np.abs(vals)
         out[todo[done]] = shift[done] + np.log(vals[done]) - ln_gamma(a)
-        if np.all(done):
+        if done.all():
             return out
         todo, edges, bma1, shift, prev = todo[~done], edges[~done], bma1[~done], shift[~done], vals[~done]
     raise ConvergenceError("tricomi_u quadrature did not reach tolerance")
@@ -493,8 +508,7 @@ def marcum_q(u: int, a: float, b: float, acc: Accuracy | None = None) -> float:
       b: threshold-side argument, >= 0; b = inf gives 0.
       acc: unused; marcum_q_grid's windows leave out under 1e-16 of the sum.
     """
-    if not (isinstance(u, (int, np.integer)) and u >= 1):
-        raise ValueError("marcum_q requires integer u >= 1")
+    check_count(u)
     if not (0.0 <= a < math.inf and b >= 0.0):
         raise ValueError("marcum_q requires finite a >= 0 and b >= 0 (not NaN)")
     return float(marcum_q_grid(u, 0.5 * a * a, [0.5 * b * b])[0])

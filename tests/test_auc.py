@@ -1,36 +1,54 @@
 """Tests for the ROC area computations.
 
-The fixed-SNR double sum is cross-checked against trapezoid integration
-of the actual ROC; the fading-averaged form against quadrature of the
-fixed-SNR area over the SNR density.
+The fixed-SNR sum is cross-checked against trapezoid integration of the
+actual ROC and against the beta mixture P(Y1 > Y0); the fading-averaged
+form against quadrature of the fixed-SNR area over the SNR density, and
+against an independent scipy quadrature of that mixture.
 """
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special, stats
 
-from specsense.auc import AucRequest, auc_average, auc_instantaneous
+from specsense import detection
+from specsense.auc import _weights, auc_average, auc_instantaneous
 from specsense.detection import DetectorConfig, roc_curve
 from specsense.fading import FadingParams, snr_pdf
 
 
-class TestRequest:
-    def test_exactly_one_target(self):
-        with pytest.raises(ValueError):
-            AucRequest(u=2)
-        with pytest.raises(ValueError):
-            AucRequest(u=2, channel=FadingParams(m=1.0, m_s=2.0, mean_snr=1.0), gamma=1.0)
-        with pytest.raises(ValueError):
-            AucRequest(u=0, gamma=1.0)
-        with pytest.raises(ValueError):
-            AucRequest(u=2, gamma=-1.0)
+def _beta_mixture_miss(u, k_max):
+    """k = 0..k_max and 1 - P(Y1 > Y0 | K = k) = I_{1/2}(u + k, u), where
+    Y0 ~ chi2(2u) and, given K = k with K ~ Poisson(gamma), Y1 ~ chi2(2u + 2k)."""
+    k = np.arange(k_max + 1, dtype=float)
+    return k, special.betainc(u + k, float(u), 0.5)
 
-    def test_dispatch(self):
-        p = FadingParams(m=2.0, m_s=3.0, mean_snr=1.5)
-        assert AucRequest(u=2, gamma=2.0).evaluate() == auc_instantaneous(2, 2.0)
-        assert AucRequest(u=2, channel=p).evaluate() == auc_average(2, p)
+
+def _reference_auc(u, p):
+    """AUC over the channel by scipy quad on the log-SNR axis of
+    sum_k Pois(k; gamma) I_{1/2}(u + k, u) times the beta-prime density."""
+    m, ms, z = p.m, p.m_s, p.snr_scale
+    ln_norm = -m * math.log(z) - special.betaln(m, ms)
+    g_hi = 400.0 + 20.0 * u  # the miss is below 1e-40 past here
+    k, miss_k = _beta_mixture_miss(u, int(g_hi + 40.0 * math.sqrt(g_hi) + 60.0))
+    ln_fact = special.gammaln(k + 1.0)
+
+    def integrand(s):
+        g = math.exp(s)
+        weight = math.exp(ln_norm + m * s - (m + ms) * math.log1p(g / z))  # g f(g)
+        return float(np.exp(k * s - g - ln_fact) @ miss_k) * weight
+
+    s_mode = math.log(z * m / ms)
+    s_lo = min(s_mode - 1.0, (-46.0 - ln_norm) / m)  # less than ~1e-20 of the mass below
+    s_hi = math.log(g_hi)
+    pts = sorted(q for q in (s_mode, math.log(2.0 * u)) if s_lo < q < s_hi)
+    miss, _ = integrate.quad(
+        integrand, s_lo, s_hi, points=pts or None, limit=500, epsabs=1e-15, epsrel=1e-13
+    )
+    return 1.0 - miss
 
 
 class TestInstantaneous:
@@ -44,6 +62,20 @@ class TestInstantaneous:
             want = 1.0 - 0.5 * math.exp(-float(g) / 2.0)
             assert math.isclose(auc_instantaneous(1, float(g)), want, rel_tol=1e-12)
 
+    def test_smallest_snr_is_chance(self):
+        for u in (1, 2, 5):
+            assert auc_instantaneous(u, 5e-324) == 0.5
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            auc_instantaneous(0, 1.0)
+        with pytest.raises(ValueError):
+            auc_instantaneous(2, -1.0)
+        with pytest.raises(ValueError):
+            auc_instantaneous(2, math.nan)
+        with pytest.raises(ValueError):
+            auc_instantaneous(2, math.inf)
+
     def test_strong_signal_saturates(self):
         assert auc_instantaneous(2, 50.0) > 0.999
 
@@ -52,6 +84,13 @@ class TestInstantaneous:
         vals = [auc_instantaneous(3, float(x)) for x in g]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(0.5 <= v <= 1.0 for v in vals)
+
+    @pytest.mark.parametrize("u", [1, 2, 3, 5, 8, 32, 128])
+    def test_matches_the_beta_mixture(self, u):
+        for g in (1e-3, 0.4, 3.0, 25.0, 300.0):
+            k, miss_k = _beta_mixture_miss(u, int(g + 40.0 * math.sqrt(g) + 60.0))
+            want = 1.0 - float(stats.poisson.pmf(k, g) @ miss_k)
+            assert abs(auc_instantaneous(u, g) - want) <= 1e-13
 
     def test_matches_roc_area(self):
         # graded grid concentrates points near pf = 0 where the ROC bends
@@ -63,6 +102,16 @@ class TestInstantaneous:
             pds = np.concatenate(([0.0], curve.pd, [1.0]))
             area = float(np.trapezoid(pds, pfs))
             assert abs(area - auc_instantaneous(u, g)) < 1e-4
+
+
+class TestWeights:
+    @pytest.mark.parametrize("u", [1, 2, 3, 5, 8, 32, 128, 500, 2000])
+    def test_are_the_binomial_tail(self, u):
+        # w_i(u) = sum_{l=i}^{u-1} C(l+u-1, l-i) / 2^{l+u} = P(Bin(2u-1, 1/2) >= u+i)
+        w, _ = _weights(u)
+        want = stats.binom.sf(u + np.arange(u) - 1, 2 * u - 1, 0.5)
+        assert w[0] == 0.5
+        assert np.max(np.abs(w - want)) <= 1e-14
 
 
 class TestAverage:
@@ -98,3 +147,45 @@ class TestAverage:
     def test_validation(self):
         with pytest.raises(ValueError):
             auc_average(0, FadingParams(m=2.0, m_s=3.0, mean_snr=1.0))
+
+    @pytest.mark.parametrize("u", [1, 2, 3, 5, 8, 32, 128])
+    def test_against_an_independent_reference(self, u):
+        rng = np.random.default_rng(9000 + u)
+        for _ in range(4):
+            m = math.exp(rng.uniform(math.log(0.1), math.log(50.0)))
+            ms = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            p = FadingParams.from_db(m, ms, rng.uniform(-10.0, 30.0))
+            assert abs(auc_average(u, p) - _reference_auc(u, p)) <= 1e-12
+
+    @pytest.mark.parametrize("order", [(1, 2, 5, 32), (32, 5, 2, 1), (5, 1, 32, 2)])
+    def test_results_do_not_depend_on_the_cache(self, order, cold_ladders):
+        chans = [FadingParams.from_db(2.0, 3.0, 5.0), FadingParams.from_db(0.7, 1.05, 12.0)]
+        cold = {}
+        for u in order:
+            for p in chans:
+                with detection._ladders_lock:
+                    detection._ladders.clear()
+                cold[u, p] = auc_average(u, p)
+        for u in order:  # the first u of the order now builds the shared ladders
+            for p in chans:
+                assert auc_average(u, p) == cold[u, p]
+        for u in order[::-1]:
+            for p in chans:
+                assert auc_average(u, p) == cold[u, p]
+
+    def test_long_ladder_is_bounded_in_time_and_memory(self, cold_ladders):
+        p = FadingParams.from_db(2.0, 3.0, 7.0)
+        start = time.perf_counter()
+        value = auc_average(500, p)
+        elapsed = time.perf_counter() - start
+        with detection._ladders_lock:
+            detection._ladders.clear()
+        tracemalloc.start()
+        try:
+            assert auc_average(500, p) == value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 < value < 1.0
+        assert elapsed <= 0.5
+        assert peak <= 16 * 2**20

@@ -511,6 +511,22 @@ class TestBlockLadder:
         assert average_pd_detail(cfg, CH, ctl) == first
         assert sum(rows) == 0
 
+    def test_ladder_builds_at_most_a_block_per_call(self, monkeypatch, cold_ladders):
+        calls = []
+        ladder = detection.ln_tricomi_u_grid
+
+        def counted(a, b_values, z, acc=None):
+            calls.append(np.size(b_values))
+            return ladder(a, b_values, z, acc)
+
+        monkeypatch.setattr(detection, "ln_tricomi_u_grid", counted)
+        grown = detection._ladder(CH, 600)
+        assert calls == [256, 256, 88]
+        assert np.array_equal(grown, np.exp(_ln_series_coeff(CH, 0, 600)))
+        calls.clear()
+        assert detection._ladder(CH, 700).shape == (700,)
+        assert calls == [100]
+
     def test_blocks_match_one_shot_window(self):
         # reference: one generously sized ladder batch, cut by the same rule
         ctl = SeriesControl()

@@ -299,6 +299,14 @@ class TestTricomiU:
         for k in range(b.size):
             assert one_call[k] == ln_tricomi_u_grid(a, b[k : k + 1], z)[0]
 
+    def test_exponent_on_both_sides_of_its_switch(self):
+        # ln(1 + e^y) changes form at y = 33; both forms agree with logaddexp
+        y = np.tile(np.linspace(-60.0, 700.0, 2001), (2, 1))
+        bma1 = np.array([[-3.5], [2.0]])
+        got = special_fn._phi(y, 1.7, bma1, 1e-300)
+        want = -1e-300 * np.exp(y) + 1.7 * y + bma1 * np.logaddexp(0.0, y)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-12)
+
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
             tricomi_u(-1.0, 0.5, 1.0)

@@ -13,7 +13,11 @@ Every run lasts BENCHMARK.json's run_seconds. BENCH_<pr>.json, at the
 repository root, gets, per workload, each side's runs and the median and
 quartiles of every end-to-end metric that BENCHMARK.json declares, the
 change's win count per metric (ties count for neither side), and with
---trace-seeds the median of every per-layer metric. Entries for other
+--trace-seeds the median of every per-layer metric. Each end-to-end metric
+also carries its bound from BENCHMARK.json, a verdict (better,
+within_bound, unresolved or worse; see _judge) and whether it meets the
+gain rule: at least 9 wins in 10 pairs and a median gap wider than the
+parent's IQR. Entries for other
 workloads already in the file are kept, so one file can collect several
 invocations. The machine, Python, numpy and scipy versions are recorded
 too. Uses the standard library only.
@@ -104,8 +108,34 @@ def _summary(runs: dict, declared: list[dict]) -> dict:
             (c["metrics"][name] < p["metrics"][name]) if lower else (c["metrics"][name] > p["metrics"][name])
             for p, c in pairs)
         row["pairs"] = len(pairs)
+        if "bound" in m:
+            row.update(_judge(row, m["bound"], lower))
         out[name] = row
     return out
+
+
+def _judge(row: dict, bound: float, lower: bool) -> dict:
+    """The bound, a verdict and the gain rule for one end-to-end metric.
+
+    verdict: 'unresolved' if the parent's IQR, relative to its median, is
+    wider than the bound; else 'worse' if the change's median is worse than
+    the parent's by more than the bound (relative); else 'better' if it is
+    better at all; else 'within_bound'. gain: the change wins at least 9 of
+    every 10 pairs and its median beats the parent's by more than the
+    parent's IQR.
+    """
+    parent, change = row["parent"], row["change"]
+    base = parent["median"]
+    iqr = parent["q3"] - parent["q1"]
+    gap = (base - change["median"]) if lower else (change["median"] - base)  # > 0: better
+    if base and iqr / abs(base) > bound:
+        verdict = "unresolved"
+    elif base and -gap / abs(base) > bound:
+        verdict = "worse"
+    else:
+        verdict = "better" if gap > 0 else "within_bound"
+    gain = row["pairs"] > 0 and 10 * row["change_wins"] >= 9 * row["pairs"] and gap > iqr
+    return {"bound": bound, "verdict": verdict, "gain": gain}
 
 
 def _environment() -> dict:
