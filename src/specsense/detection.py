@@ -34,7 +34,6 @@ import numpy as np
 from .fading import FadingParams
 from .special_fn import (
     _MAX_CELLS,
-    Accuracy,
     ConvergenceError,
     check_count,
     ln_beta,
@@ -44,7 +43,6 @@ from .special_fn import (
     marcum_q_grid,
     poisson_pmf,
     poisson_reach,
-    reg_gamma_q,
 )
 
 __all__ = [
@@ -60,14 +58,10 @@ __all__ = [
     "average_pd_quadrature",
     "truncation_bound",
     "collaborative_pd",
-    "collaborative_pfa",
     "sls_pfa",
     "sls_average_pd",
     "roc_curve",
 ]
-
-_ACC = Accuracy()
-
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -115,8 +109,7 @@ class SeriesControl:
     def __post_init__(self):
         if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
-        if not self.max_terms >= 10:
-            raise ValueError("max_terms must be at least 10")
+        check_count(self.max_terms, "max_terms", 10)
 
 
 _DEFAULT_CTL = SeriesControl()
@@ -150,8 +143,12 @@ class RocCurve:
 
 
 def pfa(cfg: DetectorConfig) -> float:
-    """False-alarm probability Q(u, lambda/2); independent of the fading."""
-    return reg_gamma_q(float(cfg.u), 0.5 * cfg.threshold)
+    """False-alarm probability Q(u, lambda/2); independent of the fading.
+
+    This is the Marcum Q at zero SNR, so pd_awgn(cfg, 0.0) equals it bit
+    for bit whenever cfg has no noise uncertainty.
+    """
+    return marcum_q(cfg.u, 0.0, math.sqrt(cfg.threshold))
 
 
 def threshold_for_pfa(u: int, target_pfa: float) -> float:
@@ -285,7 +282,7 @@ def _ln_series_coeff(p: FadingParams, start: int, stop: int) -> np.ndarray:
     m, ms = p.m, p.m_s
     z = p.snr_scale
     n = np.arange(start, stop, dtype=float)
-    ln_u = ln_tricomi_u_grid(m + ms, ms - n + 1.0, z, _ACC)
+    ln_u = ln_tricomi_u_grid(m + ms, ms - n + 1.0, z)
     ln_c = ms * math.log(z) - ln_beta(m, ms)
     ln_g = np.array([math.lgamma(k + m) - math.lgamma(k + 1.0) for k in range(start, stop)])
     return ln_c + ln_g + ln_u
@@ -450,8 +447,7 @@ def average_pd_direct(cfg: DetectorConfig, p: FadingParams, n_terms: int) -> flo
     only algebraically, so this is not the production path; it exists to
     exercise the truncation bound against realized remainders.
     """
-    if not n_terms >= 1:
-        raise ValueError("n_terms must be >= 1")
+    check_count(n_terms, "n_terms")
     lam_eff = cfg.effective_threshold
     coeff = np.exp(_ln_series_coeff(p, 0, n_terms))
     if lam_eff == 0.0:
@@ -480,17 +476,15 @@ def truncation_bound(
     verified decrease of the U factor in n and an explicit cap (default
     4*t0 + 100) in place of the divergent untruncated sum.
     """
-    if not t0 >= 1:
-        raise ValueError("t0 must be >= 1")
+    check_count(t0, "t0")
     if closed_form:
         return math.inf
     if n_cap is None:
         n_cap = 4 * t0 + 100
-    if n_cap < t0:
-        raise ValueError("n_cap must be >= t0")
+    check_count(n_cap, "n_cap", t0)
     m, ms = p.m, p.m_s
     z = p.snr_scale
-    ln_u_t0 = float(ln_tricomi_u_grid(m + ms, ms - t0 + 1.0, z, _ACC)[0])
+    ln_u_t0 = float(ln_tricomi_u_grid(m + ms, ms - t0 + 1.0, z)[0])
     n = np.arange(t0, n_cap + 1, dtype=float)
     ln_g = np.array([ln_gamma(v + m) - ln_gamma(v + 1.0) for v in n])
     peak = float(np.max(ln_g))
@@ -548,18 +542,14 @@ def _validate_rule(rule: str) -> str:
 
 
 def collaborative_pd(pd_single: float, n_users: int, rule: str) -> float:
-    """Fused detection probability for N i.i.d. users at equal threshold."""
+    """Fused detection probability for N i.i.d. users at equal threshold;
+    the same combining of per-user false alarms gives the fused Pf."""
     if not 0.0 <= pd_single <= 1.0:
         raise ValueError("pd_single must lie in [0, 1]")
     check_count(n_users, "n_users")
     if _validate_rule(rule) == "or":
         return 1.0 - (1.0 - pd_single) ** n_users
     return pd_single ** n_users
-
-
-def collaborative_pfa(pfa_single: float, n_users: int, rule: str) -> float:
-    """Fused false-alarm probability; same combining as collaborative_pd."""
-    return collaborative_pd(pfa_single, n_users, rule)
 
 
 def sls_pfa(u: int, lam: float, branches: int) -> float:

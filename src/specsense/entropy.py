@@ -16,7 +16,7 @@ import numpy as np
 
 from .fading import FadingParams, sample_snr
 from .montecarlo import philox_stream
-from .special_fn import _trigamma, check_count, digamma, ln_beta, ln_gamma
+from .special_fn import ConvergenceError, _ln_minus_digamma, check_count, digamma, ln_beta, ln_gamma
 
 __all__ = [
     "FittedEncoders",
@@ -97,25 +97,32 @@ def cross_entropy_nakagami(p: FadingParams, m_hat: float, mean_snr_n: float) -> 
     return moment_part + norm_part + log_part
 
 
+_MAX_NEWTON = 100
+
+
 def _solve_gamma_shape(s: float) -> float:
     """Solve ln k - psi(k) = s for the gamma shape k > 0.
 
     Newton from the classic moment-based start, with step halving to keep
-    the iterate positive; the map is monotone so this cannot cycle.
+    the iterate positive; the map is monotone so this cannot cycle. It
+    stops once a step is below 1e-10 of k. Raises ConvergenceError naming
+    s if the derivative underflows (k past about 1e154) or _MAX_NEWTON
+    steps do not get there.
     """
     if not s > 0.0:
         raise ValueError("gamma-shape equation needs ln(mean) > mean(ln)")
     k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    for _ in range(100):
-        f = math.log(k) - digamma(k) - s
-        fp = 1.0 / k - _trigamma(k)
-        step = f / fp
+    for _ in range(_MAX_NEWTON):
+        f, fp = _ln_minus_digamma(k)
+        if not fp < 0.0:
+            raise ConvergenceError(f"gamma-shape Newton lost its derivative at k={k} (s={s})")
+        step = (f - s) / fp
         while k - step <= 0.0:
             step *= 0.5
         k -= step
-        if abs(step) < 1e-10:
-            break
-    return k
+        if abs(step) <= 1e-10 * k:
+            return k
+    raise ConvergenceError(f"gamma-shape Newton did not converge in {_MAX_NEWTON} steps (s={s})")
 
 
 def fit_nakagami_mle(samples) -> tuple[float, float]:

@@ -1,10 +1,11 @@
 """Self-contained special functions for the sensing analytics.
 
 Everything here is built on the standard library's math module and numpy:
-log-gamma (a checked math.lgamma), digamma, regularized incomplete gamma
-(series + continued fraction), the Kummer and Tricomi confluent
-hypergeometric functions, Poisson pmf tables, and the generalized Marcum Q
-as a Poisson mixture of gamma tails, vectorized over the threshold. numpy
+log-gamma (a checked math.lgamma), digamma, the Tricomi confluent
+hypergeometric function, Poisson pmf tables, and the generalized Marcum Q
+as a Poisson mixture of gamma tails, vectorized over the threshold. At
+zero noncentrality the Marcum Q is the integer-order gamma tail Q(u, x),
+so the false-alarm probability is the same Poisson-table sum. numpy
 supplies the node arrays for the Tricomi quadrature and the Poisson
 tables. Nothing here uses scipy; in this
 package only the independent oracle (detection.average_pd_quadrature), the
@@ -14,32 +15,20 @@ acceptance suite behind `selftest` and the tests do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Accuracy",
     "ConvergenceError",
     "ln_gamma",
     "digamma",
     "ln_beta",
-    "reg_gamma_p",
-    "reg_gamma_q",
-    "kummer_1f1",
     "tricomi_u",
     "ln_tricomi_u_grid",
     "marcum_q",
 ]
 
-MACHEP = 1.11022302462515654042e-16
 MAXLOG = 709.782712893383996732
-BIG = 4.503599627370496e15
-BIGINV = 2.22044604925031308085e-16
-
-# The continued fraction for Q(a, x) needs the most terms at x = a + 1,
-# growing like sqrt(a): 911 at a = 1e6, 19,159 at a = 1e10.
-_MAX_CF_TERMS = 1_000_000
 
 
 class ConvergenceError(ArithmeticError):
@@ -51,27 +40,6 @@ def check_count(value, name: str = "u", least: int = 1) -> int:
     if not (isinstance(value, (int, np.integer)) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}")
     return int(value)
-
-
-@dataclass(frozen=True)
-class Accuracy:
-    """Tolerance bundle for the iterative evaluations.
-
-    rel_tol is the target relative error, abs_tol an absolute floor below
-    which results are not chased further.
-    """
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-300
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.abs_tol < 0.0:
-            raise ValueError("abs_tol must be nonnegative")
-
-
-_DEFAULT_ACC = Accuracy()
 
 
 def ln_gamma(x: float) -> float:
@@ -122,21 +90,34 @@ _TRI_TAIL = (
 )
 
 
-def _trigamma(x: float) -> float:
-    """psi'(x); internal helper for the gamma-shape Newton iteration."""
+def _ln_minus_digamma(x: float) -> tuple[float, float]:
+    """ln x - psi(x) and its derivative 1/x - psi'(x) for x > 0; internal
+    helper for the gamma-shape Newton iteration.
+
+    Both are lifted by the recurrences to y = x + j > 6, where the
+    asymptotic series give ln y - psi(y) = 1/(2y) - sum c_k y^{-2k} and
+    1/y - psi'(y) = -1/(2y^2) - sum d_k y^{-2k-1} outright, so neither
+    difference cancels at large x.
+    """
     if not x > 0.0:
-        raise ValueError("trigamma requires x > 0")
-    acc = 0.0
-    while x <= 6.0:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    p = inv2 / x
-    for c in _TRI_TAIL:
-        tail += c * p
+        raise ValueError("ln_minus_digamma requires x > 0")
+    val = der = 0.0
+    y = x
+    while y <= 6.0:
+        val += 1.0 / y
+        der -= 1.0 / (y * y)
+        y += 1.0
+    inv2 = 1.0 / (y * y)
+    val += math.log(x / y) + 0.5 / y
+    der += 1.0 / x - 1.0 / y - 0.5 * inv2
+    p, q = inv2, inv2 / y
+    for c in _PSI_TAIL:
+        val -= c * p
         p *= inv2
-    return acc + 1.0 / x + 0.5 * inv2 + tail
+    for d in _TRI_TAIL:
+        der -= d * q
+        q *= inv2
+    return val, der
 
 
 def ln_beta(a: float, b: float) -> float:
@@ -144,130 +125,6 @@ def ln_beta(a: float, b: float) -> float:
     if not (a > 0.0 and b > 0.0):
         raise ValueError("ln_beta requires a, b > 0")
     return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma by power series; wants x < a + 1."""
-    ax = a * math.log(x) - x - ln_gamma(a)
-    if ax < -MAXLOG:
-        return 0.0
-    ax = math.exp(ax)
-    r = a
-    c = 1.0
-    ans = 1.0
-    while c / ans > MACHEP:
-        r += 1.0
-        c *= x / r
-        ans += c
-    return ans * ax / a
-
-
-def _gamma_q_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma by continued fraction; wants
-    x >= a + 1."""
-    ax = a * math.log(x) - x - ln_gamma(a)
-    if ax < -MAXLOG:
-        return 0.0
-    ax = math.exp(ax)
-    y = 1.0 - a
-    z = x + y + 1.0
-    c = 0.0
-    pkm2 = 1.0
-    qkm2 = x
-    pkm1 = x + 1.0
-    qkm1 = z * x
-    ans = pkm1 / qkm1
-    for _ in range(_MAX_CF_TERMS):
-        c += 1.0
-        y += 1.0
-        z += 2.0
-        yc = y * c
-        pk = pkm1 * z - pkm2 * yc
-        qk = qkm1 * z - qkm2 * yc
-        if qk != 0.0:
-            r = pk / qk
-            t = abs((ans - r) / r)
-            ans = r
-        else:
-            t = 1.0
-        pkm2, pkm1 = pkm1, pk
-        qkm2, qkm1 = qkm1, qk
-        if abs(pk) > BIG:
-            pkm2 *= BIGINV
-            pkm1 *= BIGINV
-            qkm2 *= BIGINV
-            qkm1 *= BIGINV
-        if t <= MACHEP:
-            return ans * ax
-    raise ConvergenceError(
-        f"incomplete gamma continued fraction did not converge in {_MAX_CF_TERMS} terms "
-        f"(a={a}, x={x})"
-    )
-
-
-def _check_gamma_args(name: str, a: float, x: float) -> None:
-    if not 0.0 < a < math.inf:
-        raise ValueError(f"{name} requires finite a > 0")
-    if not x >= 0.0:
-        raise ValueError(f"{name} requires x >= 0 (not NaN)")
-
-
-def reg_gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x)/Gamma(a);
-    Q(a, inf) = 0."""
-    _check_gamma_args("reg_gamma_q", a, x)
-    if x == 0.0:
-        return 1.0
-    if x == math.inf:
-        return 0.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_cf(a, x)
-
-
-def reg_gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) = 1 - Q(a, x);
-    P(a, inf) = 1."""
-    _check_gamma_args("reg_gamma_p", a, x)
-    if x == 0.0:
-        return 0.0
-    if x == math.inf:
-        return 1.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_cf(a, x)
-
-
-def kummer_1f1(a: float, b: float, z: float, acc: Accuracy | None = None) -> float:
-    """Kummer confluent hypergeometric 1F1(a; b; z) by direct power series.
-
-    Args:
-      a: numerator parameter.
-      b: denominator parameter; must not be a non-positive integer.
-      z: argument; the direct series is reliable for moderate |z|.
-      acc: optional tolerance bundle.
-
-    Returns:
-      The series sum, truncated once three consecutive terms drop below
-      rel_tol times the accumulated sum.
-    """
-    if acc is None:
-        acc = _DEFAULT_ACC
-    if b <= 0.0 and abs(b - round(b)) < 1e-9:
-        raise ValueError("kummer_1f1 pole: b is a non-positive integer")
-    total = 1.0
-    term = 1.0
-    small = 0
-    for n in range(100_000):
-        term *= (a + n) * z / ((b + n) * (n + 1.0))
-        total += term
-        if abs(term) < acc.rel_tol * max(abs(total), acc.abs_tol):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise ConvergenceError("kummer_1f1 did not converge within 1e5 terms")
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +154,8 @@ _OFFSETS = np.concatenate((-_LADDER[::-1], _CORE, _LADDER))
 # Panels with both endpoint exponents this far under the mode contribute
 # less than e^-90 relatively and are skipped.
 _DROP = 90.0
+# A row is done once a refinement pass moves it by at most this, relatively.
+_U_TOL = 1e-12
 
 
 def _phi(y, a, bma1, z):
@@ -349,7 +208,7 @@ def _refine(edges):
     return out
 
 
-def ln_tricomi_u_grid(a: float, b_values, z: float, acc: Accuracy | None = None) -> np.ndarray:
+def ln_tricomi_u_grid(a: float, b_values, z: float) -> np.ndarray:
     """ln U(a, b, z) for a shared (a, z) and a vector of b values.
 
     This is the workhorse behind tricomi_u and the detection series, where
@@ -357,8 +216,6 @@ def ln_tricomi_u_grid(a: float, b_values, z: float, acc: Accuracy | None = None)
     returned array may lie far outside exp() range; callers combine them
     with other log factors before exponentiating.
     """
-    if acc is None:
-        acc = _DEFAULT_ACC
     if not a > 0.0:
         raise ValueError("tricomi_u requires a > 0")
     if not z > 0.0:
@@ -381,14 +238,13 @@ def ln_tricomi_u_grid(a: float, b_values, z: float, acc: Accuracy | None = None)
 
     # A row stops refining once it converges, so its value depends on its
     # own b alone and not on which other rows share the call.
-    tol = max(acc.rel_tol, 5e-14)
     out = np.empty(b.shape[0])
     todo = np.arange(b.shape[0])
     prev = _panel_sum(edges, a, bma1, z, shift)
     for _ in range(3):
         edges = _refine(edges)
         vals = _panel_sum(edges, a, bma1, z, shift)
-        done = np.abs(vals - prev) <= tol * np.abs(vals)
+        done = np.abs(vals - prev) <= _U_TOL * np.abs(vals)
         out[todo[done]] = shift[done] + np.log(vals[done]) - ln_gamma(a)
         if done.all():
             return out
@@ -396,9 +252,9 @@ def ln_tricomi_u_grid(a: float, b_values, z: float, acc: Accuracy | None = None)
     raise ConvergenceError("tricomi_u quadrature did not reach tolerance")
 
 
-def tricomi_u(a: float, b: float, z: float, acc: Accuracy | None = None) -> float:
+def tricomi_u(a: float, b: float, z: float) -> float:
     """Tricomi confluent hypergeometric U(a, b, z) for a > 0, z > 0, any b."""
-    ln_u = float(ln_tricomi_u_grid(a, [b], z, acc)[0])
+    ln_u = float(ln_tricomi_u_grid(a, [b], z)[0])
     if ln_u > MAXLOG:
         raise OverflowError("tricomi_u overflows double precision")
     return math.exp(ln_u)
@@ -427,12 +283,16 @@ def _ln_factorials(lo: int, hi: int) -> np.ndarray:
 def _chernoff(g: float, x, s) -> np.ndarray:
     """Least over n of the Chernoff exponents of Poisson(g) at n plus
     Poisson(x) at n + s, taken at n(n + s) = g x. Where the two tails face
-    each other, exp(-it) bounds every term of their mixture."""
+    each other, exp(-it) bounds every term of their mixture. At g = 0 the
+    mixture is its n = 0 term, which leaves the Poisson(x) exponent at s."""
     r = math.sqrt(g) * np.sqrt(x)
-    n = 2.0 * r * (r / (s + np.hypot(s, 2.0 * r)))
-    k = n + s
-    with np.errstate(divide="ignore", invalid="ignore"):  # n underflowing to 0: NaN, settles nothing
-        return n * np.log(n / g) - n + g + k * np.log(k / x) - k + x
+    # n underflowing to 0, or g = 0 with s = 0: NaN, settles nothing; a
+    # subnormal x: inf, settles the entry
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        n = 2.0 * r * (r / (s + np.hypot(s, 2.0 * r)))
+        k = n + s
+        head = n * np.log(n / g) - n + g if g > 0.0 else 0.0
+        return head + k * np.log(k / x) - k + x
 
 
 _SURE = 800.0  # a sum of terms all below exp(-_SURE) rounds to 0
@@ -445,7 +305,8 @@ def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
 
     The direct Poisson(g) mixture sum_n w_n Q(u+n, x), each Q(u+n, x) the
     Poisson(x) mass below u+n, adds positive terms only, so a small result
-    keeps its relative accuracy. An entry whose terms, or those of 1 - Q,
+    keeps its relative accuracy. At g = 0 the weights are the point mass at
+    n = 0 and the sum is Q(u, x). An entry whose terms, or those of 1 - Q,
     all lie below exp(-_SURE) by _chernoff is 0, or 1, with no table; the
     rest have sqrt(x) within about 30 + sqrt(u) of sqrt(g). For those, n
     runs from g - poisson_reach(g) to the reach past max(g, min(x - u,
@@ -456,8 +317,6 @@ def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
     cancels the rounding of ln k!. An entry depends on its own x alone.
     """
     x = np.array(x, dtype=float, ndmin=1)
-    if g == 0.0:
-        return np.array([reg_gamma_q(float(u), v) for v in x.tolist()])
     out = (x == 0.0).astype(float)  # b = 0 detects everything, b = inf nothing
     live = np.nonzero((x > 0.0) & (x < math.inf))[0]
     # past g + u - 1 the terms of Q are the small ones, below it those of 1 - Q
@@ -469,9 +328,12 @@ def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
         return out
     xl = x[live]
     n_lo = max(0, math.floor(g - poisson_reach(g)))
-    peak = 0.5 * (g - u - 1.0 + np.sqrt((u - 1.0 + g) ** 2 + 4.0 * g * xl))
-    far = np.maximum(g, np.minimum(xl - u, peak))
-    n_top = np.ceil(far + poisson_reach(far))
+    if g > 0.0:
+        peak = 0.5 * (g - u - 1.0 + np.sqrt((u - 1.0 + g) ** 2 + 4.0 * g * xl))
+        far = np.maximum(g, np.minimum(xl - u, peak))
+        n_top = np.ceil(far + poisson_reach(far))
+    else:  # the point mass at n = 0, leaving Q(u, x) itself
+        n_top = np.zeros_like(xl)
     k_lo = np.maximum(0.0, np.floor(np.minimum(xl, u + n_lo - 1.0) - poisson_reach(xl)))
     bulk_hi = np.ceil(xl + poisson_reach(xl))
     k_hi = np.minimum(u + n_top - 1.0, bulk_hi)
@@ -479,7 +341,7 @@ def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
         raise ConvergenceError(f"marcum_q needs over {_MAX_WINDOW} Poisson terms (u={u}, g={g})")
     n_hi = max(int(n_top.max()), n_lo)
     n = np.arange(n_lo, n_hi + 1)
-    w = poisson_pmf(g, n_lo, n_hi, n_lo, n_hi, _ln_factorials(n_lo, n_hi))
+    w = poisson_pmf(g, n_lo, n_hi, n_lo, n_hi, _ln_factorials(n_lo, n_hi)) if g > 0.0 else np.ones(1)
     w /= w[: math.ceil(g + poisson_reach(g)) - n_lo + 1].sum()
     step = max(1, _MAX_CELLS // (int(k_hi.max() - k_lo.min()) + 1 + n.shape[0]))
     for lo in range(0, xl.shape[0], step):
@@ -495,18 +357,17 @@ def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
     return out
 
 
-def marcum_q(u: int, a: float, b: float, acc: Accuracy | None = None) -> float:
+def marcum_q(u: int, a: float, b: float) -> float:
     """Generalized Marcum Q_u(a, b) for integer order u >= 1.
 
     With g = a^2/2 and x = b^2/2, Q_u(a, b) = sum_n e^{-g} g^n / n! Q(n+u, x),
-    evaluated as a one-element marcum_q_grid call; g = 0 reduces to the
-    gamma tail reg_gamma_q(u, x).
+    evaluated as a one-element marcum_q_grid call; a = 0 leaves the gamma
+    tail Q(u, x), the false-alarm probability at threshold b^2.
 
     Args:
       u: integer order (time-bandwidth product in the detector context).
       a: noncentrality-side argument, finite and >= 0.
       b: threshold-side argument, >= 0; b = inf gives 0.
-      acc: unused; marcum_q_grid's windows leave out under 1e-16 of the sum.
     """
     check_count(u)
     if not (0.0 <= a < math.inf and b >= 0.0):

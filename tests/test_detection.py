@@ -11,6 +11,7 @@ import sys
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -26,7 +27,6 @@ from specsense.detection import (
     average_pd_direct,
     average_pd_quadrature,
     collaborative_pd,
-    collaborative_pfa,
     pd_awgn,
     pfa,
     roc_curve,
@@ -67,6 +67,23 @@ class TestConfigTypes:
             SeriesControl(rel_tol=0.0)
         with pytest.raises(ValueError):
             SeriesControl(max_terms=9)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: SeriesControl(max_terms=1e4), "max_terms must be an integer >= 10"),
+            (lambda: SeriesControl(max_terms=100.5), "max_terms must be an integer >= 10"),
+            (lambda: truncation_bound(DetectorConfig(1, 5.0), CH, 1.5), "t0 must be an integer >= 1"),
+            (lambda: truncation_bound(DetectorConfig(1, 5.0), CH, 10, 20.0), "n_cap must be an integer >= 10"),
+            (lambda: truncation_bound(DetectorConfig(1, 5.0), CH, 10, 5), "n_cap must be an integer >= 10"),
+            (lambda: average_pd_direct(DetectorConfig(1, 5.0), CH, 2.5), "n_terms must be an integer >= 1"),
+        ],
+        ids=["max_terms_float", "max_terms_fraction", "t0_fraction",
+             "n_cap_float", "n_cap_below_t0", "n_terms_fraction"],
+    )
+    def test_counts_must_be_integers(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
     def test_roc_curve_validation(self):
         with pytest.raises(ValueError):
@@ -119,6 +136,30 @@ class TestFalseAlarm:
             assert math.isclose(
                 pfa(DetectorConfig(u=1, threshold=lam)), math.exp(-lam / 2.0), rel_tol=1e-13
             )
+
+    @pytest.mark.parametrize("u", [1, 2, 3, 5, 8, 16, 32, 100, 300, 500])
+    def test_against_arbitrary_precision(self, u):
+        # Pf = Q(u, x) at x = lam/2, taken as the squared root pfa squares,
+        # down to x = 0, subnormal x and x where Q underflows to 0
+        xs = np.concatenate((
+            [0.0, 5e-324, 1e-310],
+            np.geomspace(1e-300, 1e5, 90),
+            [u + k * math.sqrt(u) for k in (-3, -1, 0, 1, 3) if u + k * math.sqrt(u) > 0],
+        ))
+        tiny = np.finfo(float).tiny
+        underflows = 0
+        for x in xs:
+            cfg = DetectorConfig(u, 2.0 * float(x))
+            b = math.sqrt(cfg.threshold)
+            got = pfa(cfg)
+            with mpmath.workdps(30):
+                want = float(mpmath.gammainc(u, 0.5 * b * b, regularized=True))
+            if want < tiny:
+                underflows += got == 0.0
+                assert got < tiny
+            else:
+                assert abs(got - want) <= 1e-12 * want, (x, got, want)
+        assert underflows > 0
 
     def test_pfa_ignores_noise_uncertainty(self):
         # the nominal threshold sets the false-alarm rate
@@ -200,6 +241,12 @@ class TestAwgnDetection:
         cfg = DetectorConfig(u=2, threshold=6.0)
         assert pd_awgn(cfg, 0.0) == pfa(cfg)
         assert pd_awgn(DetectorConfig(u=2, threshold=0.0), 1.3) == 1.0
+
+    @pytest.mark.parametrize("u", [1, 2, 5, 32, 300])
+    def test_zero_snr_is_the_false_alarm(self, u):
+        for lam in (1e-9, 0.5, 6.0, 2.0 * u, 77.7, 4e3):
+            cfg = DetectorConfig(u, lam)
+            assert pd_awgn(cfg, 0.0) == pfa(cfg)
 
     def test_equals_marcum(self):
         got = pd_awgn(DetectorConfig(u=1, threshold=0.5), 2.0)
@@ -353,8 +400,8 @@ class TestFusionRules:
         assert collaborative_pd(0.5, 2, "or") == 0.75
         assert collaborative_pd(0.5, 2, "and") == 0.25
         assert collaborative_pd(0.37, 1, "or") == 0.37
-        assert math.isclose(collaborative_pfa(0.1, 4, "or"), 1.0 - 0.9 ** 4, rel_tol=1e-15)
-        assert math.isclose(collaborative_pfa(0.1, 4, "and"), 1e-4, rel_tol=1e-12)
+        assert math.isclose(collaborative_pd(0.1, 4, "or"), 1.0 - 0.9 ** 4, rel_tol=1e-15)
+        assert math.isclose(collaborative_pd(0.1, 4, "and"), 1e-4, rel_tol=1e-12)
 
     def test_or_dominates_and(self):
         rng = np.random.default_rng(23)
@@ -496,9 +543,9 @@ class TestBlockLadder:
         rows = []
         ladder = detection.ln_tricomi_u_grid
 
-        def counted(a, b_values, z, acc=None):
+        def counted(a, b_values, z):
             rows.append(np.size(b_values))
-            return ladder(a, b_values, z, acc)
+            return ladder(a, b_values, z)
 
         monkeypatch.setattr(detection, "ln_tricomi_u_grid", counted)
         cfg = DetectorConfig(u=2, threshold=threshold_for_pfa(2, 0.1))
@@ -515,9 +562,9 @@ class TestBlockLadder:
         calls = []
         ladder = detection.ln_tricomi_u_grid
 
-        def counted(a, b_values, z, acc=None):
+        def counted(a, b_values, z):
             calls.append(np.size(b_values))
-            return ladder(a, b_values, z, acc)
+            return ladder(a, b_values, z)
 
         monkeypatch.setattr(detection, "ln_tricomi_u_grid", counted)
         grown = detection._ladder(CH, 600)

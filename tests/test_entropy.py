@@ -7,10 +7,12 @@ source entropy) is exercised on a random parameter grid.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
+from specsense import entropy
 from specsense.entropy import (
     EntropyReport,
     FittedEncoders,
@@ -24,6 +26,7 @@ from specsense.entropy import (
 )
 from specsense.fading import FadingParams, sample_snr, snr_pdf
 from specsense.montecarlo import philox_stream
+from specsense.special_fn import ConvergenceError
 
 LN2 = math.log(2.0)
 
@@ -124,6 +127,25 @@ class TestMleFit:
         with pytest.raises(ValueError):
             # constant samples leave the shape equation unsolvable
             fit_nakagami_mle(np.full(200, 3.3))
+
+    def test_nearly_constant_samples(self):
+        # s = ln(mean) - mean(ln) is about 5e-21 here, where ln k - psi(k)
+        # and its derivative cancel to nothing unless taken from their tails
+        samples = np.ones(100)
+        samples[-1] = 1.0 + 1e-9
+        m_hat, _ = fit_nakagami_mle(samples)
+        s = math.log(float(np.mean(samples))) - float(np.mean(np.log(samples)))
+        with mpmath.workdps(60):
+            want = mpmath.findroot(lambda k: mpmath.log(k) - mpmath.digamma(k) - s, 0.5 / s)
+        assert math.isclose(m_hat, float(want), rel_tol=1e-12)
+
+    def test_shape_solver_names_s_when_it_fails(self, monkeypatch):
+        # at s = 1e-300 the derivative underflows to 0
+        with pytest.raises(ConvergenceError, match=r"s=1e-300\)"):
+            entropy._solve_gamma_shape(1e-300)
+        monkeypatch.setattr(entropy, "_MAX_NEWTON", 1)
+        with pytest.raises(ConvergenceError, match=r"in 1 steps \(s=0\.37\)"):
+            entropy._solve_gamma_shape(0.37)
 
     def test_population_projection(self):
         p = FadingParams(m=2.0, m_s=3.0, mean_snr=10.0 ** 0.5)

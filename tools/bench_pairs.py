@@ -17,7 +17,8 @@ change's win count per metric (ties count for neither side), and with
 also carries its bound from BENCHMARK.json, a verdict (better,
 within_bound, unresolved or worse; see _judge) and whether it meets the
 gain rule: at least 9 wins in 10 pairs and a median gap wider than the
-parent's IQR. Entries for other
+parent's IQR. Each side also records its `src/` line count, the measure
+of `wc -l src/specsense/*.py`. Entries for other
 workloads already in the file are kept, so one file can collect several
 invocations. The machine, Python, numpy and scipy versions are recorded
 too. Uses the standard library only.
@@ -26,6 +27,7 @@ too. Uses the standard library only.
 from __future__ import annotations
 
 import argparse
+import glob
 import io
 import json
 import os
@@ -50,6 +52,15 @@ def _export(ref: str, dest: str) -> str:
     with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", ref))) as tar:
         tar.extractall(dest, filter="data")
     return dest
+
+
+def _src_lines(root: str) -> int:
+    """Newlines in root's src/specsense/*.py, as `wc -l` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "specsense", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def _seeds(text: str) -> list[int]:
@@ -175,6 +186,8 @@ def main() -> int:
         refs = {"parent": {"ref": args.parent, "commit": _git("rev-parse", args.parent).decode().strip()},
                 "change": {"ref": "working tree", "commit": _git("rev-parse", "HEAD").decode().strip(),
                            "uncommitted_changes": bool(_git("status", "--porcelain").strip())}}
+        for side in SIDES:
+            refs[side]["src_lines"] = _src_lines(roots[side])
 
         out_path = os.path.join(REPO, f"BENCH_{args.pr}.json")
         doc = {"workloads": {}}
