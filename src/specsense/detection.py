@@ -496,36 +496,65 @@ def truncation_bound(
     return math.exp(ln_bound)
 
 
+def _log_axis_miss(u: int, lam_eff: float, m: float, ln_norm: float, s_mode: float, ln_decay):
+    """(miss, err) of the missed-detection mass 1 - Pd by scipy's quad.
+
+    Integrates chndtr(lam_eff; 2u, 2g) * g f(g) over s = ln g, for an SNR
+    density whose log weight is ln g f(g) = ln_norm + m s - ln_decay(g),
+    with ln_decay(g) ~ 0 as g -> 0 and s_mode the weight's peak. Below
+    min(s_mode - 1, (-46 - ln_norm)/m) the density holds less than ~1e-20
+    of its mass; past (sqrt(lam_eff)+45)^2/2 the CDF is below ~1e-300
+    whatever the SNR tail. Breakpoints at s_mode and at the knee
+    ln(lam_eff/2) put QUADPACK's first panels on the two features that
+    shape the integrand, however narrow the peak.
+    """
+    from scipy import integrate, special
+
+    s_lo = min(s_mode - 1.0, (-46.0 - ln_norm) / m)
+    s_hi = math.log(0.5 * (math.sqrt(lam_eff) + 45.0) ** 2)
+    if s_hi <= s_lo:
+        return 0.0, 0.0
+    pts = sorted(x for x in (s_mode, math.log(0.5 * lam_eff)) if s_lo < x < s_hi)
+    chndtr, exp, df = special.chndtr, math.exp, 2 * u
+
+    def integrand(s):
+        g = exp(s)
+        return chndtr(lam_eff, df, 2.0 * g) * exp(ln_norm + m * s - ln_decay(g))
+
+    return integrate.quad(
+        integrand, s_lo, s_hi, points=pts or None, limit=400, epsabs=1e-11, epsrel=1e-10
+    )
+
+
 def average_pd_quadrature(cfg: DetectorConfig, p: FadingParams) -> float:
     """Independent oracle for average_pd by adaptive quadrature.
 
     Integrates the missed-detection mass, 1 - Pd = int (1 - Q_u) f(gamma)
-    dgamma: the complement's integrand dies exponentially past
-    (sqrt(lam)+45)^2/2 regardless of the heavy F-distribution SNR tail, so
-    the cutoff never loses more than ~1e-12 of mass. Deliberately built on
-    scipy (noncentral chi-square CDF and beta-prime density) rather than
-    this package's own special functions. scipy is imported on the first
-    call, so importing the package does not load it.
+    dgamma, over the log-SNR axis s = ln gamma, with breakpoints at the
+    beta-prime mode ln(z m/m_s) and at the detection knee ln(lam_eff/2).
+    Its contract is absolute: quad is asked for max(1e-11, 1e-10 * miss)
+    and an error estimate past 1e-7 raises ConvergenceError naming the
+    parameters, so a tiny Pd is right in absolute terms only. Deliberately
+    built on scipy (noncentral chi-square CDF and the closed-form
+    beta-prime density) rather than this package's own special functions.
+    scipy.special and scipy.integrate are imported on the first call, so
+    importing the package does not load them; scipy.stats is never loaded.
     """
-    from scipy import integrate, special
+    from scipy import special
 
     lam_eff = cfg.effective_threshold
     if lam_eff == 0.0:
         return 1.0
-    u = cfg.u
-    m, ms, s = p.m, p.m_s, p.snr_scale
-    ln_norm = -special.betaln(m, ms) - math.log(s)
-
-    def integrand(g):
-        # noncentral chi-square CDF times the closed-form beta-prime density
-        r = g / s
-        ln_pdf = ln_norm + (m - 1.0) * math.log(r) - (m + ms) * math.log1p(r)
-        return special.chndtr(lam_eff, 2 * u, 2.0 * g) * math.exp(ln_pdf)
-
-    cut = 0.5 * (math.sqrt(lam_eff) + 45.0) ** 2
-    miss, err = integrate.quad(integrand, 0.0, cut, limit=400, epsabs=1e-11, epsrel=1e-10)
+    m, ms, z = p.m, p.m_s, p.snr_scale
+    miss, err = _log_axis_miss(
+        cfg.u, lam_eff, m, -m * math.log(z) - special.betaln(m, ms), math.log(z * m / ms),
+        lambda g: (m + ms) * math.log1p(g / z),
+    )
     if err > 1e-7:
-        raise ConvergenceError(f"average_pd_quadrature error estimate too large ({err})")
+        raise ConvergenceError(
+            f"average_pd_quadrature error estimate {err:.3g} exceeds 1e-7 "
+            f"(u={cfg.u}, lam_eff={lam_eff}, m={m}, m_s={ms}, snr={p.mean_snr})"
+        )
     return min(max(1.0 - miss, 0.0), 1.0)
 
 

@@ -154,8 +154,10 @@ _OFFSETS = np.concatenate((-_LADDER[::-1], _CORE, _LADDER))
 # Panels with both endpoint exponents this far under the mode contribute
 # less than e^-90 relatively and are skipped.
 _DROP = 90.0
-# A row is done once a refinement pass moves it by at most this, relatively.
+# A row is done once a refinement pass moves it by at most this, relatively,
+# within this many passes.
 _U_TOL = 1e-12
+_U_PASSES = 3
 
 
 def _phi(y, a, bma1, z):
@@ -241,15 +243,20 @@ def ln_tricomi_u_grid(a: float, b_values, z: float) -> np.ndarray:
     out = np.empty(b.shape[0])
     todo = np.arange(b.shape[0])
     prev = _panel_sum(edges, a, bma1, z, shift)
-    for _ in range(3):
+    for _ in range(_U_PASSES):
         edges = _refine(edges)
         vals = _panel_sum(edges, a, bma1, z, shift)
-        done = np.abs(vals - prev) <= _U_TOL * np.abs(vals)
+        change = np.abs(vals - prev)
+        done = change <= _U_TOL * np.abs(vals)
         out[todo[done]] = shift[done] + np.log(vals[done]) - ln_gamma(a)
         if done.all():
             return out
         todo, edges, bma1, shift, prev = todo[~done], edges[~done], bma1[~done], shift[~done], vals[~done]
-    raise ConvergenceError("tricomi_u quadrature did not reach tolerance")
+    raise ConvergenceError(
+        f"tricomi_u quadrature did not reach relative change {_U_TOL:g} in {_U_PASSES} "
+        f"refinement passes (a={a}, z={z}, first unconverged b={b[todo[0]]}, "
+        f"last relative change {change[~done][0] / prev[0]:.3g})"
+    )
 
 
 def tricomi_u(a: float, b: float, z: float) -> float:

@@ -270,17 +270,20 @@ class TestParserBasics:
 
     def test_import_loads_no_oracle_modules(self):
         # the CLI must start without scipy.stats and scipy.integrate; the
-        # quadrature oracle imports its integrator on first use
+        # quadrature oracle imports its integrator on first use, and neither
+        # it nor the acceptance criteria ever load scipy.stats
         code = (
             "import sys\n"
             "import specsense.cli\n"
             "loaded = [n for n in ('scipy.stats', 'scipy.integrate') if n in sys.modules]\n"
             "assert not loaded, loaded\n"
+            "import specsense.acceptance\n"
             "from specsense.detection import DetectorConfig, average_pd, average_pd_quadrature\n"
             "from specsense.fading import FadingParams\n"
             "cfg, p = DetectorConfig(u=2, threshold=9.5), FadingParams.from_db(2.0, 3.0, 5.0)\n"
             "diff = abs(average_pd_quadrature(cfg, p) - average_pd(cfg, p))\n"
             "assert diff <= 1e-8, diff\n"
+            "assert 'scipy.stats' not in sys.modules\n"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr

@@ -9,6 +9,7 @@ the documented diagnostics and failure modes.
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import mpmath
@@ -356,6 +357,61 @@ class TestAveragePd:
             cfg = DetectorConfig(u=int(rng.integers(1, 4)), threshold=float(rng.uniform(0.1, 40.0)))
             val = average_pd(cfg, p)
             assert 0.0 <= val <= 1.0
+
+
+class TestQuadratureOracle:
+    def test_finds_a_narrow_density_peak(self):
+        # the linear-axis oracle missed this peak entirely and returned 1.0
+        cfg = DetectorConfig(8, threshold_for_pfa(8, 1e-3), noise_uncertainty_db=3.8)
+        assert average_pd_quadrature(cfg, FadingParams.from_db(39.0, 951.7, -3.5)) <= 1e-9
+
+    def test_converges_next_to_m_s_one(self):
+        # the linear-axis oracle raised on 7 of these 40 channels
+        rng = np.random.default_rng(20261018)
+        for _ in range(40):
+            p = FadingParams.from_db(
+                10.0 ** rng.uniform(-1.0, math.log10(50.0)),
+                1.0 + rng.uniform(1e-3, 1.6e-2),
+                rng.uniform(-5.0, 25.0),
+            )
+            u = int(rng.integers(1, 9))
+            cfg = DetectorConfig(u, threshold_for_pfa(u, 10.0 ** rng.uniform(-6.0, -1.0)))
+            assert abs(average_pd_quadrature(cfg, p) - average_pd(cfg, p)) <= 1e-8
+
+    def test_property_box(self):
+        # 60 draws over m in [0.1, 50], m_s - 1 in [1e-3, 1e4], -5..25 dB,
+        # u <= 500, Pf >= 1e-15 and beta <= 6 dB take about 3 s on a 2-CPU
+        # machine; the bound is 30 s. Pd must converge, lie in [0, 1], not
+        # rise with the threshold beyond the oracle's epsabs, and match the
+        # series to criterion 4's 1e-6.
+        rng = np.random.default_rng(11)
+        t0 = time.perf_counter()
+        for _ in range(60):
+            p = FadingParams.from_db(
+                10.0 ** rng.uniform(-1.0, math.log10(50.0)),
+                1.0 + 10.0 ** rng.uniform(-3.0, 4.0),
+                rng.uniform(-5.0, 25.0),
+            )
+            u = int(math.exp(rng.uniform(0.0, math.log(500.0))))
+            lam = threshold_for_pfa(u, 10.0 ** rng.uniform(-15.0, -0.5))
+            beta = rng.uniform(0.0, 6.0)
+            cfg = DetectorConfig(u, lam, noise_uncertainty_db=beta)
+            pd_val = average_pd_quadrature(cfg, p)
+            assert 0.0 <= pd_val <= 1.0
+            higher = DetectorConfig(u, 1.05 * lam, noise_uncertainty_db=beta)
+            assert average_pd_quadrature(higher, p) <= pd_val + 1e-11
+            assert abs(pd_val - average_pd(cfg, p)) <= 1e-6, (cfg, p)
+        assert time.perf_counter() - t0 < 30.0
+
+    def test_failure_names_parameters(self, monkeypatch):
+        monkeypatch.setattr(integrate, "quad", lambda *args, **kwargs: (0.5, 2e-7))
+        cfg = DetectorConfig(u=2, threshold=9.5)
+        with pytest.raises(ConvergenceError) as info:
+            average_pd_quadrature(cfg, CH)
+        msg = str(info.value)
+        for part in ("2e-07", "u=2", "lam_eff=9.5", f"m={CH.m}", f"m_s={CH.m_s}",
+                     f"snr={CH.mean_snr}"):
+            assert part in msg
 
 
 class TestPartialSums:

@@ -207,6 +207,16 @@ class TestTricomiU:
         want = -1e-300 * np.exp(y) + 1.7 * y + bma1 * np.logaddexp(0.0, y)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-12)
 
+    def test_unconverged_row_names_its_parameters(self):
+        # a row of the channel m=1, m_s=1e5 at 0 dB, whose refinement
+        # passes keep moving it by about 2e-12
+        with pytest.raises(ConvergenceError) as info:
+            ln_tricomi_u_grid(100001.0, [99990.0, 99982.0], 99999.0)
+        msg = str(info.value)
+        for part in ("a=100001.0", "z=99999.0", "b=99982.0", "3 refinement passes",
+                     "last relative change 2.29e-12"):
+            assert part in msg
+
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
             tricomi_u(-1.0, 0.5, 1.0)
