@@ -17,8 +17,13 @@ probability equals
 with C = z^{m_s}/B(m, m_s), z = (m_s-1)*mean_snr/m and P the regularized
 lower incomplete gamma. The direct form's terms decay only like
 n^{-(1+m_s)} (hopeless near m_s = 1), while these terms inherit factorial
-decay from the Poisson-like factor P(n+u, lam/2), so a few dozen terms
-reach 1e-12 territory for every parameter regime.
+decay from the Poisson-like factor P(n+u, lam/2) once n passes lam/2.
+
+With c_n the coefficients (they sum to 1) and C_k their running sum, the
+remainder after N terms is at most P(N+u, lam/2) (1 - C_{N-1}), because P
+falls in its shape. The series stops at the first N of a fixed schedule
+where that bound is at most SeriesControl.rel_tol, and is summed with its
+two sums swapped: sum_{j>=u} Pois(j; lam/2) C_{min(j-u, N-1)}.
 """
 
 from __future__ import annotations
@@ -27,13 +32,14 @@ import functools
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fading import FadingParams
 from .special_fn import (
     _MAX_CELLS,
+    _ln_factorials,
     ConvergenceError,
     check_count,
     ln_beta,
@@ -101,7 +107,14 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation policy for the average-Pd series."""
+    """Truncation policy for the average-Pd series.
+
+    The series stops once its remainder bound is at most rel_tol (see the
+    module docstring), so Pd is within rel_tol plus the ladder's defect,
+    about 1e-12, of the exact value: an absolute contract. rel_tol=1e-300
+    stops too, where the Poisson table ends. A bound still above rel_tol at
+    max_terms terms raises ConvergenceError.
+    """
 
     rel_tol: float = 1e-10
     max_terms: int = 10_000
@@ -115,16 +128,22 @@ class SeriesControl:
 _DEFAULT_CTL = SeriesControl()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class RocCurve:
-    """Ordered (pf, pd) samples with the sweep that generated them."""
+    """Ordered (pf, pd) samples with the sweep that generated them.
 
-    points: tuple
+    RocCurve(points, sweep, meta) parses the (pf, pd) pairs, a sequence or
+    an (n, 2) array, once into the read-only float arrays pf and pd; points
+    rebuilds the pairs on demand.
+    """
+
+    pf: np.ndarray
+    pd: np.ndarray
     sweep: str
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+    def __init__(self, points, sweep: str, meta: dict | None = None):
+        pts = np.array(points, dtype=float)
         if pts.shape != (0,) and (pts.ndim != 2 or pts.shape[1] != 2):
             raise ValueError("ROC points must be (pf, pd) pairs")
         pts = pts.reshape(-1, 2)  # no points give shape (0,)
@@ -132,14 +151,16 @@ class RocCurve:
             raise ValueError("ROC entries must lie in [0, 1]")
         if np.any(np.diff(pts[:, 0]) < 0.0):
             raise ValueError("ROC points must be sorted by pf ascending")
+        pf, pd = pts.T.copy()
+        pf.setflags(write=False)
+        pd.setflags(write=False)
+        for name, value in (("pf", pf), ("pd", pd), ("sweep", sweep), ("meta", meta or {})):
+            object.__setattr__(self, name, value)
 
     @property
-    def pf(self) -> np.ndarray:
-        return np.array(self.points, dtype=float).reshape(-1, 2)[:, 0]
-
-    @property
-    def pd(self) -> np.ndarray:
-        return np.array(self.points, dtype=float).reshape(-1, 2)[:, 1]
+    def points(self) -> tuple:
+        """The samples as a tuple of (pf, pd) float pairs."""
+        return tuple(zip(self.pf.tolist(), self.pd.tolist()))
 
 
 def pfa(cfg: DetectorConfig) -> float:
@@ -288,36 +309,32 @@ def _ln_series_coeff(p: FadingParams, start: int, stop: int) -> np.ndarray:
     return ln_c + ln_g + ln_u
 
 
-def _reg_p_int_shapes(u: int, count: int, x) -> np.ndarray:
-    """P(u+n, x) for n = 0..count-1 by a reverse Poisson cumsum; one row per
-    entry when x is an array.
+def _upper_tails(xs, u: int, top: int, tops, ln_fact) -> tuple:
+    """(pmf, upper): the Poisson(x) pmf at j = u..top, one row per entry of
+    the column xs and 0 past that row's own top, and upper[:, i] = P(u+i, x)
+    over that window, summed from the top down. The zeros past a row's top
+    change nothing, so a row does not depend on the others."""
+    pmf = poisson_pmf(xs, u, top, u, tops, ln_fact)
+    return pmf, np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
 
-    P(k, x) equals the Poisson(x) mass at or above k; summing the pmf from
-    the top down gives every shape at once with purely positive additions.
-    Each row's sum starts at its own top, poisson_reach(x) past max(x,
-    u+count-1), so a row does not depend on the other entries of x.
+
+def _reg_p_int_shapes(u: int, count: int, x) -> np.ndarray:
+    """P(u+n, x) for n = 0..count-1; one row per entry when x is an array.
+
+    Each row's window runs to its own top, poisson_reach(x) past max(x,
+    u+count-1), so P keeps its relative accuracy over all count shapes.
     """
     xs = np.array(x, dtype=float, ndmin=1)[:, None]
     tops = np.ceil(np.maximum(xs, u + count - 1.0) + poisson_reach(xs))
     top = int(tops.max())
-    ln_fact = np.cumsum(np.log(np.arange(1.0, top + 1.0)))[u - 1 :]  # ln j!
-    upper = np.cumsum(poisson_pmf(xs, u, top, u, tops, ln_fact)[:, ::-1], axis=1)[:, ::-1]
+    upper = _upper_tails(xs, u, top, tops, _ln_factorials(u, top))[1]
     return upper[:, :count] if np.ndim(x) else upper[0, :count]
 
 
-def _stop_index(terms: np.ndarray, csum: np.ndarray, rel_tol: float) -> np.ndarray:
-    """First index along the last axis satisfying the 3-consecutive-small-terms
-    rule, or -1; csum is the running sum of terms along that axis."""
-    small = terms < rel_tol * np.maximum(csum, 1e-300)
-    run = small[..., 2:] & small[..., 1:-1] & small[..., :-2]
-    if run.shape[-1] == 0:
-        return np.full(run.shape[:-1], -1)
-    return np.where(run.any(axis=-1), run.argmax(axis=-1) + 2, -1)
-
-
-# Ladder growth: the first block covers the Poisson bulk of the smallest
-# threshold, later blocks add at least _MIN_BLOCK rows (and half the ladder,
-# so a slow series needs few blocks) and at most _MAX_BLOCK. _ladder builds
+# Stop schedule: a series is tested for convergence after b_0 = ceil(x +
+# 4 sqrt(x)) + _MIN_BLOCK terms, its Poisson bulk, and then after b_{k+1} =
+# b_k + min(max(_MIN_BLOCK, b_k // 2), _MAX_BLOCK) terms, so a slow series
+# needs few tests and overshoots by at most _MAX_BLOCK rows. _ladder builds
 # at most _MAX_BLOCK rows per quadrature call, which bounds its temporaries.
 _MIN_BLOCK = 16
 _MAX_BLOCK = 256
@@ -358,44 +375,49 @@ def _ladder(p: FadingParams, rows: int) -> np.ndarray:
     return coeff
 
 
-def _settle(u: int, lam_effs, rows, coeff, rel_tol: float, out, used, last) -> np.ndarray:
-    """Sum the series of the given rows, in ascending order of threshold, on
-    the ladder coeff. Rows that meet the stop rule get their Pd, terms used
-    and last term written to out, used and last; the others are returned."""
-    x = 0.5 * lam_effs[rows]
-    width = math.ceil(max(x[-1], u + coeff.shape[0] - 1.0) + poisson_reach(x[-1])) - u + 1
-    step = max(1, _MAX_CELLS // width)
-    left = []
-    for lo in range(0, rows.shape[0], step):
-        part = rows[lo : lo + step]
-        terms = _reg_p_int_shapes(u, coeff.shape[0], x[lo : lo + step]) * coeff
-        csum = np.cumsum(terms, axis=1)
-        stop = _stop_index(terms, csum, rel_tol)
-        k = np.nonzero(stop >= 0)[0]
-        miss = csum[k, stop[k]]
-        ok = (miss >= -1e-9) & (miss <= 1.0 + 1e-9)
-        if not ok.all():
+def _stops(u: int, lam_effs, upper, p: FadingParams, ctl: SeriesControl):
+    """(N, c, C): the terms each row of the Poisson-tail table upper sums,
+    and the channel's ladder c and its running sum C, both max(N) long.
+
+    N is the first point of the row's schedule, capped at ctl.max_terms,
+    where P(u+N, x) (1 - C_{N-1}) <= ctl.rel_tol; upper's last column is 0,
+    the tail past every row's top. N reads the row's own x and the ladder
+    alone, not the other rows or the cached length. Raises ConvergenceError
+    naming u, lambda and the channel if a row fails at ctl.max_terms.
+    """
+    x = 0.5 * lam_effs
+    n = np.minimum(np.ceil(x + 4.0 * np.sqrt(x)) + _MIN_BLOCK, ctl.max_terms).astype(int)
+    todo = np.arange(n.shape[0])
+    while True:
+        k = n[todo]
+        coeff = _ladder(p, int(n.max()))[: n.max()]
+        csum = np.cumsum(coeff)
+        tail = upper[todo, np.minimum(k, upper.shape[1] - 1)]
+        todo = todo[tail * (1.0 - csum[k - 1]) > ctl.rel_tol]
+        if not todo.shape[0]:
+            return n, coeff, csum
+        k = n[todo]
+        if k.max() >= ctl.max_terms:
             raise ConvergenceError(
-                f"average_pd series left [0,1] by more than 1e-9 (sum={miss[~ok][0]})"
+                f"average_pd series did not converge within {ctl.max_terms} terms "
+                f"(u={u}, lam={lam_effs[todo[k.argmax()]]}, m={p.m}, m_s={p.m_s}, "
+                f"snr={p.mean_snr})"
             )
-        out[part[k]] = np.clip(1.0 - miss, 0.0, 1.0)
-        used[part[k]] = stop[k] + 1
-        last[part[k]] = terms[k, stop[k]]
-        left.append(part[stop < 0])
-    return np.concatenate(left)
+        n[todo] = np.minimum(k + np.clip(k // 2, _MIN_BLOCK, _MAX_BLOCK), ctl.max_terms)
 
 
 def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
     """Average Pd for a batch of effective thresholds sharing one channel.
 
-    All thresholds are scanned at once on the channel's cached coefficient
-    ladder: one table of Poisson tails, its terms and their running sums,
-    and the vectorized 3-small-terms rule. Thresholds still unresolved grow
-    the ladder by one block, sized for the smallest of them, and are scanned
-    again; no call uses more than ctl.max_terms rows. The rows are the same
-    whatever the cache held, so a result does not depend on call history.
+    The complementary series miss = sum_{n<N} c_n P(u+n, x), on the
+    channel's cached ladder c, is summed swapped, as sum_{j>=u} Pois(j; x)
+    C_{min(j-u, N-1)}, with N from _stops. Each row's Poisson table runs
+    from j = u to its own x + poisson_reach(x). Every reduction is a running
+    sum, so a row equals its single-threshold call whatever the other rows,
+    the slicing by _MAX_CELLS or the cache history.
 
-    Returns (pd array, terms_used array, last_term array).
+    Returns (pd array, terms_used array, last_term array), with last_term
+    c_{N-1} P(u+N-1, x).
     """
     lam_effs = np.asarray(lam_effs, dtype=float)
     out = np.ones(lam_effs.shape[0])  # zero threshold detects everything
@@ -403,23 +425,31 @@ def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
     last = np.zeros(lam_effs.shape[0])
 
     live = np.nonzero(lam_effs > 0.0)[0]
-    todo = live[np.argsort(lam_effs[live], kind="stable")]
-    coeff = _ladder(p, 0)[: ctl.max_terms]
-    while todo.shape[0]:
-        if coeff.shape[0]:
-            todo = _settle(u, lam_effs, todo, coeff, ctl.rel_tol, out, used, last)
-            if not todo.shape[0]:
-                break
-        count = coeff.shape[0]
-        if count >= ctl.max_terms:
+    if not live.shape[0]:
+        return out, used, last
+    x = 0.5 * lam_effs[live, None]
+    tops = np.ceil(x + poisson_reach(x))
+    top = max(u, int(tops.max())) + 1  # a last column of zeros: P(u+i, x) past every top
+    ln_fact = _ln_factorials(u, top)
+    step = max(1, _MAX_CELLS // (top - u + 1))
+    for lo in range(0, live.shape[0], step):
+        rows = live[lo : lo + step]
+        pmf, upper = _upper_tails(x[lo : lo + step], u, top, tops[lo : lo + step], ln_fact)
+        n, coeff, csum = _stops(u, lam_effs[rows], upper, p, ctl)
+        # sum_{i < N-1} pmf_i C_i, plus C_{N-1} times the pmf mass from N-1 on
+        k = np.arange(rows.shape[0])
+        cols = min(upper.shape[1], int(n.max()) - 1)
+        tail = upper[k, np.minimum(n - 1, upper.shape[1] - 1)]
+        head = np.cumsum(pmf[:, :cols] * csum[:cols], axis=1)[k, np.minimum(n - 2, cols - 1)]
+        miss = head + csum[n - 1] * tail
+        if miss.max() > 1.0 + 1e-9:
             raise ConvergenceError(
-                f"average_pd series did not converge within {ctl.max_terms} terms "
-                f"(u={u}, lam={lam_effs[todo[0]]}, m={p.m}, m_s={p.m_s}, snr={p.mean_snr})"
+                f"average_pd series exceeded 1 by more than 1e-9 (sum={miss.max()}, u={u}, "
+                f"m={p.m}, m_s={p.m_s}, snr={p.mean_snr})"
             )
-        x = 0.5 * lam_effs[todo[0]]
-        bulk = math.ceil(x + 4.0 * math.sqrt(x)) + _MIN_BLOCK
-        want = max(bulk, count + max(_MIN_BLOCK, count // 2))
-        coeff = _ladder(p, min(want, count + _MAX_BLOCK, ctl.max_terms))[: ctl.max_terms]
+        out[rows] = np.clip(1.0 - miss, 0.0, 1.0)
+        used[rows] = n
+        last[rows] = coeff[n - 1] * tail
     return out, used, last
 
 
@@ -434,7 +464,9 @@ def average_pd(cfg: DetectorConfig, p: FadingParams, ctl: SeriesControl | None =
 
 
 def average_pd_detail(cfg: DetectorConfig, p: FadingParams, ctl: SeriesControl | None = None):
-    """average_pd plus series diagnostics: (value, terms_used, last_term)."""
+    """average_pd plus series diagnostics: (value, terms, last_term), where
+    terms is N, the coefficients summed, and last_term the last
+    complementary term c_{N-1} P(u+N-1, lam_eff/2)."""
     ctl = ctl or _DEFAULT_CTL
     pd, used, lastv = _series_batch(cfg.u, [cfg.effective_threshold], p, ctl)
     return float(pd[0]), int(used[0]), float(lastv[0])
@@ -612,6 +644,15 @@ def sls_average_pd(
     return 1.0 - miss
 
 
+@functools.lru_cache(maxsize=32)
+def _grid_thresholds(u: int, unit_pf: bytes) -> np.ndarray:
+    """_thresholds of a unit-Pf grid given by its float64 bytes, read-only;
+    the paper's figures sweep many channels over a few (u, grid) pairs."""
+    lams = _thresholds(u, np.frombuffer(unit_pf))
+    lams.setflags(write=False)
+    return lams
+
+
 def _unit_pf_targets(pf_grid: np.ndarray, fusion: str, n_units: int) -> np.ndarray:
     """Invert the fusion/diversity false-alarm combining for each target."""
     if fusion == "or":
@@ -681,7 +722,7 @@ def roc_curve(
         n_units = 1
         unit_pf = pf_grid
 
-    lams = _thresholds(cfg.u, unit_pf)
+    lams = _grid_thresholds(cfg.u, unit_pf.tobytes())
     alpha2 = cfg.alpha ** 2
 
     if kind == "awgn":
@@ -718,5 +759,4 @@ def roc_curve(
     else:
         meta["awgn_snr"] = gamma
     sweep = f"{pf_grid.size} pf targets in [{pf_grid[0]:.3g}, {pf_grid[-1]:.3g}]"
-    points = tuple(zip(pf_grid.tolist(), pd_vals.tolist()))
-    return RocCurve(points=points, sweep=sweep, meta=meta)
+    return RocCurve(np.column_stack((pf_grid, pd_vals)), sweep, meta)

@@ -38,10 +38,10 @@ from specsense.detection import (
     _ln_series_coeff,
     _reg_p_int_shapes,
     _series_batch,
-    _stop_index,
+    _upper_tails,
 )
 from specsense.fading import FadingParams
-from specsense.special_fn import ConvergenceError, marcum_q
+from specsense.special_fn import ConvergenceError, _ln_factorials, marcum_q, poisson_reach
 
 CH = FadingParams.from_db(2.0, 3.0, 5.0)
 
@@ -337,14 +337,62 @@ class TestAveragePd:
         for part in ("u=2", "lam=60.0", f"m={CH.m}", f"m_s={CH.m_s}", f"snr={CH.mean_snr}"):
             assert part in msg
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the stop rule fires before the factorial tail")
     def test_stops_within_rel_tol_at_a_deep_target(self):
-        # pd_scatter seed 7041, round 11, query 33: 124 terms give 2.93e-9
-        # where the oracle and a rel_tol=1e-16 sum give 6.95e-10
+        # pd_scatter seed 7041, round 11, query 33: a stop after three small
+        # terms gave 2.93e-9 after 124 terms, where the oracle and a
+        # rel_tol=1e-16 sum give 6.95e-10
         ch = FadingParams(m=12.076910843575192, m_s=3.706436347537164, mean_snr=0.4249692944307139)
         lam = threshold_for_pfa(8, 2.309243887087424e-14)
         cfg = DetectorConfig(u=8, threshold=lam, noise_uncertainty_db=2.8938335889037337)
         assert abs(average_pd(cfg, ch) - average_pd_quadrature(cfg, ch)) <= 1e-10
+
+    def test_contract_over_the_box(self):
+        # the u=336 case that a stop after three small terms missed by
+        # 2.5e-10, then 40 seeded draws over m in [0.1, 50], m_s - 1 in
+        # [1e-3, 1e4], -5..25 dB, u <= 500, Pf >= 1e-15 and beta <= 6 dB. Pd
+        # lies within rel_tol plus the ladder defect (1e-12) of the oracle
+        # and in [0, 1], and does not rise with the threshold or beta beyond
+        # twice that. A 64-term budget either meets the same contract or
+        # raises ConvergenceError naming the case. About 2-4 s on a 2-CPU
+        # machine; the bounds are 60 s and 64 MiB of traced allocations.
+        tol = SeriesControl().rel_tol + 1e-12
+        rng = np.random.default_rng(12)
+        cases = [(336, 1e-3, 0.0, FadingParams.from_db(0.57, 2.33, 1.9))]
+        for _ in range(40):
+            u = int(math.exp(rng.uniform(0.0, math.log(500.0))))
+            pf, beta = 10.0 ** rng.uniform(-15.0, -0.5), rng.uniform(0.0, 6.0)
+            cases.append((u, pf, beta, FadingParams.from_db(
+                10.0 ** rng.uniform(-1.0, math.log10(50.0)),
+                1.0 + 10.0 ** rng.uniform(-3.0, 4.0),
+                rng.uniform(-5.0, 25.0),
+            )))
+        t0 = time.perf_counter()
+        raised = 0
+        for u, pf, beta, p in cases:
+            cfg = DetectorConfig(u, threshold_for_pfa(u, pf), noise_uncertainty_db=beta)
+            tracemalloc.start()
+            try:
+                pd_val = average_pd(cfg, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 64 * 2**20
+            want = average_pd_quadrature(cfg, p)
+            assert abs(pd_val - want) <= tol, (cfg, p, pd_val, want)
+            assert 0.0 <= pd_val <= 1.0
+            higher = DetectorConfig(u, 1.05 * cfg.threshold, noise_uncertainty_db=beta)
+            assert average_pd(higher, p) <= pd_val + 2.0 * tol
+            rougher = DetectorConfig(u, cfg.threshold, noise_uncertainty_db=beta + 0.5)
+            assert average_pd(rougher, p) <= pd_val + 2.0 * tol
+            try:
+                assert abs(average_pd(cfg, p, SeriesControl(max_terms=64)) - want) <= tol
+            except ConvergenceError as exc:
+                raised += 1
+                for part in (f"u={u}", f"lam={cfg.effective_threshold}", f"m={p.m}",
+                             f"m_s={p.m_s}", f"snr={p.mean_snr}"):
+                    assert part in str(exc)
+        assert 0 < raised < len(cases)
+        assert time.perf_counter() - t0 < 60.0
 
     def test_bounded(self):
         rng = np.random.default_rng(17)
@@ -578,6 +626,34 @@ class TestRocCurve:
             assert abs(sls_pfa(2, lam, 2) - pf_i) < 1e-10
             assert pd_i == sls_average_pd(DetectorConfig(u=2, threshold=lam), [CH, CH])
 
+    def test_curve_holds_read_only_arrays(self):
+        grid = np.geomspace(1e-3, 0.9, 12)
+        curve = roc_curve(CH, DetectorConfig(u=2, threshold=1.0), pf_grid=grid)
+        assert curve.points == tuple(zip(grid.tolist(), curve.pd.tolist()))
+        assert all(type(v) is float for pair in curve.points for v in pair)
+        for arr in (curve.pf, curve.pd):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        assert grid.flags.writeable
+
+    def test_each_grid_is_inverted_once(self, monkeypatch):
+        detection._grid_thresholds.cache_clear()
+        calls = []
+        invert = detection._thresholds
+
+        def counted(u, pf):
+            calls.append(u)
+            return invert(u, pf)
+
+        monkeypatch.setattr(detection, "_thresholds", counted)
+        grid = np.geomspace(1e-4, 0.9, 30)
+        first = roc_curve(CH, DetectorConfig(u=2, threshold=1.0), grid)
+        roc_curve(FIGURE_CHANNELS[1], DetectorConfig(u=2, threshold=1.0, noise_uncertainty_db=2.0), grid)
+        roc_curve(2.0, DetectorConfig(u=2, threshold=1.0), grid)
+        roc_curve(CH, DetectorConfig(u=5, threshold=1.0), grid)
+        assert calls == [2, 5]
+        assert roc_curve(CH, DetectorConfig(u=2, threshold=1.0), grid).points == first.points
+
     def test_validation(self):
         cfg = DetectorConfig(u=2, threshold=1.0)
         with pytest.raises(ValueError):
@@ -608,7 +684,9 @@ class TestBlockLadder:
         ctl = SeriesControl(rel_tol=1e-300, max_terms=600)
         first = average_pd_detail(cfg, CH, ctl)
         _, used, _ = first
-        assert used == 222
+        # the bound is 0 once u+N passes the row's Poisson table, x + 9 sqrt(x)
+        # + 40 = 62 here, at the schedule point 28 -> 44 -> 66
+        assert used == 66
         assert 0 < sum(rows) <= used + max(16, used // 2)
         rows.clear()
         assert average_pd_detail(cfg, CH, ctl) == first
@@ -631,16 +709,20 @@ class TestBlockLadder:
         assert calls == [100]
 
     def test_blocks_match_one_shot_window(self):
-        # reference: one generously sized ladder batch, cut by the same rule
+        # reference: one generously sized ladder batch and its Poisson tails,
+        # cut by the same remainder bound on the same schedule
         ctl = SeriesControl()
         for cfg, p in _criterion4_grid():
             x = 0.5 * cfg.effective_threshold
             window = int(math.ceil(x + 20.0 * math.sqrt(x) + 40.0)) + cfg.u + 16
-            terms = _reg_p_int_shapes(cfg.u, window, x) * np.exp(_ln_series_coeff(p, 0, window))
-            stop = int(_stop_index(terms, np.cumsum(terms), ctl.rel_tol))
+            coeff = np.exp(_ln_series_coeff(p, 0, window))
+            tails = _reg_p_int_shapes(cfg.u, window, x)
+            stop = math.ceil(x + 4.0 * math.sqrt(x)) + 16
+            while tails[stop] * (1.0 - float(np.sum(coeff[:stop]))) > ctl.rel_tol:
+                stop += min(max(16, stop // 2), 256)
             got, used, _ = _series_batch(cfg.u, [cfg.effective_threshold], p, ctl)
-            assert used[0] == stop + 1
-            assert abs(got[0] - (1.0 - float(np.sum(terms[: stop + 1])))) <= 1e-13
+            assert used[0] == stop
+            assert abs(got[0] - (1.0 - float(np.sum(tails[:stop] * coeff[:stop])))) <= 1e-13
 
     @pytest.mark.parametrize("u", [1, 2, 8, 32, 200, 500])
     def test_poisson_table_matches_a_generous_top(self, u):
@@ -651,7 +733,7 @@ class TestBlockLadder:
             tops = np.ceil(xs + 40.0 * np.sqrt(xs) + 60.0) + (u + count)
             top = tops.max()
             j = np.arange(u, top + 1.0)
-            ln_fact = np.cumsum(np.log(np.arange(1.0, top + 1.0)))[u - 1 :]
+            ln_fact = _ln_factorials(u, int(top))
             pmf = np.exp(-xs + j * np.log(xs) - ln_fact)
             pmf[j > tops] = 0.0
             return np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1][:, :count]
@@ -661,19 +743,26 @@ class TestBlockLadder:
             assert np.array_equal(_reg_p_int_shapes(u, count, x), generous(count, x))
 
     def test_stop_rule_matches_a_running_count(self):
-        rng = np.random.default_rng(4)
-        terms = 10.0 ** rng.uniform(-14.0, 0.0, size=(60, 40))
-        got = _stop_index(terms, np.cumsum(terms, axis=1), 1e-10)
-        for row, stop in zip(terms, got):
-            csum, run, want = np.cumsum(row), 0, -1
-            for i in range(row.size):
-                run = run + 1 if row[i] < 1e-10 * max(csum[i], 1e-300) else 0
-                if run >= 3:
-                    want = i
-                    break
-            assert stop == want
-        assert np.any(got == -1) and np.any(got >= 0)
-        assert _stop_index(terms[0, :2], np.cumsum(terms[0, :2]), 1.0) == -1
+        # each row walks its own schedule with a running sum C of the ladder
+        # until P(u+N, x) (1 - C_{N-1}) <= rel_tol
+        u = 3
+        x = np.sort(10.0 ** np.random.default_rng(4).uniform(-3.0, 2.5, 60))
+        tops = np.ceil(x + poisson_reach(x))[:, None]
+        top = int(tops.max()) + 1  # a last column of zeros, as _stops needs
+        upper = _upper_tails(x[:, None], u, top, tops, _ln_factorials(u, top))[1]
+        coeff = np.exp(_ln_series_coeff(CH, 0, 1000))
+        for rel_tol in (1e-10, 1e-14, 1e-300):
+            got = detection._stops(u, 2.0 * x, upper, CH, SeriesControl(rel_tol, 2000))[0]
+            for row, xi, stop in zip(upper, x, got):
+                want, csum, done = math.ceil(xi + 4.0 * math.sqrt(xi)) + 16, 0.0, 0
+                while True:
+                    for c in coeff[done:want]:
+                        csum += c
+                    done = want
+                    if (row[want] if want < row.size else 0.0) * (1.0 - csum) <= rel_tol:
+                        break
+                    want += min(max(16, want // 2), 256)
+                assert stop == want
 
 
 FIGURE_CHANNELS = [
@@ -717,11 +806,30 @@ class TestLadderCache:
         assert roc_curve(CH, cfg).points == whole
 
     def test_max_terms_caps_a_longer_cached_ladder(self, cold_ladders):
-        cfg = DetectorConfig(u=2, threshold=threshold_for_pfa(2, 0.1))
-        average_pd(cfg, CH, SeriesControl(rel_tol=1e-300, max_terms=600))
+        average_pd(DetectorConfig(u=2, threshold=200.0), CH, SeriesControl(rel_tol=1e-300, max_terms=600))
         assert _ladder_rows(CH) > 200
         with pytest.raises(ConvergenceError):
             average_pd(DetectorConfig(u=2, threshold=60.0), CH, SeriesControl(max_terms=10))
+
+    def test_roc_table_does_not_grow_with_the_cached_ladder(self, monkeypatch, cold_ladders):
+        cells = []
+        pmf = detection.poisson_pmf
+
+        def counted(*args):
+            table = pmf(*args)
+            cells.append(table.size)
+            return table
+
+        monkeypatch.setattr(detection, "poisson_pmf", counted)
+        cfg = DetectorConfig(u=2, threshold=1.0)
+        before = roc_curve(CH, cfg).points
+        width, rows = sum(cells), _ladder_rows(CH)
+        average_pd(DetectorConfig(u=8, threshold=threshold_for_pfa(8, 1e-12)), CH,
+                   SeriesControl(rel_tol=1e-300))
+        assert _ladder_rows(CH) > 3 * rows
+        cells.clear()
+        assert roc_curve(CH, cfg).points == before
+        assert sum(cells) == width
 
     def test_cache_keeps_the_32_latest_channels(self, cold_ladders):
         cfg = DetectorConfig(u=1, threshold=1.0)
