@@ -13,7 +13,6 @@ from .detection import (
     SeriesControl,
     average_pd,
     average_pd_detail,
-    average_pd_direct,
     average_pd_quadrature,
     collaborative_pd,
     pd_awgn,
@@ -58,9 +57,7 @@ from .special_fn import (
     ConvergenceError,
     digamma,
     ln_beta,
-    ln_gamma,
     marcum_q,
-    tricomi_u,
 )
 
 __version__ = "0.1.0"
@@ -68,16 +65,15 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # special functions
-    "ConvergenceError", "ln_gamma", "digamma", "ln_beta", "tricomi_u",
-    "marcum_q",
+    "ConvergenceError", "digamma", "ln_beta", "marcum_q",
     # fading channel
     "FadingParams", "db_to_linear", "linear_to_db", "snr_pdf", "envelope_pdf",
     "sample_snr", "nakagami_snr_pdf",
     # detection
     "DetectorConfig", "SeriesControl", "RocCurve", "pfa", "threshold_for_pfa",
-    "pd_awgn", "average_pd", "average_pd_detail", "average_pd_direct",
-    "average_pd_quadrature", "truncation_bound", "collaborative_pd",
-    "sls_pfa", "sls_average_pd", "roc_curve",
+    "pd_awgn", "average_pd", "average_pd_detail", "average_pd_quadrature",
+    "truncation_bound", "collaborative_pd", "sls_pfa", "sls_average_pd",
+    "roc_curve",
     # auc
     "auc_instantaneous", "auc_average",
     # entropy

@@ -21,9 +21,10 @@ decay from the Poisson-like factor P(n+u, lam/2) once n passes lam/2.
 
 With c_n the coefficients (they sum to 1) and C_k their running sum, the
 remainder after N terms is at most P(N+u, lam/2) (1 - C_{N-1}), because P
-falls in its shape. The series stops at the first N of a fixed schedule
-where that bound is at most SeriesControl.rel_tol, and is summed with its
-two sums swapped: sum_{j>=u} Pois(j; lam/2) C_{min(j-u, N-1)}.
+falls in its shape; truncation_bound returns it. The series stops at the
+first N of a fixed schedule where that bound is at most
+SeriesControl.rel_tol, and is summed with its two sums swapped:
+sum_{j>=u} Pois(j; lam/2) C_{min(j-u, N-1)}.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .special_fn import (
     ConvergenceError,
     check_count,
     ln_beta,
-    ln_gamma,
     ln_tricomi_u_grid,
     marcum_q,
     marcum_q_grid,
@@ -60,7 +60,6 @@ __all__ = [
     "pd_awgn",
     "average_pd",
     "average_pd_detail",
-    "average_pd_direct",
     "average_pd_quadrature",
     "truncation_bound",
     "collaborative_pd",
@@ -209,8 +208,8 @@ def _poisson_tables(u: int):
     ln_top = math.lgamma(u)
     k = np.arange(u, dtype=float)
     j = np.arange(1.0, math.ceil(10.0 * math.sqrt(u)) + 21.0)
-    q_form = (np.array([ln_top - math.lgamma(v + 1.0) for v in k]), k - (u - 1.0))
-    p_form = (np.array([ln_top - math.lgamma(u + v) for v in j]), j)
+    q_form = (ln_top - _ln_factorials(0, u - 1), k - (u - 1.0))
+    p_form = (ln_top - _ln_factorials(u, u + j.shape[0] - 1), j)
     for table in q_form + p_form:
         table.setflags(write=False)
     return q_form, p_form, ln_top, math.lgamma(u + 1.0)
@@ -466,66 +465,38 @@ def average_pd(cfg: DetectorConfig, p: FadingParams, ctl: SeriesControl | None =
 def average_pd_detail(cfg: DetectorConfig, p: FadingParams, ctl: SeriesControl | None = None):
     """average_pd plus series diagnostics: (value, terms, last_term), where
     terms is N, the coefficients summed, and last_term the last
-    complementary term c_{N-1} P(u+N-1, lam_eff/2)."""
+    complementary term c_{N-1} P(u+N-1, lam_eff/2). The exact Pd lies
+    within truncation_bound(cfg, p, terms), plus the ladder's defect, of
+    value."""
     ctl = ctl or _DEFAULT_CTL
     pd, used, lastv = _series_batch(cfg.u, [cfg.effective_threshold], p, ctl)
     return float(pd[0]), int(used[0]), float(lastv[0])
 
 
-def average_pd_direct(cfg: DetectorConfig, p: FadingParams, n_terms: int) -> float:
-    """Partial sum of the direct series form, truncated after n_terms.
+def truncation_bound(cfg: DetectorConfig, p: FadingParams, t0: int, closed_form: bool = False) -> float:
+    """Certified remainder of the series average_pd sums, after t0 terms:
+    P(u+t0, x) (1 - C_{t0-1}), with x = lam_eff/2 and C the running sum of
+    the channel's ladder (see the module docstring); 0.0 at lam_eff = 0.
 
-    The direct terms carry Q(n+u, lam/2) = 1 - P(n+u, lam/2) and decay
-    only algebraically, so this is not the production path; it exists to
-    exercise the truncation bound against realized remainders.
-    """
-    check_count(n_terms, "n_terms")
-    lam_eff = cfg.effective_threshold
-    coeff = np.exp(_ln_series_coeff(p, 0, n_terms))
-    if lam_eff == 0.0:
-        return float(np.sum(coeff))
-    q = 1.0 - _reg_p_int_shapes(cfg.u, n_terms, 0.5 * lam_eff)
-    return float(np.sum(coeff * q))
+    average_pd_detail's terms N is the first point of its stop schedule
+    where this is at most rel_tol, so truncation_bound(cfg, p, N) is the
+    certified remainder of the value it returns. P(u+t0, x) keeps its
+    relative accuracy past the series' own Poisson table.
 
-
-def truncation_bound(
-    cfg: DetectorConfig,
-    p: FadingParams,
-    t0: int,
-    n_cap: int | None = None,
-    closed_form: bool = False,
-) -> float:
-    """Bound on the direct-series remainder after t0 terms.
-
-    With closed_form=True this evaluates the fully closed-form bound,
-    whose rearrangement contains the factor 1F0(m;;1) = (1-1)^{-m}: a
-    divergent geometric limit for every m > 0. That form is mathematically
-    infinite, so the infinity sentinel is returned and documented rather
-    than a finite stand-in.
-
-    The default is the intermediate bound U(m+m_s; m_s-t0+1; z) *
-    C * sum_{n=t0}^{n_cap} Gamma(n+m)/Gamma(n+1), which uses the numerically
-    verified decrease of the U factor in n and an explicit cap (default
-    4*t0 + 100) in place of the divergent untruncated sum.
+    With closed_form=True this evaluates the fully closed-form bound of the
+    direct series, whose rearrangement contains the factor 1F0(m;;1) =
+    (1-1)^{-m}: a divergent geometric limit for every m > 0. That form is
+    mathematically infinite, so the infinity sentinel is returned and
+    documented rather than a finite stand-in.
     """
     check_count(t0, "t0")
     if closed_form:
         return math.inf
-    if n_cap is None:
-        n_cap = 4 * t0 + 100
-    check_count(n_cap, "n_cap", t0)
-    m, ms = p.m, p.m_s
-    z = p.snr_scale
-    ln_u_t0 = float(ln_tricomi_u_grid(m + ms, ms - t0 + 1.0, z)[0])
-    n = np.arange(t0, n_cap + 1, dtype=float)
-    ln_g = np.array([ln_gamma(v + m) - ln_gamma(v + 1.0) for v in n])
-    peak = float(np.max(ln_g))
-    ln_sum = peak + math.log(float(np.sum(np.exp(ln_g - peak))))
-    ln_c = ms * math.log(z) - ln_beta(m, ms)
-    ln_bound = ln_c + ln_u_t0 + ln_sum
-    if ln_bound > 700.0:
-        return math.inf
-    return math.exp(ln_bound)
+    lam_eff = cfg.effective_threshold
+    if lam_eff == 0.0:
+        return 0.0
+    tail = _reg_p_int_shapes(cfg.u, t0 + 1, 0.5 * lam_eff)[t0]
+    return float(tail * (1.0 - np.cumsum(_ladder(p, t0)[:t0])[-1]))
 
 
 def _log_axis_miss(u: int, lam_eff: float, m: float, ln_norm: float, s_mode: float, ln_decay):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fading import FadingParams, sample_snr
 from .montecarlo import philox_stream
-from .special_fn import ConvergenceError, _ln_minus_digamma, check_count, digamma, ln_beta, ln_gamma
+from .special_fn import ConvergenceError, _ln_minus_digamma, check_count, digamma, ln_beta
 
 __all__ = [
     "FittedEncoders",
@@ -92,7 +92,7 @@ def cross_entropy_nakagami(p: FadingParams, m_hat: float, mean_snr_n: float) -> 
     if not mean_snr_n > 0.0:
         raise ValueError("mean_snr_n must be positive")
     moment_part = m_hat * p.mean_snr / (_LN2 * mean_snr_n)
-    norm_part = -(m_hat * math.log(m_hat) - ln_gamma(m_hat) - m_hat * math.log(mean_snr_n)) / _LN2
+    norm_part = -(m_hat * math.log(m_hat) - math.lgamma(m_hat) - m_hat * math.log(mean_snr_n)) / _LN2
     log_part = (m_hat - 1.0) / _LN2 * (-mean_log_snr(p))
     return moment_part + norm_part + log_part
 

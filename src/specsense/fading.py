@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_fn import ln_beta, ln_gamma
+from .special_fn import ln_beta
 
 __all__ = [
     "FadingParams",
@@ -160,7 +160,7 @@ def nakagami_snr_pdf(m_hat: float, mean_snr: float, gamma):
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0.0):
         raise ValueError("nakagami_snr_pdf requires gamma >= 0")
-    ln_norm = m_hat * math.log(m_hat / mean_snr) - ln_gamma(m_hat)
+    ln_norm = m_hat * math.log(m_hat / mean_snr) - math.lgamma(m_hat)
     with np.errstate(divide="ignore", invalid="ignore"):
         ln_g = np.where(g > 0.0, np.log(g), -np.inf)
         ln_f = ln_norm + (m_hat - 1.0) * ln_g - m_hat * g / mean_snr

@@ -1,10 +1,11 @@
 """Self-contained special functions for the sensing analytics.
 
 Everything here is built on the standard library's math module and numpy:
-log-gamma (a checked math.lgamma), digamma, the Tricomi confluent
-hypergeometric function, Poisson pmf tables, and the generalized Marcum Q
-as a Poisson mixture of gamma tails, vectorized over the threshold. At
-zero noncentrality the Marcum Q is the integer-order gamma tail Q(u, x),
+digamma and ln x - digamma(x) from one Bernoulli tail, log-beta, the
+Tricomi confluent hypergeometric function on a log grid, Poisson pmf
+tables, and the generalized Marcum Q as a Poisson mixture of gamma tails,
+vectorized over the threshold. Log-gammas come from math.lgamma directly.
+At zero noncentrality the Marcum Q is the integer-order gamma tail Q(u, x),
 so the false-alarm probability is the same Poisson-table sum. numpy
 supplies the node arrays for the Tricomi quadrature and the Poisson
 tables. Nothing here uses scipy; in this
@@ -20,10 +21,8 @@ import numpy as np
 
 __all__ = [
     "ConvergenceError",
-    "ln_gamma",
     "digamma",
     "ln_beta",
-    "tricomi_u",
     "ln_tricomi_u_grid",
     "marcum_q",
 ]
@@ -42,13 +41,6 @@ def check_count(value, name: str = "u", least: int = 1) -> int:
     return int(value)
 
 
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0.0:
-        raise ValueError("ln_gamma requires x > 0")
-    return math.lgamma(x)
-
-
 # Asymptotic tail coefficients -B_{2n}/(2n): psi(x) ~ ln x - 1/(2x)
 # + sum c_k x^{-2k}. Truncation error at x = 6 is below 2e-13.
 _PSI_TAIL = (
@@ -60,24 +52,6 @@ _PSI_TAIL = (
     691.0 / 32760.0,
     -1.0 / 12.0,
 )
-
-
-def digamma(x: float) -> float:
-    """Psi function for x > 0: recurrence lift to x > 6, then the
-    Bernoulli asymptotic series."""
-    if not x > 0.0:
-        raise ValueError("digamma requires x > 0")
-    acc = 0.0
-    while x <= 6.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    p = inv2
-    for c in _PSI_TAIL:
-        tail += c * p
-        p *= inv2
-    return acc + math.log(x) - 0.5 / x + tail
 
 
 _TRI_TAIL = (
@@ -92,7 +66,7 @@ _TRI_TAIL = (
 
 def _ln_minus_digamma(x: float) -> tuple[float, float]:
     """ln x - psi(x) and its derivative 1/x - psi'(x) for x > 0; internal
-    helper for the gamma-shape Newton iteration.
+    helper for digamma and the gamma-shape Newton iteration.
 
     Both are lifted by the recurrences to y = x + j > 6, where the
     asymptotic series give ln y - psi(y) = 1/(2y) - sum c_k y^{-2k} and
@@ -120,11 +94,18 @@ def _ln_minus_digamma(x: float) -> tuple[float, float]:
     return val, der
 
 
+def digamma(x: float) -> float:
+    """Psi function for x > 0, as ln x - (ln x - psi(x))."""
+    if not x > 0.0:
+        raise ValueError("digamma requires x > 0")
+    return math.log(x) - _ln_minus_digamma(x)[0]
+
+
 def ln_beta(a: float, b: float) -> float:
     """Natural log of the beta function for a, b > 0."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError("ln_beta requires a, b > 0")
-    return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +194,15 @@ def _refine(edges):
 def ln_tricomi_u_grid(a: float, b_values, z: float) -> np.ndarray:
     """ln U(a, b, z) for a shared (a, z) and a vector of b values.
 
-    This is the workhorse behind tricomi_u and the detection series, where
-    one (a, z) pair meets a whole ladder of b parameters. Entries of the
-    returned array may lie far outside exp() range; callers combine them
-    with other log factors before exponentiating.
+    The detection series calls it with one (a, z) pair and a whole ladder
+    of b parameters. Entries of the returned array may lie far outside
+    exp() range; callers combine them with other log factors before
+    exponentiating.
     """
     if not a > 0.0:
-        raise ValueError("tricomi_u requires a > 0")
+        raise ValueError("ln_tricomi_u_grid requires a > 0")
     if not z > 0.0:
-        raise ValueError("tricomi_u requires z > 0")
+        raise ValueError("ln_tricomi_u_grid requires z > 0")
     b = np.atleast_1d(np.asarray(b_values, dtype=float))
     bma1 = (b - a - 1.0)[:, None]
 
@@ -248,23 +229,15 @@ def ln_tricomi_u_grid(a: float, b_values, z: float) -> np.ndarray:
         vals = _panel_sum(edges, a, bma1, z, shift)
         change = np.abs(vals - prev)
         done = change <= _U_TOL * np.abs(vals)
-        out[todo[done]] = shift[done] + np.log(vals[done]) - ln_gamma(a)
+        out[todo[done]] = shift[done] + np.log(vals[done]) - math.lgamma(a)
         if done.all():
             return out
         todo, edges, bma1, shift, prev = todo[~done], edges[~done], bma1[~done], shift[~done], vals[~done]
     raise ConvergenceError(
-        f"tricomi_u quadrature did not reach relative change {_U_TOL:g} in {_U_PASSES} "
+        f"ln_tricomi_u_grid quadrature did not reach relative change {_U_TOL:g} in {_U_PASSES} "
         f"refinement passes (a={a}, z={z}, first unconverged b={b[todo[0]]}, "
         f"last relative change {change[~done][0] / prev[0]:.3g})"
     )
-
-
-def tricomi_u(a: float, b: float, z: float) -> float:
-    """Tricomi confluent hypergeometric U(a, b, z) for a > 0, z > 0, any b."""
-    ln_u = float(ln_tricomi_u_grid(a, [b], z)[0])
-    if ln_u > MAXLOG:
-        raise OverflowError("tricomi_u overflows double precision")
-    return math.exp(ln_u)
 
 
 def poisson_reach(x):

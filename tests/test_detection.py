@@ -25,7 +25,6 @@ from specsense.detection import (
     SeriesControl,
     average_pd,
     average_pd_detail,
-    average_pd_direct,
     average_pd_quadrature,
     collaborative_pd,
     pd_awgn,
@@ -75,12 +74,8 @@ class TestConfigTypes:
             (lambda: SeriesControl(max_terms=1e4), "max_terms must be an integer >= 10"),
             (lambda: SeriesControl(max_terms=100.5), "max_terms must be an integer >= 10"),
             (lambda: truncation_bound(DetectorConfig(1, 5.0), CH, 1.5), "t0 must be an integer >= 1"),
-            (lambda: truncation_bound(DetectorConfig(1, 5.0), CH, 10, 20.0), "n_cap must be an integer >= 10"),
-            (lambda: truncation_bound(DetectorConfig(1, 5.0), CH, 10, 5), "n_cap must be an integer >= 10"),
-            (lambda: average_pd_direct(DetectorConfig(1, 5.0), CH, 2.5), "n_terms must be an integer >= 1"),
         ],
-        ids=["max_terms_float", "max_terms_fraction", "t0_fraction",
-             "n_cap_float", "n_cap_below_t0", "n_terms_fraction"],
+        ids=["max_terms_float", "max_terms_fraction", "t0_fraction"],
     )
     def test_counts_must_be_integers(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -230,6 +225,30 @@ class TestThresholdInversion:
             lam = threshold_for_pfa(u, pf)
             assert lam > 0.0
             assert abs(special.gammainc(u, 0.5 * lam) - (1.0 - pf)) <= 1e-11 * (1.0 - pf)
+
+    def test_tables_take_ln_factorials_from_one_source(self, monkeypatch):
+        # the tables as list comprehensions over math.lgamma, and the
+        # thresholds they give, bit for bit
+        def reference(u):
+            ln_top = math.lgamma(u)
+            k = np.arange(u, dtype=float)
+            j = np.arange(1.0, math.ceil(10.0 * math.sqrt(u)) + 21.0)
+            q_form = (np.array([ln_top - math.lgamma(v + 1.0) for v in k]), k - (u - 1.0))
+            p_form = (np.array([ln_top - math.lgamma(u + v) for v in j]), j)
+            return q_form, p_form, ln_top, math.lgamma(u + 1.0)
+
+        grid = np.concatenate((np.geomspace(1e-15, 0.999, 60), [1.0 - 1e-7, 1.0 - 1e-13]))
+        us = (1, 2, 8, 32, 336)
+        got = {u: detection._thresholds(u, grid) for u in us}
+        for u in us:
+            (qc, qe), (pc, pe), ln_top, ln_ufact = detection._poisson_tables(u)
+            (rqc, rqe), (rpc, rpe), r_top, r_ufact = reference(u)
+            for have, want in ((qc, rqc), (qe, rqe), (pc, rpc), (pe, rpe)):
+                assert np.array_equal(have, want)
+            assert (ln_top, ln_ufact) == (r_top, r_ufact)
+        monkeypatch.setattr(detection, "_poisson_tables", reference)
+        for u in us:
+            assert np.array_equal(detection._thresholds(u, grid), got[u])
 
     def test_iteration_cap_names_u_and_pf(self, monkeypatch):
         monkeypatch.setattr(detection, "_MAX_HALLEY", 1)
@@ -463,26 +482,33 @@ class TestQuadratureOracle:
 
 
 class TestPartialSums:
-    def test_direct_series_is_monotone_from_below(self):
-        cfg = DetectorConfig(u=2, threshold=8.0)
-        p = FadingParams(m=2.0, m_s=6.0, mean_snr=2.0)
-        full = average_pd(cfg, p)
-        partial = [average_pd_direct(cfg, p, n) for n in (5, 10, 20, 40, 80)]
-        assert all(b >= a for a, b in zip(partial, partial[1:]))
-        assert all(v <= full + 1e-12 for v in partial)
-        assert full - partial[-1] < 1e-3
-
     def test_truncation_bound_dominates_remainder(self):
+        # the realized remainder sum_{n>=t0} c_n P(u+n, x) of the series
+        # average_pd sums; t0 = 80 and 160 lie past the series' Poisson table
         cfg = DetectorConfig(u=2, threshold=8.0)
         p = FadingParams(m=2.0, m_s=6.0, mean_snr=2.0)
-        full = average_pd(cfg, p)
+        coeff = np.exp(_ln_series_coeff(p, 0, 400))
+        tails = _reg_p_int_shapes(cfg.u, 400, 0.5 * cfg.threshold)
         bounds = []
-        for t0 in (5, 10, 20, 40, 80):
-            realized = full - average_pd_direct(cfg, p, t0)
+        for t0 in (5, 10, 20, 40, 80, 160):
+            realized = float(np.sum(coeff[t0:] * tails[t0:]))
             bound = truncation_bound(cfg, p, t0)
-            assert bound >= realized - 1e-14
+            assert bound >= realized > 0.0
             bounds.append(bound)
         assert all(b <= a for a, b in zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("rel_tol", (1e-10, 1e-14))
+    def test_series_stops_where_the_bound_first_meets_rel_tol(self, rel_tol):
+        ctl = SeriesControl(rel_tol=rel_tol)
+        for cfg, p in _criterion4_grid():
+            x = 0.5 * cfg.effective_threshold
+            want = math.ceil(x + 4.0 * math.sqrt(x)) + detection._MIN_BLOCK
+            while truncation_bound(cfg, p, want) > rel_tol:
+                want += min(max(detection._MIN_BLOCK, want // 2), detection._MAX_BLOCK)
+            assert average_pd_detail(cfg, p, ctl)[1] == want, (cfg, p)
+
+    def test_zero_threshold_leaves_no_remainder(self):
+        assert truncation_bound(DetectorConfig(2, 0.0), CH, 10) == 0.0
 
     def test_closed_form_bound_is_infinite(self):
         # the hypergeometric 1F0 majorant diverges, so the closed-form
@@ -492,11 +518,7 @@ class TestPartialSums:
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            average_pd_direct(DetectorConfig(u=1, threshold=5.0), CH, 0)
-        with pytest.raises(ValueError):
             truncation_bound(DetectorConfig(u=1, threshold=5.0), CH, 0)
-        with pytest.raises(ValueError):
-            truncation_bound(DetectorConfig(u=1, threshold=5.0), CH, 10, n_cap=5)
 
 
 class TestFusionRules:
