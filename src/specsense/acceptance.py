@@ -32,14 +32,13 @@ from .entropy import (
     _TABLE_PAIRS,
     cross_entropy_nakagami,
     cross_entropy_rayleigh,
-    fit_nakagami_mle,
+    entropy_report,
     nakagami_projection,
     shannon_entropy,
 )
-from .fading import FadingParams, sample_snr
+from .fading import FadingParams
 from .montecarlo import (
     SimConfig,
-    philox_stream,
     simulate_auc,
     simulate_average_pd,
     simulate_fusion,
@@ -121,9 +120,7 @@ def criterion_3() -> tuple[bool, str]:
     worst_m, worst_snr = 0.0, 0.0
     for idx, (m, ms) in enumerate(_TABLE_PAIRS):
         p = FadingParams(m=m, m_s=ms, mean_snr=snr)
-        rng = philox_stream(714025 + idx, 0)
-        samples = sample_snr(p, rng, size=1_000_000)
-        m_hat, mean_n = fit_nakagami_mle(samples)
+        m_hat, mean_n, _ = entropy_report(p, 1_000_000, 714025 + idx).fitted
         worst_m = max(worst_m, abs(m_hat - _M_HAT[5.0][idx]))
         worst_snr = max(worst_snr, abs(mean_n - snr) / snr)
     elapsed = time.perf_counter() - t0

@@ -27,7 +27,7 @@ from .detection import (
     sls_average_pd,
     threshold_for_pfa,
 )
-from .entropy import _TABLE_PAIRS, entropy_report
+from .entropy import _TABLE_PAIRS, _entropy_reports, entropy_report
 from .fading import FadingParams, db_to_linear
 from .montecarlo import (
     SimConfig,
@@ -208,10 +208,9 @@ _ENTROPY_COLUMNS = [
 ]
 
 
-def _entropy_row(m: float, ms: float, snr_db: float, samples: int, seed: int):
-    rep = entropy_report(FadingParams.from_db(m, ms, snr_db), samples, seed)
+def _entropy_row(p: FadingParams, snr_db: float, rep):
     return (
-        m, ms, snr_db, rep.shannon_bits, rep.cross_rayleigh_bits,
+        p.m, p.m_s, snr_db, rep.shannon_bits, rep.cross_rayleigh_bits,
         rep.cross_nakagami_bits, rep.kl_rayleigh_bits, rep.kl_nakagami_bits,
         rep.fitted.m_hat, rep.fitted.mean_snr_n,
     )
@@ -223,14 +222,18 @@ def _cmd_entropy(args, stream) -> int:
         "samples": args.samples, "seed": args.seed, "table": bool(args.table),
     }
     if args.table:
+        # pair k's 5 dB and 15 dB rows share seed + k, so one draw fits both
         rows = []
-        for snr_db in (5.0, 15.0):
-            for k, (m, ms) in enumerate(_TABLE_PAIRS):
-                rows.append(_entropy_row(m, ms, snr_db, args.samples, args.seed + k))
+        for k, (m, ms) in enumerate(_TABLE_PAIRS):
+            chans = [FadingParams.from_db(m, ms, db) for db in (5.0, 15.0)]
+            reps = _entropy_reports(chans, args.samples, args.seed + k)
+            rows += [_entropy_row(p, db, rep) for p, db, rep in zip(chans, (5.0, 15.0), reps)]
+        rows.sort(key=lambda row: row[2])  # all 5 dB rows, then all 15 dB, pairs in order
     else:
         if args.m is None or args.ms is None or args.snr_db is None:
             raise ValueError("--m, --ms and --snr-db are required without --table")
-        rows = [_entropy_row(args.m, args.ms, args.snr_db, args.samples, args.seed)]
+        p = FadingParams.from_db(args.m, args.ms, args.snr_db)
+        rows = [_entropy_row(p, args.snr_db, entropy_report(p, args.samples, args.seed))]
     _emit(args.format, "entropy", params, _ENTROPY_COLUMNS, rows, stream)
     return 0
 

@@ -476,7 +476,8 @@ def average_pd_detail(cfg: DetectorConfig, p: FadingParams, ctl: SeriesControl |
 def truncation_bound(cfg: DetectorConfig, p: FadingParams, t0: int, closed_form: bool = False) -> float:
     """Certified remainder of the series average_pd sums, after t0 terms:
     P(u+t0, x) (1 - C_{t0-1}), with x = lam_eff/2 and C the running sum of
-    the channel's ladder (see the module docstring); 0.0 at lam_eff = 0.
+    the channel's ladder (see the module docstring); 0.0 at lam_eff = 0
+    and wherever P(u+t0, x) underflows, without growing the ladder.
 
     average_pd_detail's terms N is the first point of its stop schedule
     where this is at most rel_tol, so truncation_bound(cfg, p, N) is the
@@ -496,6 +497,8 @@ def truncation_bound(cfg: DetectorConfig, p: FadingParams, t0: int, closed_form:
     if lam_eff == 0.0:
         return 0.0
     tail = _reg_p_int_shapes(cfg.u, t0 + 1, 0.5 * lam_eff)[t0]
+    if tail == 0.0:
+        return 0.0
     return float(tail * (1.0 - np.cumsum(_ladder(p, t0)[:t0])[-1]))
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fading import FadingParams, sample_snr
+from .fading import FadingParams, _scaled_ratios
 from .montecarlo import philox_stream
 from .special_fn import ConvergenceError, _ln_minus_digamma, check_count, digamma, ln_beta
 
@@ -130,15 +130,21 @@ def fit_nakagami_mle(samples) -> tuple[float, float]:
 
     The mean is the exact MLE of the scale-mean; the shape solves
     ln m_hat - psi(m_hat) = ln(mean) - mean(ln). The Rayleigh fit is the
-    restriction m_hat = 1 with the same mean.
+    restriction m_hat = 1 with the same mean. The samples are not changed.
     """
-    arr = np.asarray(samples, dtype=float)
+    return _fit(np.asarray(samples, dtype=float), None)
+
+
+def _fit(arr: np.ndarray, log_out) -> tuple[float, float]:
+    """fit_nakagami_mle on a float array, writing ln(arr) into log_out; a
+    caller that passes arr itself gets the fit without a fourth array."""
     if arr.ndim != 1 or arr.size < 100:
         raise ValueError("need at least 100 samples in a flat sequence")
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+    # min is nan if any sample is; two reductions allocate no temporaries
+    if not (arr.min() > 0.0 and arr.max() < math.inf):
         raise ValueError("samples must be strictly positive and finite")
     mean = float(np.mean(arr))
-    s = math.log(mean) - float(np.mean(np.log(arr)))
+    s = math.log(mean) - float(np.mean(np.log(arr, out=log_out)))
     if not s > 0.0:
         raise ValueError("degenerate samples: no spread for the shape fit")
     return _solve_gamma_shape(s), mean
@@ -155,20 +161,40 @@ def nakagami_projection(p: FadingParams) -> tuple[float, float]:
 
 
 def entropy_report(p: FadingParams, sample_count: int, seed: int) -> EntropyReport:
-    """Sample the channel, fit both encoders, and assemble the entropy row."""
+    """Sample the channel, fit both encoders, and assemble the entropy row.
+
+    The samples are sample_snr(p, philox_stream(seed, 0), sample_count).
+    Channels that differ only in mean SNR draw the same gamma variates from
+    one seed, so `specsense entropy --table` fits a pair's 5 dB and 15 dB
+    rows, which share seed + k, from one draw; each row still equals
+    entropy_report for its channel, bit for bit.
+    """
+    return _entropy_reports((p,), sample_count, seed)[0]
+
+
+def _entropy_reports(channels, sample_count: int, seed: int) -> list[EntropyReport]:
+    """entropy_report for each of channels, which share (m, m_s), from one
+    draw: each channel's samples are built in turn in one buffer, whose
+    mean is taken before its logs overwrite it."""
     check_count(sample_count, "sample_count", 100)
+    m, ms = channels[0].m, channels[0].m_s
+    if any((p.m, p.m_s) != (m, ms) for p in channels):
+        raise ValueError("channels sharing a draw must share (m, m_s)")
     rng = philox_stream(seed, 0)
-    samples = sample_snr(p, rng, size=int(sample_count))
-    m_hat, mean_n = fit_nakagami_mle(samples)
-    mean_r = mean_n
-    h_p = shannon_entropy(p)
-    h_ray = cross_entropy_rayleigh(p, mean_r)
-    h_nak = cross_entropy_nakagami(p, m_hat, mean_n)
-    return EntropyReport(
-        shannon_bits=h_p,
-        cross_rayleigh_bits=h_ray,
-        cross_nakagami_bits=h_nak,
-        kl_rayleigh_bits=h_ray - h_p,
-        kl_nakagami_bits=h_nak - h_p,
-        fitted=FittedEncoders(m_hat=m_hat, mean_snr_n=mean_n, mean_snr_r=mean_r),
-    )
+    draws = _scaled_ratios(m, ms, [p.snr_scale for p in channels], rng, int(sample_count))
+    reports = []
+    for p, samples in zip(channels, draws):
+        m_hat, mean_n = _fit(samples, samples)
+        mean_r = mean_n
+        h_p = shannon_entropy(p)
+        h_ray = cross_entropy_rayleigh(p, mean_r)
+        h_nak = cross_entropy_nakagami(p, m_hat, mean_n)
+        reports.append(EntropyReport(
+            shannon_bits=h_p,
+            cross_rayleigh_bits=h_ray,
+            cross_nakagami_bits=h_nak,
+            kl_rayleigh_bits=h_ray - h_p,
+            kl_nakagami_bits=h_nak - h_p,
+            fitted=FittedEncoders(m_hat=m_hat, mean_snr_n=mean_n, mean_snr_r=mean_r),
+        ))
+    return reports

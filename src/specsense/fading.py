@@ -144,10 +144,20 @@ def sample_snr(p: FadingParams, rng: np.random.Generator, size=None):
     sampler (with the power boost below shape 1), which is exactly the
     scheme this model calls for. Returns a scalar when size is None.
     """
-    x = rng.gamma(p.m, 1.0, size=size)
-    y = rng.gamma(p.m_s, 1.0, size=size)
-    out = p.snr_scale * x / y
+    out = next(_scaled_ratios(p.m, p.m_s, (p.snr_scale,), rng, size))
     return float(out) if size is None else out
+
+
+def _scaled_ratios(m: float, m_s: float, scales, rng: np.random.Generator, size):
+    """Yield (c X) / Y for each c in scales from one draw of X ~ Gamma(m),
+    then Y ~ Gamma(m_s), into one buffer that each yield overwrites; so
+    any number of scales cost three arrays."""
+    x = rng.gamma(m, 1.0, size=size)
+    y = rng.gamma(m_s, 1.0, size=size)
+    out = np.empty(np.shape(x))
+    for c in scales:
+        np.multiply(c, x, out=out)
+        yield np.divide(out, y, out=out)
 
 
 def nakagami_snr_pdf(m_hat: float, mean_snr: float, gamma):

@@ -11,6 +11,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,41 @@ class TestEntropyCommand:
         assert abs(float(first["h_p"]) - 3.005) < 0.005
         assert abs(float(first["m_hat"]) - 1.14) < 0.03
 
+
+    @pytest.mark.parametrize("samples, seed", [(200_000, DEFAULT_SEED), (2_000, 5)])
+    def test_table_rows_equal_the_library(self, capsys, samples, seed):
+        # a pair's 5 dB and 15 dB rows share seed + k and so one draw; each
+        # row still equals entropy_report for its own channel, bit for bit
+        code, out, _ = _run(
+            capsys, ["entropy", "--table", "--samples", str(samples), "--seed", str(seed)]
+        )
+        assert code == 0
+        want = []
+        for snr_db in (5.0, 15.0):
+            for k, (m, ms) in enumerate(((2.0, 3.0), (2.0, 30.0), (20.0, 3.0), (20.0, 30.0))):
+                rep = entropy_report(FadingParams.from_db(m, ms, snr_db), samples, seed + k)
+                want.append([
+                    m, ms, snr_db, rep.shannon_bits, rep.cross_rayleigh_bits,
+                    rep.cross_nakagami_bits, rep.kl_rayleigh_bits, rep.kl_nakagami_bits,
+                    rep.fitted.m_hat, rep.fitted.mean_snr_n,
+                ])
+        assert [[float(v) for v in row[2:]] for row in _parse_csv(out)[1]] == want
+
+    def test_table_holds_at_most_three_and_a_half_sample_arrays(self, capsys):
+        # the two gamma draws and one sample buffer, whose logs overwrite
+        # it; a fourth live array would read about 4.1
+        samples = 200_000
+        argv = ["entropy", "--table", "--samples", str(samples)]
+        assert run(argv) == 0
+        tracemalloc.start()
+        try:
+            code = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak <= 3.5 * 8 * samples
 
 class TestSimulateCommand:
     @pytest.mark.parametrize(

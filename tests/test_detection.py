@@ -39,7 +39,7 @@ from specsense.detection import (
     _series_batch,
     _upper_tails,
 )
-from specsense.fading import FadingParams
+from specsense.fading import FadingParams, snr_pdf
 from specsense.special_fn import ConvergenceError, _ln_factorials, marcum_q, poisson_reach
 
 CH = FadingParams.from_db(2.0, 3.0, 5.0)
@@ -506,6 +506,36 @@ class TestPartialSums:
             while truncation_bound(cfg, p, want) > rel_tol:
                 want += min(max(detection._MIN_BLOCK, want // 2), detection._MAX_BLOCK)
             assert average_pd_detail(cfg, p, ctl)[1] == want, (cfg, p)
+
+    @pytest.mark.parametrize(
+        "u, m, ms, snr_db",
+        [(1, 5.6, 2.7, 3.0), (2, 1.0, 1.1, 15.0), (2, 1.3, 30.0, 15.0), (3, 1.3, 1.1, 7.0), (3, 20.0, 1.1, 0.0)],
+    )
+    def test_bound_factors_match_scipy(self, u, m, ms, snr_db):
+        # 1 - C_{t0-1} = sum_{n>=t0} E[Pois(n; g)] = int f(g) P(t0, g) dg, so
+        # each factor of the bound has an independent scipy form; checked at
+        # the terms average_pd stops at, on criterion-4 channels
+        cfg = DetectorConfig(u, threshold_for_pfa(u, 0.1))
+        p = FadingParams.from_db(m, ms, snr_db)
+        t0 = average_pd_detail(cfg, p)[1]
+        ladder_tail, _ = integrate.quad(
+            lambda g: snr_pdf(p, g) * special.gammainc(t0, g), 0.0, np.inf,
+            limit=400, epsabs=0.0, epsrel=1e-13,
+        )
+        want = special.gammainc(u + t0, 0.5 * cfg.threshold) * ladder_tail
+        assert truncation_bound(cfg, p, t0) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_underflowed_bound_leaves_the_ladder_alone(self, cold_ladders):
+        # P(u+t0, x) underflows long before t0 = 20000, so the bound is 0
+        # without building a ladder twice max_terms long
+        cfg = DetectorConfig(2, 8.0)
+        for warm in (False, True):
+            if warm:
+                average_pd(cfg, CH)
+            before = detection._ladders[CH].shape[0] if CH in detection._ladders else 0
+            assert truncation_bound(cfg, CH, 20000) == 0.0
+            after = detection._ladders[CH].shape[0] if CH in detection._ladders else 0
+            assert after <= before
 
     def test_zero_threshold_leaves_no_remainder(self):
         assert truncation_bound(DetectorConfig(2, 0.0), CH, 10) == 0.0

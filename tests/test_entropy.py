@@ -117,6 +117,12 @@ class TestMleFit:
         assert abs(m_hat - 2.0) < 0.01
         assert abs(mean - 5.0) / 5.0 < 0.01
 
+    def test_leaves_its_samples_unchanged(self):
+        samples = philox_stream(6006, 0).gamma(2.0, 2.5, size=1000)
+        kept = samples.copy()
+        fit_nakagami_mle(samples)
+        assert samples.tobytes() == kept.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fit_nakagami_mle(np.ones(50))
