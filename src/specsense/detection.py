@@ -308,13 +308,12 @@ def _ln_series_coeff(p: FadingParams, start: int, stop: int) -> np.ndarray:
     return ln_c + ln_g + ln_u
 
 
-def _upper_tails(xs, u: int, top: int, tops, ln_fact) -> tuple:
-    """(pmf, upper): the Poisson(x) pmf at j = u..top, one row per entry of
-    the column xs and 0 past that row's own top, and upper[:, i] = P(u+i, x)
-    over that window, summed from the top down. The zeros past a row's top
-    change nothing, so a row does not depend on the others."""
-    pmf = poisson_pmf(xs, u, top, u, tops, ln_fact)
-    return pmf, np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+def _upper_tails(pmf) -> np.ndarray:
+    """upper[:, i] = P(u+i, x) from a table of the Poisson(x) pmf at j = u..top,
+    one row per x and 0 past that row's own top, summed from the top down.
+    The zeros past a row's top change nothing, so a row does not depend on
+    the others."""
+    return np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
 
 
 def _reg_p_int_shapes(u: int, count: int, x) -> np.ndarray:
@@ -326,7 +325,7 @@ def _reg_p_int_shapes(u: int, count: int, x) -> np.ndarray:
     xs = np.array(x, dtype=float, ndmin=1)[:, None]
     tops = np.ceil(np.maximum(xs, u + count - 1.0) + poisson_reach(xs))
     top = int(tops.max())
-    upper = _upper_tails(xs, u, top, tops, _ln_factorials(u, top))[1]
+    upper = _upper_tails(poisson_pmf(xs, u, top, u, tops, _ln_factorials(u, top)))
     return upper[:, :count] if np.ndim(x) else upper[0, :count]
 
 
@@ -374,6 +373,50 @@ def _ladder(p: FadingParams, rows: int) -> np.ndarray:
     return coeff
 
 
+class _PmfMemo:
+    """Least recently used read-only tables, dropped once their bytes pass
+    budget; the newest table always stays."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._tables: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, build) -> np.ndarray:
+        """The table kept under key, or build()'s, made read-only and kept."""
+        with self._lock:
+            table = self._tables.get(key)
+            if table is not None:
+                self._tables.move_to_end(key)
+                return table
+        table = build()
+        table.setflags(write=False)
+        with self._lock:
+            if key not in self._tables:
+                self._tables[key] = table
+                self.nbytes += table.nbytes
+            self._tables.move_to_end(key)
+            while self.nbytes > self.budget and len(self._tables) > 1:
+                self.nbytes -= self._tables.popitem(last=False)[1].nbytes
+        return table
+
+    def clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+            self.nbytes = 0
+
+
+# Poisson pmf tables of threshold grids, keyed by (u, bytes of x = lam_eff/2).
+# A table depends on u and the grid alone, not on the channel, so a figure
+# that sweeps several channels over one (u, beta, Pf grid) builds it once.
+# Only a batch of several thresholds whose table fits in one _MAX_CELLS slice
+# is kept; a single threshold or a sliced scan builds its table every call.
+# The memo keeps up to 4 MiB of tables, each at most one 2 MiB slice; the
+# twelve of the paper's figure grid hold 1.66 MiB.
+_pmf_memo = _PmfMemo(4 << 20)
+
+
 def _stops(u: int, lam_effs, upper, p: FadingParams, ctl: SeriesControl):
     """(N, c, C): the terms each row of the Poisson-tail table upper sums,
     and the channel's ladder c and its running sum C, both max(N) long.
@@ -411,9 +454,10 @@ def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
     The complementary series miss = sum_{n<N} c_n P(u+n, x), on the
     channel's cached ladder c, is summed swapped, as sum_{j>=u} Pois(j; x)
     C_{min(j-u, N-1)}, with N from _stops. Each row's Poisson table runs
-    from j = u to its own x + poisson_reach(x). Every reduction is a running
-    sum, so a row equals its single-threshold call whatever the other rows,
-    the slicing by _MAX_CELLS or the cache history.
+    from j = u to its own x + poisson_reach(x); a grid of thresholds takes
+    its table from _pmf_memo. Every reduction is a running sum, so a row
+    equals its single-threshold call whatever the other rows, the slicing by
+    _MAX_CELLS or the cache history.
 
     Returns (pd array, terms_used array, last_term array), with last_term
     c_{N-1} P(u+N-1, x).
@@ -429,11 +473,13 @@ def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
     x = 0.5 * lam_effs[live, None]
     tops = np.ceil(x + poisson_reach(x))
     top = max(u, int(tops.max())) + 1  # a last column of zeros: P(u+i, x) past every top
-    ln_fact = _ln_factorials(u, top)
     step = max(1, _MAX_CELLS // (top - u + 1))
+    grid = 1 < live.shape[0] <= step
     for lo in range(0, live.shape[0], step):
-        rows = live[lo : lo + step]
-        pmf, upper = _upper_tails(x[lo : lo + step], u, top, tops[lo : lo + step], ln_fact)
+        rows, xs, row_tops = live[lo : lo + step], x[lo : lo + step], tops[lo : lo + step]
+        build = lambda: poisson_pmf(xs, u, top, u, row_tops, _ln_factorials(u, top))
+        pmf = _pmf_memo.get((u, x.tobytes()), build) if grid else build()
+        upper = _upper_tails(pmf)
         n, coeff, csum = _stops(u, lam_effs[rows], upper, p, ctl)
         # sum_{i < N-1} pmf_i C_i, plus C_{N-1} times the pmf mass from N-1 on
         k = np.arange(rows.shape[0])
@@ -467,7 +513,13 @@ def average_pd_detail(cfg: DetectorConfig, p: FadingParams, ctl: SeriesControl |
     terms is N, the coefficients summed, and last_term the last
     complementary term c_{N-1} P(u+N-1, lam_eff/2). The exact Pd lies
     within truncation_bound(cfg, p, terms), plus the ladder's defect, of
-    value."""
+    value.
+
+    last_term reads P from the series' own Poisson table, which ends at
+    x + poisson_reach(x) with x = lam_eff/2, so it is exactly 0.0 whenever
+    u+N-1 passes that end, as it does at u = 336 and at rel_tol=1e-300.
+    It then says nothing about how close the stop came to rel_tol;
+    truncation_bound(cfg, p, terms) still does."""
     ctl = ctl or _DEFAULT_CTL
     pd, used, lastv = _series_batch(cfg.u, [cfg.effective_threshold], p, ctl)
     return float(pd[0]), int(used[0]), float(lastv[0])
@@ -512,16 +564,18 @@ def _log_axis_miss(u: int, lam_eff: float, m: float, ln_norm: float, s_mode: flo
     of its mass; past (sqrt(lam_eff)+45)^2/2 the CDF is below ~1e-300
     whatever the SNR tail. Breakpoints at s_mode and at the knee
     ln(lam_eff/2) put QUADPACK's first panels on the two features that
-    shape the integrand, however narrow the peak.
+    shape the integrand, however narrow the peak. The CDF is scipy's
+    compiled chndtr, called through cython_special without ufunc dispatch.
     """
-    from scipy import integrate, special
+    from scipy import integrate
+    from scipy.special import cython_special
 
     s_lo = min(s_mode - 1.0, (-46.0 - ln_norm) / m)
     s_hi = math.log(0.5 * (math.sqrt(lam_eff) + 45.0) ** 2)
     if s_hi <= s_lo:
         return 0.0, 0.0
     pts = sorted(x for x in (s_mode, math.log(0.5 * lam_eff)) if s_lo < x < s_hi)
-    chndtr, exp, df = special.chndtr, math.exp, 2 * u
+    chndtr, exp, df = cython_special.chndtr, math.exp, 2 * u
 
     def integrand(s):
         g = exp(s)
@@ -636,6 +690,11 @@ def _unit_pf_targets(pf_grid: np.ndarray, fusion: str, n_units: int) -> np.ndarr
     return pf_grid
 
 
+# roc_curve's default sweep: 200 targets, log-spaced over [1e-4, 0.999]
+_DEFAULT_PF_GRID = np.logspace(-4.0, math.log10(0.999), 200)
+_DEFAULT_PF_GRID.setflags(write=False)
+
+
 def roc_curve(
     channel,
     cfg: DetectorConfig,
@@ -655,14 +714,15 @@ def roc_curve(
     """
     ctl = ctl or _DEFAULT_CTL
     if pf_grid is None:
-        pf_grid = np.logspace(-4.0, math.log10(0.999), 200)
-    pf_grid = np.asarray(pf_grid, dtype=float)
-    if pf_grid.ndim != 1 or pf_grid.size == 0:
-        raise ValueError("pf_grid must be a non-empty 1-d sequence")
-    if not np.all((pf_grid > 0.0) & (pf_grid < 1.0)):
-        raise ValueError("pf_grid entries must be finite and lie strictly inside (0, 1)")
-    if np.any(np.diff(pf_grid) <= 0.0):
-        raise ValueError("pf_grid must be strictly increasing")
+        pf_grid = _DEFAULT_PF_GRID  # valid as built
+    else:
+        pf_grid = np.asarray(pf_grid, dtype=float)
+        if pf_grid.ndim != 1 or pf_grid.size == 0:
+            raise ValueError("pf_grid must be a non-empty 1-d sequence")
+        if not np.all((pf_grid > 0.0) & (pf_grid < 1.0)):
+            raise ValueError("pf_grid entries must be finite and lie strictly inside (0, 1)")
+        if np.any(np.diff(pf_grid) <= 0.0):
+            raise ValueError("pf_grid must be strictly increasing")
 
     sls_branches = None
     if isinstance(channel, FadingParams):

@@ -40,7 +40,7 @@ from specsense.detection import (
     _upper_tails,
 )
 from specsense.fading import FadingParams, snr_pdf
-from specsense.special_fn import ConvergenceError, _ln_factorials, marcum_q, poisson_reach
+from specsense.special_fn import ConvergenceError, _ln_factorials, marcum_q, poisson_pmf, poisson_reach
 
 CH = FadingParams.from_db(2.0, 3.0, 5.0)
 
@@ -801,7 +801,7 @@ class TestBlockLadder:
         x = np.sort(10.0 ** np.random.default_rng(4).uniform(-3.0, 2.5, 60))
         tops = np.ceil(x + poisson_reach(x))[:, None]
         top = int(tops.max()) + 1  # a last column of zeros, as _stops needs
-        upper = _upper_tails(x[:, None], u, top, tops, _ln_factorials(u, top))[1]
+        upper = _upper_tails(poisson_pmf(x[:, None], u, top, u, tops, _ln_factorials(u, top)))
         coeff = np.exp(_ln_series_coeff(CH, 0, 1000))
         for rel_tol in (1e-10, 1e-14, 1e-300):
             got = detection._stops(u, 2.0 * x, upper, CH, SeriesControl(rel_tol, 2000))[0]
@@ -821,6 +821,24 @@ FIGURE_CHANNELS = [
     FadingParams.from_db(m, ms, db)
     for m, ms, db in ((2.0, 3.0, 5.0), (2.0, 30.0, 15.0), (20.0, 3.0, 5.0), (20.0, 30.0, 15.0), (1.3, 2.7, 6.0))
 ]
+
+
+def _count_tables(monkeypatch) -> list:
+    """Patch detection's poisson_pmf to record the rows of every table built."""
+    built = []
+    pmf = detection.poisson_pmf
+
+    def counted(*args):
+        built.append(args[0].shape[0])
+        return pmf(*args)
+
+    monkeypatch.setattr(detection, "poisson_pmf", counted)
+    return built
+
+
+def _memo_tables() -> list:
+    with detection._pmf_memo._lock:
+        return list(detection._pmf_memo._tables.values())
 
 
 def _ladder_rows(p):
@@ -854,8 +872,10 @@ class TestLadderCache:
     def test_slicing_the_threshold_scan_changes_nothing(self, monkeypatch):
         cfg = DetectorConfig(u=5, threshold=1.0, noise_uncertainty_db=2.0)
         whole = roc_curve(CH, cfg).points
+        built = _count_tables(monkeypatch)
         monkeypatch.setattr(detection, "_MAX_CELLS", 2000)
         assert roc_curve(CH, cfg).points == whole
+        assert len(built) > 1  # the scan ran in slices, each with its own table
 
     def test_max_terms_caps_a_longer_cached_ladder(self, cold_ladders):
         average_pd(DetectorConfig(u=2, threshold=200.0), CH, SeriesControl(rel_tol=1e-300, max_terms=600))
@@ -874,12 +894,15 @@ class TestLadderCache:
 
         monkeypatch.setattr(detection, "poisson_pmf", counted)
         cfg = DetectorConfig(u=2, threshold=1.0)
+        detection._pmf_memo.clear()  # so that each ROC builds its table
         before = roc_curve(CH, cfg).points
         width, rows = sum(cells), _ladder_rows(CH)
+        assert width > 0
         average_pd(DetectorConfig(u=8, threshold=threshold_for_pfa(8, 1e-12)), CH,
                    SeriesControl(rel_tol=1e-300))
         assert _ladder_rows(CH) > 3 * rows
         cells.clear()
+        detection._pmf_memo.clear()
         assert roc_curve(CH, cfg).points == before
         assert sum(cells) == width
 
@@ -891,20 +914,26 @@ class TestLadderCache:
         assert len(detection._ladders) == 32
         assert all(_ladder_rows(p) > 0 for p in chans[-32:])
 
-    def test_threads_share_the_cache_safely(self, cold_ladders):
-        cfg = DetectorConfig(u=2, threshold=1.0)
+    def test_threads_share_the_cache_safely(self, monkeypatch, cold_ladders):
+        # three (u, grid) tables under a budget of two, so the threads race
+        # on building, inserting and evicting grid Poisson tables too
+        cfgs = [DetectorConfig(u=u, threshold=1.0) for u in (1, 2, 3)]
         grid = np.geomspace(1e-4, 0.9, 40)
         chans = [FadingParams(m=1.0 + k, m_s=3.0, mean_snr=2.0) for k in range(36)]
-        want = [roc_curve(p, cfg, pf_grid=grid).points for p in chans]
+        want = [roc_curve(p, cfgs[i % 3], pf_grid=grid).points for i, p in enumerate(chans)]
+        tables = _memo_tables()
+        assert len(tables) == 3
+        monkeypatch.setattr(detection._pmf_memo, "budget", sum(t.nbytes for t in tables) - 1)
         with detection._ladders_lock:
             detection._ladders.clear()
+        detection._pmf_memo.clear()
         got, errors = {}, []
 
         def work(offset):
             try:
                 for k in range(len(chans)):
                     i = (k + offset) % len(chans)
-                    got[offset, i] = roc_curve(chans[i], cfg, pf_grid=grid).points
+                    got[offset, i] = roc_curve(chans[i], cfgs[i % 3], pf_grid=grid).points
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
@@ -922,3 +951,68 @@ class TestLadderCache:
         assert errors == []
         assert all(got[off, i] == want[i] for off in range(0, 28, 7) for i in range(len(chans)))
         assert len(detection._ladders) <= 32
+        tables = _memo_tables()
+        assert len(tables) == 2
+        assert detection._pmf_memo.nbytes == sum(t.nbytes for t in tables) <= detection._pmf_memo.budget
+
+
+class TestGridPmfMemo:
+    def test_one_table_per_u_and_effective_grid(self, monkeypatch, cold_ladders):
+        built = _count_tables(monkeypatch)
+        for ch in FIGURE_CHANNELS:
+            roc_curve(ch, DetectorConfig(u=2, threshold=1.0))
+        assert len(built) == 1
+        for ch in FIGURE_CHANNELS:
+            roc_curve(ch, DetectorConfig(u=2, threshold=1.0, noise_uncertainty_db=2.0))
+        assert len(built) == 2
+        built.clear()
+        roc_curve(FIGURE_CHANNELS[:2], DetectorConfig(u=2, threshold=1.0))
+        assert len(built) == 1
+
+    def test_single_thresholds_and_sliced_scans_keep_nothing(self, monkeypatch, cold_ladders):
+        cfg = DetectorConfig(u=2, threshold=threshold_for_pfa(2, 0.1))
+        average_pd(cfg, CH)
+        average_pd_detail(cfg, CH)
+        sls_average_pd(cfg, FIGURE_CHANNELS[:2])
+        roc_curve(CH, cfg, pf_grid=[0.1])
+        assert _memo_tables() == []
+        monkeypatch.setattr(detection, "_MAX_CELLS", 2000)
+        roc_curve(CH, DetectorConfig(u=5, threshold=1.0))
+        assert _memo_tables() == []
+
+    def test_entries_are_read_only_pmf_tables_within_the_budget(self, monkeypatch, cold_ladders):
+        grid = detection._DEFAULT_PF_GRID
+        for u in (1, 2, 5):
+            for beta in (0.0, 2.0):
+                cfg = DetectorConfig(u=u, threshold=1.0, noise_uncertainty_db=beta)
+                roc_curve(CH, cfg)
+                x = 0.5 * (cfg.alpha ** 2 * detection._grid_thresholds(u, grid.tobytes()))[:, None]
+                tops = np.ceil(x + poisson_reach(x))
+                top = int(tops.max()) + 1
+                kept = detection._pmf_memo._tables[u, x.tobytes()]
+                assert not kept.flags.writeable
+                assert np.array_equal(kept, poisson_pmf(x, u, top, u, tops, _ln_factorials(u, top)))
+        tables = _memo_tables()
+        assert len(tables) == 6
+        assert detection._pmf_memo.nbytes == sum(t.nbytes for t in tables) <= detection._pmf_memo.budget == 4 << 20
+
+        # grids of 190..197 targets under a budget of three 190-target tables:
+        # the newest stay, within the budget
+        detection._pmf_memo.clear()
+        for k in range(8):
+            roc_curve(CH, DetectorConfig(u=2, threshold=1.0), pf_grid=np.geomspace(1e-4, 0.9, 190 + k))
+            if k == 0:
+                monkeypatch.setattr(detection._pmf_memo, "budget", 3 * detection._pmf_memo.nbytes)
+        tables = _memo_tables()
+        assert [t.shape[0] for t in tables] in ([196, 197], [195, 196, 197])
+        assert detection._pmf_memo.nbytes == sum(t.nbytes for t in tables) <= detection._pmf_memo.budget
+        assert all(not t.flags.writeable for t in tables)
+
+    @pytest.mark.parametrize("ch", FIGURE_CHANNELS)
+    def test_results_do_not_depend_on_the_memo(self, ch, cold_ladders):
+        cold = TestLadderCache._results(ch)
+        assert len(_memo_tables()) == 3
+        assert TestLadderCache._results(ch) == cold
+        with detection._ladders_lock:
+            detection._ladders.clear()
+        assert TestLadderCache._results(ch) == cold
