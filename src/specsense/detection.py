@@ -337,22 +337,56 @@ def _reg_p_int_shapes(u: int, count: int, x) -> np.ndarray:
 _MIN_BLOCK = 16
 _MAX_BLOCK = 256
 
+
+class _Memo:
+    """Least recently used read-only arrays, dropped once their bytes pass
+    budget; the newest array always stays. The arrays kept under one key
+    are prefixes of one another, so the longest one wins."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._tables: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, build=None) -> np.ndarray | None:
+        """The array kept under key, else build()'s, kept; None with no build."""
+        with self._lock:
+            if key in self._tables:
+                self._tables.move_to_end(key)
+                return self._tables[key]
+        return None if build is None else self.put(key, build())
+
+    def put(self, key, table: np.ndarray) -> np.ndarray:
+        """Keep table read-only under key unless a longer one is; return the kept one."""
+        table.setflags(write=False)
+        with self._lock:
+            kept = self._tables.get(key)
+            if kept is None or kept.shape[0] < table.shape[0]:
+                self.nbytes += table.nbytes - (0 if kept is None else kept.nbytes)
+                self._tables[key] = kept = table
+            self._tables.move_to_end(key)
+            while self.nbytes > self.budget and len(self._tables) > 1:
+                self.nbytes -= self._tables.popitem(last=False)[1].nbytes
+        return kept
+
+    def clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+            self.nbytes = 0
+
+
 # Coefficient ladders, exp(_ln_series_coeff(p, 0, n)), of the channels used
 # most recently. They depend on the channel alone, not on u, the threshold
 # or the noise uncertainty, so ROC sweeps, several u values and SLS branches
 # share one, and auc_average reads the first u rows of the half-SNR
-# channel's; _LADDER_CHANNELS ladders at max_terms=10_000 hold 2.4 MiB.
-_LADDER_CHANNELS = 32
-_ladders: OrderedDict = OrderedDict()
-_ladders_lock = threading.Lock()
+# channel's. A ladder of the paper's figures is at most about 100 rows, 0.8 KB.
+_ladders = _Memo(256 << 10)
 
 
 def _ladder(p: FadingParams, rows: int) -> np.ndarray:
     """The channel's cached coefficient ladder, grown to at least `rows` rows."""
-    with _ladders_lock:
-        coeff = _ladders.get(p)
-        if coeff is not None:
-            _ladders.move_to_end(p)
+    coeff = _ladders.get(p)
     if coeff is None:
         coeff = np.empty(0)
     if coeff.shape[0] >= rows:
@@ -361,50 +395,8 @@ def _ladder(p: FadingParams, rows: int) -> np.ndarray:
         np.exp(_ln_series_coeff(p, lo, min(lo + _MAX_BLOCK, rows)))
         for lo in range(coeff.shape[0], rows, _MAX_BLOCK)
     ]
-    coeff = np.concatenate(blocks)
-    coeff.setflags(write=False)
-    with _ladders_lock:
-        # rows are pure functions of (p, n), so the longest ladder wins
-        if p not in _ladders or _ladders[p].shape[0] < coeff.shape[0]:
-            _ladders[p] = coeff
-        _ladders.move_to_end(p)
-        while len(_ladders) > _LADDER_CHANNELS:
-            _ladders.popitem(last=False)
-    return coeff
-
-
-class _PmfMemo:
-    """Least recently used read-only tables, dropped once their bytes pass
-    budget; the newest table always stays."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nbytes = 0
-        self._tables: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key, build) -> np.ndarray:
-        """The table kept under key, or build()'s, made read-only and kept."""
-        with self._lock:
-            table = self._tables.get(key)
-            if table is not None:
-                self._tables.move_to_end(key)
-                return table
-        table = build()
-        table.setflags(write=False)
-        with self._lock:
-            if key not in self._tables:
-                self._tables[key] = table
-                self.nbytes += table.nbytes
-            self._tables.move_to_end(key)
-            while self.nbytes > self.budget and len(self._tables) > 1:
-                self.nbytes -= self._tables.popitem(last=False)[1].nbytes
-        return table
-
-    def clear(self) -> None:
-        with self._lock:
-            self._tables.clear()
-            self.nbytes = 0
+    # rows are pure functions of (p, n), so the longest ladder wins
+    return _ladders.put(p, np.concatenate(blocks))
 
 
 # Poisson pmf tables of threshold grids, keyed by (u, bytes of x = lam_eff/2).
@@ -414,7 +406,7 @@ class _PmfMemo:
 # is kept; a single threshold or a sliced scan builds its table every call.
 # The memo keeps up to 4 MiB of tables, each at most one 2 MiB slice; the
 # twelve of the paper's figure grid hold 1.66 MiB.
-_pmf_memo = _PmfMemo(4 << 20)
+_pmf_memo = _Memo(4 << 20)
 
 
 def _stops(u: int, lam_effs, upper, p: FadingParams, ctl: SeriesControl):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectorConfig
+from .detection import DetectorConfig, _validate_rule
 from .fading import FadingParams, sample_snr
 from .special_fn import check_count
 
@@ -98,17 +98,22 @@ def _stream_sizes(trials: int, streams: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(streams)]
 
 
-def _run_streams(sim: SimConfig, task) -> float:
-    """Sum task(rng, n) over substreams; reduction order is fixed by index."""
-    sizes = _stream_sizes(sim.trials, sim.stream_count)
-    jobs = [(i, n) for i, n in enumerate(sizes) if n > 0]
+def _run_streams(sim: SimConfig, chunk: int, count) -> SimResult:
+    """The SimResult of count(rng, k) summed over chunks of k <= chunk trials
+    of each substream; the reduction order is fixed by stream index."""
+
+    def task(i, n):
+        rng = philox_stream(sim.seed, i)
+        return sum(count(rng, min(chunk, n - done)) for done in range(0, n, chunk))
+
+    jobs = [(i, n) for i, n in enumerate(_stream_sizes(sim.trials, sim.stream_count)) if n > 0]
     workers = _worker_count(sim.stream_count)
     if workers == 1:
-        parts = [task(philox_stream(sim.seed, i), n) for i, n in jobs]
+        parts = [task(i, n) for i, n in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda j: task(philox_stream(sim.seed, j[0]), j[1]), jobs))
-    return float(sum(parts))
+            parts = list(pool.map(lambda j: task(*j), jobs))
+    return SimResult.from_counts(float(sum(parts)), sim.trials)
 
 
 def sample_statistic(u: int, gamma, hypothesis: str, rng: np.random.Generator, size=None):
@@ -140,21 +145,7 @@ def sample_statistic(u: int, gamma, hypothesis: str, rng: np.random.Generator, s
 def simulate_average_pd(cfg: DetectorConfig, p: FadingParams, sim: SimConfig) -> SimResult:
     """Fraction of H1 trials over sampled fading exceeding the effective
     threshold; the stochastic counterpart of average_pd."""
-    lam_eff = cfg.effective_threshold
-    u = cfg.u
-
-    def task(rng, n):
-        hits = 0
-        done = 0
-        while done < n:
-            k = min(_CHUNK, n - done)
-            g = sample_snr(p, rng, size=k)
-            y = sample_statistic(u, g, "H1", rng, size=k)
-            hits += int(np.count_nonzero(y > lam_eff))
-            done += k
-        return hits
-
-    return SimResult.from_counts(_run_streams(sim, task), sim.trials)
+    return simulate_fusion(cfg, p, 1, "or", sim)
 
 
 def simulate_fusion(
@@ -163,26 +154,15 @@ def simulate_fusion(
     """Collaborative detection estimate: n_users i.i.d. channel/statistic
     draws per trial, individual decisions fused by OR or AND."""
     check_count(n_users, "n_users")
-    r = rule.lower()
-    if r not in ("or", "and"):
-        raise ValueError("rule must be 'or' or 'and'")
+    fuse = np.any if _validate_rule(rule) == "or" else np.all
     lam_eff = cfg.effective_threshold
-    u = cfg.u
-    chunk = max(1, _CHUNK // int(n_users))
 
-    def task(rng, n):
-        hits = 0
-        done = 0
-        while done < n:
-            k = min(chunk, n - done)
-            g = sample_snr(p, rng, size=(k, n_users))
-            y = sample_statistic(u, g, "H1", rng, size=(k, n_users))
-            dec = y > lam_eff
-            hits += int(np.count_nonzero(dec.any(axis=1) if r == "or" else dec.all(axis=1)))
-            done += k
-        return hits
+    def count(rng, k):
+        g = sample_snr(p, rng, size=(k, n_users))
+        y = sample_statistic(cfg.u, g, "H1", rng, size=(k, n_users))
+        return int(np.count_nonzero(fuse(y > lam_eff, axis=1)))
 
-    return SimResult.from_counts(_run_streams(sim, task), sim.trials)
+    return _run_streams(sim, max(1, _CHUNK // int(n_users)), count)
 
 
 def simulate_sls(
@@ -200,23 +180,16 @@ def simulate_sls(
     lam = cfg.effective_threshold if hyp == "H1" else cfg.threshold
     u = cfg.u
     n_br = len(branch_params)
-    chunk = max(1, _CHUNK // n_br)
 
-    def task(rng, n):
-        hits = 0
-        done = 0
-        while done < n:
-            k = min(chunk, n - done)
-            if hyp == "H1":
-                g = np.stack([sample_snr(bp, rng, size=k) for bp in branch_params], axis=1)
-                y = sample_statistic(u, g, "H1", rng, size=(k, n_br))
-            else:
-                y = sample_statistic(u, 0.0, "H0", rng, size=(k, n_br))
-            hits += int(np.count_nonzero(y.max(axis=1) > lam))
-            done += k
-        return hits
+    def count(rng, k):
+        if hyp == "H1":
+            g = np.stack([sample_snr(bp, rng, size=k) for bp in branch_params], axis=1)
+            y = sample_statistic(u, g, "H1", rng, size=(k, n_br))
+        else:
+            y = sample_statistic(u, 0.0, "H0", rng, size=(k, n_br))
+        return int(np.count_nonzero(y.max(axis=1) > lam))
 
-    return SimResult.from_counts(_run_streams(sim, task), sim.trials)
+    return _run_streams(sim, max(1, _CHUNK // n_br), count)
 
 
 def simulate_auc(u: int, p: FadingParams, sim: SimConfig) -> SimResult:
@@ -224,16 +197,10 @@ def simulate_auc(u: int, p: FadingParams, sim: SimConfig) -> SimResult:
     the H1 draw larger; ties count half. Fresh fading per pair."""
     check_count(u)
 
-    def task(rng, n):
-        score = 0.0
-        done = 0
-        while done < n:
-            k = min(_CHUNK, n - done)
-            g = sample_snr(p, rng, size=k)
-            y1 = sample_statistic(u, g, "H1", rng, size=k)
-            y0 = sample_statistic(u, 0.0, "H0", rng, size=k)
-            score += float(np.count_nonzero(y1 > y0)) + 0.5 * float(np.count_nonzero(y1 == y0))
-            done += k
-        return score
+    def count(rng, k):
+        g = sample_snr(p, rng, size=k)
+        y1 = sample_statistic(u, g, "H1", rng, size=k)
+        y0 = sample_statistic(u, 0.0, "H0", rng, size=k)
+        return float(np.count_nonzero(y1 > y0)) + 0.5 * float(np.count_nonzero(y1 == y0))
 
-    return SimResult.from_counts(_run_streams(sim, task), sim.trials)
+    return _run_streams(sim, _CHUNK, count)

@@ -210,7 +210,8 @@ def ln_tricomi_u_grid(a: float, b_values, z: float) -> np.ndarray:
     # root in whichever form avoids cancellation.
     lin = z + 1.0 - b
     disc = np.sqrt(lin * lin + 4.0 * z * a)
-    t_star = np.where(lin >= 0.0, 2.0 * a / (lin + disc), (disc - lin) / (2.0 * z))
+    with np.errstate(divide="ignore"):  # lin + disc can be 0 only where lin < 0, a dropped branch
+        t_star = np.where(lin >= 0.0, 2.0 * a / (lin + disc), (disc - lin) / (2.0 * z))
     y_star = np.log(t_star)
     # curvature -phi'' at the mode sets the core scale
     curv = z * t_star - bma1[:, 0] * t_star / (1.0 + t_star) ** 2

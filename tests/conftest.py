@@ -7,8 +7,7 @@ from specsense import detection
 def cold_ladders():
     """Start the test with no cached coefficient ladders, grid Poisson
     tables or grid thresholds."""
-    with detection._ladders_lock:
-        detection._ladders.clear()
+    detection._ladders.clear()
     detection._pmf_memo.clear()
     detection._grid_thresholds.cache_clear()
     yield

@@ -163,8 +163,7 @@ class TestAverage:
         cold = {}
         for u in order:
             for p in chans:
-                with detection._ladders_lock:
-                    detection._ladders.clear()
+                detection._ladders.clear()
                 cold[u, p] = auc_average(u, p)
         for u in order:  # the first u of the order now builds the shared ladders
             for p in chans:
@@ -178,8 +177,7 @@ class TestAverage:
         start = time.perf_counter()
         value = auc_average(500, p)
         elapsed = time.perf_counter() - start
-        with detection._ladders_lock:
-            detection._ladders.clear()
+        detection._ladders.clear()
         tracemalloc.start()
         try:
             assert auc_average(500, p) == value

@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -356,6 +357,16 @@ class TestAveragePd:
         for part in ("u=2", "lam=60.0", f"m={CH.m}", f"m_s={CH.m_s}", f"snr={CH.mean_snr}"):
             assert part in msg
 
+    def test_tiny_z_raises_without_a_numpy_warning(self):
+        # z is about 7e-22 here, so lin + disc rounds to 0 in the unused
+        # branch of the ladder's mode; the row fails to converge, and says so
+        cfg = DetectorConfig(u=2, threshold=threshold_for_pfa(2, 0.63))
+        p = FadingParams.from_db(7273.85, 1.0 + 2.2e-16, -16.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="ln_tricomi_u_grid quadrature"):
+                average_pd(cfg, p)
+
     def test_stops_within_rel_tol_at_a_deep_target(self):
         # pd_scatter seed 7041, round 11, query 33: a stop after three small
         # terms gave 2.93e-9 after 124 terms, where the oracle and a
@@ -532,9 +543,9 @@ class TestPartialSums:
         for warm in (False, True):
             if warm:
                 average_pd(cfg, CH)
-            before = detection._ladders[CH].shape[0] if CH in detection._ladders else 0
+            before = _ladder_rows(CH)
             assert truncation_bound(cfg, CH, 20000) == 0.0
-            after = detection._ladders[CH].shape[0] if CH in detection._ladders else 0
+            after = _ladder_rows(CH)
             assert after <= before
 
     def test_zero_threshold_leaves_no_remainder(self):
@@ -836,14 +847,14 @@ def _count_tables(monkeypatch) -> list:
     return built
 
 
-def _memo_tables() -> list:
-    with detection._pmf_memo._lock:
-        return list(detection._pmf_memo._tables.values())
+def _memo_tables(memo=detection._pmf_memo) -> list:
+    with memo._lock:
+        return list(memo._tables.values())
 
 
 def _ladder_rows(p):
-    with detection._ladders_lock:
-        return detection._ladders[p].shape[0] if p in detection._ladders else 0
+    kept = detection._ladders.get(p)
+    return 0 if kept is None else kept.shape[0]
 
 
 class TestLadderCache:
@@ -860,8 +871,7 @@ class TestLadderCache:
     @pytest.mark.parametrize("ch", FIGURE_CHANNELS)
     def test_results_do_not_depend_on_call_history(self, ch, cold_ladders):
         cold = self._results(ch)
-        with detection._ladders_lock:
-            detection._ladders.clear()
+        detection._ladders.clear()
         roc_curve(ch, DetectorConfig(u=5, threshold=1.0))
         assert self._results(ch) == cold
         rows = _ladder_rows(ch)
@@ -906,13 +916,22 @@ class TestLadderCache:
         assert roc_curve(CH, cfg).points == before
         assert sum(cells) == width
 
-    def test_cache_keeps_the_32_latest_channels(self, cold_ladders):
+    def test_cache_keeps_the_latest_channels_within_its_budget(self, monkeypatch, cold_ladders):
         cfg = DetectorConfig(u=1, threshold=1.0)
         chans = [FadingParams(m=1.0 + k, m_s=3.0, mean_snr=2.0) for k in range(40)]
         for p in chans:
             average_pd(cfg, p)
-        assert len(detection._ladders) == 32
-        assert all(_ladder_rows(p) > 0 for p in chans[-32:])
+        sizes = [t.nbytes for t in _memo_tables(detection._ladders)]
+        assert len(sizes) == 40 and detection._ladders.budget == 256 << 10
+        # under a budget of the last ten ladders, the older thirty go
+        detection._ladders.clear()
+        monkeypatch.setattr(detection._ladders, "budget", sum(sizes[-10:]))
+        for p in chans:
+            average_pd(cfg, p)
+        with detection._ladders._lock:
+            assert list(detection._ladders._tables) == chans[-10:]
+        ladders = _memo_tables(detection._ladders)
+        assert detection._ladders.nbytes == sum(t.nbytes for t in ladders) <= detection._ladders.budget
 
     def test_threads_share_the_cache_safely(self, monkeypatch, cold_ladders):
         # three (u, grid) tables under a budget of two, so the threads race
@@ -924,8 +943,7 @@ class TestLadderCache:
         tables = _memo_tables()
         assert len(tables) == 3
         monkeypatch.setattr(detection._pmf_memo, "budget", sum(t.nbytes for t in tables) - 1)
-        with detection._ladders_lock:
-            detection._ladders.clear()
+        detection._ladders.clear()
         detection._pmf_memo.clear()
         got, errors = {}, []
 
@@ -950,10 +968,28 @@ class TestLadderCache:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert all(got[off, i] == want[i] for off in range(0, 28, 7) for i in range(len(chans)))
-        assert len(detection._ladders) <= 32
+        ladders = _memo_tables(detection._ladders)
+        assert detection._ladders.nbytes == sum(t.nbytes for t in ladders) <= detection._ladders.budget
         tables = _memo_tables()
         assert len(tables) == 2
         assert detection._pmf_memo.nbytes == sum(t.nbytes for t in tables) <= detection._pmf_memo.budget
+
+
+class TestMemo:
+    def test_longest_array_wins_and_the_newest_stays(self):
+        memo = detection._Memo(64)
+        longer, shorter = np.arange(6.0), np.arange(3.0)
+        assert memo.put("a", longer) is longer
+        assert memo.put("a", shorter) is longer
+        assert memo.get("a") is longer and memo.nbytes == 48
+        assert not longer.flags.writeable
+        # an array past the whole budget stays while it is the newest
+        big = np.zeros(100)
+        assert memo.put("b", big) is big
+        assert memo.get("a") is None
+        assert memo.get("b") is big and memo.nbytes == 800 > memo.budget
+        built = memo.get("c", lambda: np.ones(2))
+        assert memo.get("b") is None and memo.get("c") is built and memo.nbytes == 16
 
 
 class TestGridPmfMemo:
@@ -1013,6 +1049,5 @@ class TestGridPmfMemo:
         cold = TestLadderCache._results(ch)
         assert len(_memo_tables()) == 3
         assert TestLadderCache._results(ch) == cold
-        with detection._ladders_lock:
-            detection._ladders.clear()
+        detection._ladders.clear()
         assert TestLadderCache._results(ch) == cold

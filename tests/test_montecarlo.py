@@ -223,12 +223,11 @@ class TestDeterminism:
 
 class TestReductions:
     def test_single_user_fusion_equals_plain_detection(self):
-        sim = SimConfig(trials=20_000, seed=99)
-        a = simulate_average_pd(CFG, CH, sim)
-        b = simulate_fusion(CFG, CH, 1, "or", sim)
-        c = simulate_sls(CFG, [CH], sim)
-        assert a.estimate == b.estimate
-        assert a.estimate == c.estimate
+        # eight streams, then one stream of three chunks
+        for sim in (SimConfig(trials=20_000, seed=99), SimConfig(trials=300_001, seed=99, stream_count=1)):
+            a = simulate_average_pd(CFG, CH, sim)
+            assert simulate_fusion(CFG, CH, 1, "or", sim) == a
+            assert simulate_sls(CFG, [CH], sim) == a
 
     def test_or_dominates_and_on_shared_draws(self):
         sim = SimConfig(trials=30_000, seed=2)
