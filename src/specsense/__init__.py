@@ -39,7 +39,6 @@ from .fading import (
     db_to_linear,
     envelope_pdf,
     linear_to_db,
-    nakagami_snr_pdf,
     sample_snr,
     snr_pdf,
 )
@@ -67,8 +66,7 @@ __all__ = [
     # special functions
     "ConvergenceError", "digamma", "ln_beta", "marcum_q",
     # fading channel
-    "FadingParams", "db_to_linear", "linear_to_db", "snr_pdf", "envelope_pdf",
-    "sample_snr", "nakagami_snr_pdf",
+    "FadingParams", "db_to_linear", "linear_to_db", "snr_pdf", "envelope_pdf", "sample_snr",
     # detection
     "DetectorConfig", "SeriesControl", "RocCurve", "pfa", "threshold_for_pfa",
     "pd_awgn", "average_pd", "average_pd_detail", "average_pd_quadrature",

@@ -19,7 +19,8 @@ from .auc import auc_average, auc_instantaneous
 from .detection import (
     DetectorConfig,
     SeriesControl,
-    _unit_pf_targets,
+    _roc_units,
+    _unit_target,
     average_pd,
     average_pd_detail,
     collaborative_pd,
@@ -136,11 +137,9 @@ def _cmd_roc(args, stream) -> int:
 
     if not fading:
         raise ValueError("--simulate requires a fading channel")
-    n_units = args.sls if args.sls > 1 else (args.users if args.fusion != "none" else 1)
-    mode = "or" if args.sls > 1 else args.fusion
-    unit_pf = _unit_pf_targets(pf_grid, mode, n_units)
+    _, rule, n_units = _roc_units(channel, args.fusion, args.users)
     rows = []
-    for k, (pf_target, pf_unit) in enumerate(zip(pf_grid, unit_pf)):
+    for k, (pf_target, pf_unit) in enumerate(zip(pf_grid, _unit_target(pf_grid, n_units, rule))):
         lam = threshold_for_pfa(args.u, float(pf_unit))
         cfg_k = DetectorConfig(u=args.u, threshold=lam, noise_uncertainty_db=args.noise_db)
         sim = SimConfig(trials=args.trials, seed=args.seed + k)

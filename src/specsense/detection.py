@@ -304,7 +304,7 @@ def _ln_series_coeff(p: FadingParams, start: int, stop: int) -> np.ndarray:
     n = np.arange(start, stop, dtype=float)
     ln_u = ln_tricomi_u_grid(m + ms, ms - n + 1.0, z)
     ln_c = ms * math.log(z) - ln_beta(m, ms)
-    ln_g = np.array([math.lgamma(k + m) - math.lgamma(k + 1.0) for k in range(start, stop)])
+    ln_g = np.fromiter(map(math.lgamma, n + m), float, n.shape[0]) - _ln_factorials(start, stop - 1)
     return ln_c + ln_g + ln_u
 
 
@@ -622,46 +622,60 @@ def _validate_rule(rule: str) -> str:
     return r
 
 
+def _fuse(p, n: int, rule: str):
+    """Chance that any ("or") or all ("and") of n i.i.d. units fire, each
+    with chance p (a float or an array); p itself at n = 1."""
+    if n == 1:
+        return p
+    return 1.0 - (1.0 - p) ** n if rule == "or" else p ** n
+
+
+def _unit_target(p, n: int, rule: str):
+    """The inverse of _fuse: the per-unit chance that n units combined by
+    rule take to p; p itself at n = 1."""
+    if n == 1:
+        return p
+    return 1.0 - (1.0 - p) ** (1.0 / n) if rule == "or" else p ** (1.0 / n)
+
+
 def collaborative_pd(pd_single: float, n_users: int, rule: str) -> float:
     """Fused detection probability for N i.i.d. users at equal threshold;
-    the same combining of per-user false alarms gives the fused Pf."""
+    the same combining of per-user false alarms gives the fused Pf. One
+    user gives pd_single itself."""
     if not 0.0 <= pd_single <= 1.0:
         raise ValueError("pd_single must lie in [0, 1]")
     check_count(n_users, "n_users")
-    if _validate_rule(rule) == "or":
-        return 1.0 - (1.0 - pd_single) ** n_users
-    return pd_single ** n_users
+    return _fuse(pd_single, n_users, _validate_rule(rule))
 
 
 def sls_pfa(u: int, lam: float, branches: int) -> float:
-    """False-alarm probability of square-law selection over L branches."""
+    """False-alarm probability of square-law selection over L branches: the
+    OR of L branch false alarms, so one branch gives pfa itself."""
     check_count(branches, "branches")
-    single = pfa(DetectorConfig(u=u, threshold=lam))
-    if branches == 1:
-        # skip the complement round-trip so L=1 reduces exactly
-        return single
-    return 1.0 - (1.0 - single) ** branches
+    return _fuse(pfa(DetectorConfig(u=u, threshold=lam)), branches, "or")
 
 
-def sls_average_pd(
-    cfg: DetectorConfig,
-    branch_params,
-    ctl: SeriesControl | None = None,
-) -> float:
+def _sls_batch(u: int, lam_effs, branches, ctl: SeriesControl) -> np.ndarray:
+    """Square-law selection Pd at each effective threshold. Selection fires
+    when any branch does, so over independent branches the misses multiply,
+    in branch order; _series_batch sums each distinct branch once, and one
+    branch gives its own Pd."""
+    pds = {bp: _series_batch(u, lam_effs, bp, ctl)[0] for bp in dict.fromkeys(branches)}
+    if len(branches) == 1:
+        return pds[branches[0]]
+    return 1.0 - math.prod(1.0 - pds[bp] for bp in branches)
+
+
+def sls_average_pd(cfg: DetectorConfig, branch_params, ctl: SeriesControl | None = None) -> float:
     """Average detection probability of square-law selection diversity.
 
     The decision statistic is the per-branch maximum, so over independent
-    branches the miss probabilities multiply.
+    branches the miss probabilities multiply; one branch gives average_pd.
     """
     branch_params = list(branch_params)
-    if len(branch_params) == 0:
+    if not branch_params:
         raise ValueError("sls_average_pd needs at least one branch")
-    if len(branch_params) == 1:
-        return average_pd(cfg, branch_params[0], ctl)
-    miss = 1.0
-    for bp in branch_params:
-        miss *= 1.0 - average_pd(cfg, bp, ctl)
-    return 1.0 - miss
+    return float(_sls_batch(cfg.u, [cfg.effective_threshold], branch_params, ctl or _DEFAULT_CTL)[0])
 
 
 @functools.lru_cache(maxsize=32)
@@ -673,13 +687,29 @@ def _grid_thresholds(u: int, unit_pf: bytes) -> np.ndarray:
     return lams
 
 
-def _unit_pf_targets(pf_grid: np.ndarray, fusion: str, n_units: int) -> np.ndarray:
-    """Invert the fusion/diversity false-alarm combining for each target."""
-    if fusion == "or":
-        return 1.0 - (1.0 - pf_grid) ** (1.0 / n_units)
-    if fusion == "and":
-        return pf_grid ** (1.0 / n_units)
-    return pf_grid
+def _roc_units(channel, fusion: str, n_users: int):
+    """Checked (kind, rule, n_units) of roc_curve: kind is "fading", "sls"
+    or "awgn", and a point's Pf is _fuse(unit Pf, n_units, rule). SLS is the
+    OR over its branches; without fusion a channel is one unit."""
+    if isinstance(channel, FadingParams):
+        kind = "fading"
+    elif isinstance(channel, (list, tuple)):
+        if not channel or not all(isinstance(b, FadingParams) for b in channel):
+            raise ValueError("branch list must hold FadingParams")
+        kind = "sls"
+    else:
+        if not 0.0 <= float(channel) < math.inf:
+            raise ValueError("AWGN SNR must be finite and nonnegative")
+        kind = "awgn"
+    fusion = fusion.lower()
+    if fusion not in ("none", "or", "and"):
+        raise ValueError("fusion must be 'none', 'or' or 'and'")
+    if fusion == "none":
+        return kind, "or", len(channel) if kind == "sls" else 1
+    if kind == "sls":
+        raise ValueError("fusion rules do not combine with SLS branches")
+    check_count(n_users, "n_users")
+    return kind, fusion, int(n_users)
 
 
 # roc_curve's default sweep: 200 targets, log-spaced over [1e-4, 0.999]
@@ -700,9 +730,10 @@ def roc_curve(
     channel selects the evaluation path: a FadingParams gives the
     F-composite average Pd, a sequence of FadingParams gives square-law
     selection over those branches, and a bare nonnegative number is the
-    AWGN SNR. Fusion targets are the collaborative false alarm; the
-    per-user threshold is recovered by the closed-form inverse before the
-    per-user Pd is computed.
+    AWGN SNR. Fusion targets are the collaborative false alarm, and SLS
+    targets the OR of its branch false alarms; the unit threshold is
+    recovered by the closed-form inverse before the unit Pd is computed.
+    One user or one branch gives the plain curve exactly.
     """
     ctl = ctl or _DEFAULT_CTL
     if pf_grid is None:
@@ -716,73 +747,31 @@ def roc_curve(
         if np.any(np.diff(pf_grid) <= 0.0):
             raise ValueError("pf_grid must be strictly increasing")
 
-    sls_branches = None
-    if isinstance(channel, FadingParams):
-        kind = "fading"
-    elif isinstance(channel, (list, tuple)):
-        sls_branches = list(channel)
-        if not sls_branches or not all(isinstance(b, FadingParams) for b in sls_branches):
-            raise ValueError("branch list must hold FadingParams")
-        kind = "sls"
-    else:
-        gamma = float(channel)
-        if not 0.0 <= gamma < math.inf:
-            raise ValueError("AWGN SNR must be finite and nonnegative")
-        kind = "awgn"
-
-    fusion = fusion.lower()
-    if fusion not in ("none", "or", "and"):
-        raise ValueError("fusion must be 'none', 'or' or 'and'")
-    if fusion != "none":
-        if kind == "sls":
-            raise ValueError("fusion rules do not combine with SLS branches")
-        check_count(n_users, "n_users")
-
+    kind, rule, n_units = _roc_units(channel, fusion, n_users)
+    lams = _grid_thresholds(cfg.u, _unit_target(pf_grid, n_units, rule).tobytes())
+    lam_effs = cfg.alpha ** 2 * lams
     if kind == "sls":
-        n_units = len(sls_branches)
-        unit_pf = _unit_pf_targets(pf_grid, "or", n_units)  # 1-(1-pf)^L inverse
-    elif fusion != "none":
-        n_units = int(n_users)
-        unit_pf = _unit_pf_targets(pf_grid, fusion, n_units)
-    else:
-        n_units = 1
-        unit_pf = pf_grid
-
-    lams = _grid_thresholds(cfg.u, unit_pf.tobytes())
-    alpha2 = cfg.alpha ** 2
-
-    if kind == "awgn":
-        # the same squares of square roots as pd_awgn's marcum_q call
-        a, b = math.sqrt(2.0 * gamma), np.sqrt(alpha2 * lams)
-        pd_vals = marcum_q_grid(cfg.u, 0.5 * a * a, 0.5 * b * b)
+        pd_vals = _sls_batch(cfg.u, lam_effs, channel, ctl)
     elif kind == "fading":
-        pd_vals, _, _ = _series_batch(cfg.u, alpha2 * lams, channel, ctl)
+        pd_vals = _fuse(_series_batch(cfg.u, lam_effs, channel, ctl)[0], n_units, rule)
     else:
-        # equal branches share one series; the misses still multiply in order
-        pds = {bp: _series_batch(cfg.u, alpha2 * lams, bp, ctl)[0] for bp in dict.fromkeys(sls_branches)}
-        miss = np.ones(lams.shape[0])
-        for bp in sls_branches:
-            miss *= 1.0 - pds[bp]
-        pd_vals = 1.0 - miss
-
-    if fusion == "or":
-        pd_vals = 1.0 - (1.0 - pd_vals) ** n_units
-    elif fusion == "and":
-        pd_vals = pd_vals ** n_units
+        # the same squares of square roots as pd_awgn's marcum_q call
+        a, b = math.sqrt(2.0 * float(channel)), np.sqrt(lam_effs)
+        pd_vals = _fuse(marcum_q_grid(cfg.u, 0.5 * a * a, 0.5 * b * b), n_units, rule)
 
     pd_vals = np.clip(pd_vals, 0.0, 1.0)
     meta = {
         "kind": kind,
         "u": cfg.u,
         "noise_uncertainty_db": cfg.noise_uncertainty_db,
-        "fusion": fusion,
+        "fusion": fusion.lower(),
         "n_units": n_units,
     }
     if kind == "fading":
         meta["channel"] = (channel.m, channel.m_s, channel.mean_snr)
     elif kind == "sls":
-        meta["branches"] = [(b.m, b.m_s, b.mean_snr) for b in sls_branches]
+        meta["branches"] = [(b.m, b.m_s, b.mean_snr) for b in channel]
     else:
-        meta["awgn_snr"] = gamma
+        meta["awgn_snr"] = float(channel)
     sweep = f"{pf_grid.size} pf targets in [{pf_grid[0]:.3g}, {pf_grid[-1]:.3g}]"
     return RocCurve(np.column_stack((pf_grid, pd_vals)), sweep, meta)

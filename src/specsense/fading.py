@@ -3,7 +3,7 @@
 The instantaneous SNR of the channel follows a scaled F law with multipath
 shape m and shadowing shape m_s (valid for m_s > 1), equivalently the ratio
 of two gamma variates. This module holds the parameter container, the SNR
-and envelope densities, sampling, and the Nakagami/Rayleigh limiting law.
+and envelope densities, and sampling.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "snr_pdf",
     "envelope_pdf",
     "sample_snr",
-    "nakagami_snr_pdf",
 ]
 
 
@@ -158,25 +157,3 @@ def _scaled_ratios(m: float, m_s: float, scales, rng: np.random.Generator, size)
     for c in scales:
         np.multiply(c, x, out=out)
         yield np.divide(out, y, out=out)
-
-
-def nakagami_snr_pdf(m_hat: float, mean_snr: float, gamma):
-    """SNR density under Nakagami-m fading: a gamma law with shape m_hat
-    and mean mean_snr. m_hat = 1 is the Rayleigh (exponential) case."""
-    if not m_hat > 0.0:
-        raise ValueError("nakagami_snr_pdf requires m_hat > 0")
-    if not mean_snr > 0.0:
-        raise ValueError("nakagami_snr_pdf requires mean_snr > 0")
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0.0):
-        raise ValueError("nakagami_snr_pdf requires gamma >= 0")
-    ln_norm = m_hat * math.log(m_hat / mean_snr) - math.lgamma(m_hat)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ln_g = np.where(g > 0.0, np.log(g), -np.inf)
-        ln_f = ln_norm + (m_hat - 1.0) * ln_g - m_hat * g / mean_snr
-    out = np.exp(ln_f)
-    if m_hat == 1.0:
-        out = np.where(g == 0.0, 1.0 / mean_snr, out)
-    elif m_hat < 1.0:
-        out = np.where(g == 0.0, np.inf, out)
-    return out if out.ndim else float(out)

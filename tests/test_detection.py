@@ -570,6 +570,13 @@ class TestFusionRules:
         assert math.isclose(collaborative_pd(0.1, 4, "or"), 1.0 - 0.9 ** 4, rel_tol=1e-15)
         assert math.isclose(collaborative_pd(0.1, 4, "and"), 1e-4, rel_tol=1e-12)
 
+    def test_single_user_returns_its_own_probability(self):
+        # 1 - (1 - p) ** 1 rounds away from p, at p = 0.1 for one
+        probs = np.random.default_rng(29).uniform(0.0, 1.0, 200).tolist() + [0.0, 0.1, 1.0]
+        for p in probs:
+            assert collaborative_pd(p, 1, "or") == p
+            assert collaborative_pd(p, 1, "and") == p
+
     def test_or_dominates_and(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
@@ -679,6 +686,32 @@ class TestRocCurve:
             lam = threshold_for_pfa(2, unit_pf)
             unit_pd = average_pd(DetectorConfig(u=2, threshold=lam), CH)
             assert math.isclose(pd_i, 1.0 - (1.0 - unit_pd) ** n, rel_tol=1e-10)
+
+    @pytest.mark.parametrize("beta", [0.0, 2.0])
+    def test_one_unit_is_the_plain_curve(self, beta):
+        cfg = DetectorConfig(u=2, threshold=1.0, noise_uncertainty_db=beta)
+        plain = roc_curve(CH, cfg)
+        for curve in (roc_curve(CH, cfg, fusion="or", n_users=1),
+                      roc_curve(CH, cfg, fusion="and", n_users=1), roc_curve([CH], cfg)):
+            assert np.array_equal(curve.pf, plain.pf)
+            assert np.array_equal(curve.pd, plain.pd)
+
+    @pytest.mark.parametrize("beta", [0.0, 2.0])
+    def test_fusion_points_match_the_scalar_path(self, beta):
+        # Each point is collaborative_pd of the single-threshold average_pd
+        # at its unit threshold. The ROC raises a numpy array to the n-th
+        # power and collaborative_pd a Python float, and the two may round
+        # an ulp apart (68 of these 3,200 points with numpy 2.4 on x86-64):
+        # so within 2 ulp of 1.0 for OR, whose power is subtracted from 1,
+        # and 2 ulp of the value for AND. One user is exact.
+        for rule in ("or", "and"):
+            for n in (1, 2, 3, 8):
+                curve = roc_curve(CH, DetectorConfig(2, 1.0, beta), fusion=rule, n_users=n)
+                for pf_k, got in zip(detection._unit_target(curve.pf, n, rule), curve.pd):
+                    cfg_k = DetectorConfig(2, threshold_for_pfa(2, float(pf_k)), beta)
+                    want = collaborative_pd(average_pd(cfg_k, CH), n, rule)
+                    tol = 0.0 if n == 1 else 2.0 * np.spacing(1.0 if rule == "or" else want)
+                    assert abs(got - want) <= tol, (rule, n, pf_k)
 
     def test_sls_points_recover_target_false_alarm(self):
         curve = roc_curve([CH, CH], DetectorConfig(u=2, threshold=1.0), pf_grid=np.array([0.1, 0.5]))

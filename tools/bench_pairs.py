@@ -170,9 +170,12 @@ def main() -> int:
     ap.add_argument("--workload", action="append", required=True, help="repeat for several")
     ap.add_argument("--seeds", required=True, type=_seeds, help="e.g. 1001-1010")
     ap.add_argument("--trace-seeds", type=_seeds, default=[], help="seeds of traced pairs")
-    ap.add_argument("--workdir", default=None, help="where the exported trees go (removed after)")
+    ap.add_argument("--workdir", default=None,
+                    help="where the exported trees go (created if missing; the trees are removed after)")
     args = ap.parse_args()
 
+    if args.workdir:
+        os.makedirs(args.workdir, exist_ok=True)
     work = tempfile.mkdtemp(prefix="bench_pairs-", dir=args.workdir)
     try:
         roots = {"parent": _export(args.parent, os.path.join(work, "parent")), "change": REPO}
