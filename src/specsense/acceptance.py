@@ -306,9 +306,7 @@ def criterion_8() -> tuple[bool, str]:
         n = int(rng.integers(1, 9))
         p_or = collaborative_pd(prob, n, "or")
         p_and = collaborative_pd(prob, n, "and")
-        f_or = collaborative_pd(prob, n, "or")
-        f_and = collaborative_pd(prob, n, "and")
-        if not (p_or >= prob >= p_and and f_or >= prob >= f_and):
+        if not p_or >= prob >= p_and:
             failures.append("fusion ordering")
             break
 

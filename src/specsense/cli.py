@@ -145,10 +145,8 @@ def _cmd_roc(args, stream) -> int:
         sim = SimConfig(trials=args.trials, seed=args.seed + k)
         if args.sls > 1:
             res = simulate_sls(cfg_k, channel, sim)
-        elif args.fusion != "none":
-            res = simulate_fusion(cfg_k, base, args.users, args.fusion, sim)
         else:
-            res = simulate_average_pd(cfg_k, base, sim)
+            res = simulate_fusion(cfg_k, base, n_units, rule, sim)
         rows.append((float(pf_target), res.estimate, res.ci95_halfwidth))
     _emit(args.format, "roc", params, ["pf", "pd", "ci95"], rows, stream)
     return 0
@@ -171,9 +169,9 @@ def _cmd_pd(args, stream) -> int:
 
 def _cmd_auc(args, stream) -> int:
     params = {"u": args.u, "snr_db": args.snr_db, "m": args.m, "ms": args.ms}
+    if args.snr_db is None:
+        raise ValueError("--snr-db is required")
     if args.instantaneous:
-        if args.snr_db is None:
-            raise ValueError("--snr-db is required")
         gamma = db_to_linear(args.snr_db)
         rows = [(float(args.snr_db), auc_instantaneous(args.u, gamma))]
         _emit(args.format, "auc", params, ["gamma_db", "auc"], rows, stream)
@@ -190,8 +188,6 @@ def _cmd_auc(args, stream) -> int:
         if args.ms is None:
             raise ValueError("--ms is required (or sweep it with --sweep ms:lo:hi:steps)")
         ms_axis = np.array([args.ms])
-    if args.snr_db is None:
-        raise ValueError("--snr-db is required")
     rows = []
     for m in m_axis:
         for ms in ms_axis:

@@ -178,16 +178,13 @@ def _entropy_reports(channels, sample_count: int, seed: int) -> list[EntropyRepo
     mean is taken before its logs overwrite it."""
     check_count(sample_count, "sample_count", 100)
     m, ms = channels[0].m, channels[0].m_s
-    if any((p.m, p.m_s) != (m, ms) for p in channels):
-        raise ValueError("channels sharing a draw must share (m, m_s)")
     rng = philox_stream(seed, 0)
     draws = _scaled_ratios(m, ms, [p.snr_scale for p in channels], rng, int(sample_count))
     reports = []
     for p, samples in zip(channels, draws):
         m_hat, mean_n = _fit(samples, samples)
-        mean_r = mean_n
         h_p = shannon_entropy(p)
-        h_ray = cross_entropy_rayleigh(p, mean_r)
+        h_ray = cross_entropy_rayleigh(p, mean_n)
         h_nak = cross_entropy_nakagami(p, m_hat, mean_n)
         reports.append(EntropyReport(
             shannon_bits=h_p,
@@ -195,6 +192,6 @@ def _entropy_reports(channels, sample_count: int, seed: int) -> list[EntropyRepo
             cross_nakagami_bits=h_nak,
             kl_rayleigh_bits=h_ray - h_p,
             kl_nakagami_bits=h_nak - h_p,
-            fitted=FittedEncoders(m_hat=m_hat, mean_snr_n=mean_n, mean_snr_r=mean_r),
+            fitted=FittedEncoders(m_hat=m_hat, mean_snr_n=mean_n, mean_snr_r=mean_n),
         ))
     return reports

@@ -77,6 +77,31 @@ class FadingParams:
         return (self.m_s - 1.0) * self.mean_snr / self.m
 
 
+def _f_law_pdf(p: FadingParams, t, k: int, mean: float, message: str):
+    """The F law in t = gamma^{1/k} for gamma of mean `mean`, in log space:
+    k = 1 gives snr_pdf, k = 2 envelope_pdf. ValueError(message) if t < 0."""
+    tv = np.asarray(t, dtype=float)
+    if np.any(tv < 0.0):
+        raise ValueError(message)
+    m, ms = p.m, p.m_s
+    ln_norm = (
+        math.log(k)
+        + m * math.log(m)
+        + ms * math.log(ms - 1.0)
+        + ms * math.log(mean)
+        - ln_beta(m, ms)
+    )
+    base = m * tv if k == 1 else m * tv * tv
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # at t = 0, (km-1) ln t is -inf for km > 1 and +inf for km < 1: f is 0 or inf
+        ln_f = ln_norm + (k * m - 1.0) * np.log(tv) - (m + ms) * np.log(base + (ms - 1.0) * mean)
+    out = np.exp(ln_f)
+    if k * m == 1.0:
+        # t^{km-1} is identically 1, but 0 * ln 0 is nan: the t=0 value is finite
+        out = np.where(tv == 0.0, math.exp(ln_norm - (m + ms) * math.log((ms - 1.0) * mean)), out)
+    return out if out.ndim else float(out)
+
+
 def snr_pdf(p: FadingParams, gamma):
     """SNR density of the F composite channel.
 
@@ -84,27 +109,7 @@ def snr_pdf(p: FadingParams, gamma):
                / (B(m, m_s) [m gamma + (m_s-1) mean]^{m+m_s}),
     evaluated in log space. Accepts scalar or array gamma >= 0.
     """
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0.0):
-        raise ValueError("snr_pdf requires gamma >= 0")
-    m, ms, gbar = p.m, p.m_s, p.mean_snr
-    ln_norm = (
-        m * math.log(m)
-        + ms * math.log(ms - 1.0)
-        + ms * math.log(gbar)
-        - ln_beta(m, ms)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # (m-1) * ln(0) is nan when m == 1; the branch below overwrites it
-        ln_g = np.where(g > 0.0, np.log(g), -np.inf)
-        ln_f = ln_norm + (m - 1.0) * ln_g - (m + ms) * np.log(m * g + (ms - 1.0) * gbar)
-    out = np.exp(ln_f)
-    if m == 1.0:
-        # gamma^{m-1} is identically 1; the g=0 value is finite
-        out = np.where(g == 0.0, math.exp(ln_norm - (m + ms) * math.log((ms - 1.0) * gbar)), out)
-    elif m < 1.0:
-        out = np.where(g == 0.0, np.inf, out)
-    return out if out.ndim else float(out)
+    return _f_law_pdf(p, gamma, 1, p.mean_snr, "snr_pdf requires gamma >= 0")
 
 
 def envelope_pdf(p: FadingParams, r):
@@ -113,26 +118,7 @@ def envelope_pdf(p: FadingParams, r):
     f(r) = 2 m^m (m_s-1)^{m_s} Omega^{m_s} r^{2m-1}
            / (B(m, m_s) [m r^2 + (m_s-1) Omega]^{m+m_s}).
     """
-    rv = np.asarray(r, dtype=float)
-    if np.any(rv < 0.0):
-        raise ValueError("envelope_pdf requires r >= 0")
-    m, ms, om = p.m, p.m_s, p.omega
-    ln_norm = (
-        math.log(2.0)
-        + m * math.log(m)
-        + ms * math.log(ms - 1.0)
-        + ms * math.log(om)
-        - ln_beta(m, ms)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ln_r = np.where(rv > 0.0, np.log(rv), -np.inf)
-        ln_f = ln_norm + (2.0 * m - 1.0) * ln_r - (m + ms) * np.log(m * rv * rv + (ms - 1.0) * om)
-    out = np.exp(ln_f)
-    if m == 0.5:
-        out = np.where(rv == 0.0, math.exp(ln_norm - (m + ms) * math.log((ms - 1.0) * om)), out)
-    elif m < 0.5:
-        out = np.where(rv == 0.0, np.inf, out)
-    return out if out.ndim else float(out)
+    return _f_law_pdf(p, r, 2, p.omega, "envelope_pdf requires r >= 0")
 
 
 def sample_snr(p: FadingParams, rng: np.random.Generator, size=None):

@@ -73,8 +73,6 @@ def _ln_minus_digamma(x: float) -> tuple[float, float]:
     1/y - psi'(y) = -1/(2y^2) - sum d_k y^{-2k-1} outright, so neither
     difference cancels at large x.
     """
-    if not x > 0.0:
-        raise ValueError("ln_minus_digamma requires x > 0")
     val = der = 0.0
     y = x
     while y <= 6.0:

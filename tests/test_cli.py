@@ -18,9 +18,10 @@ import pytest
 
 from specsense.auc import auc_average, auc_instantaneous
 from specsense.cli import DEFAULT_SEED, SCHEMA_VERSION, run
-from specsense.detection import DetectorConfig, average_pd, roc_curve, threshold_for_pfa
+from specsense.detection import DetectorConfig, _unit_target, average_pd, roc_curve, threshold_for_pfa
 from specsense.entropy import entropy_report
 from specsense.fading import FadingParams
+from specsense.montecarlo import SimConfig, simulate_fusion, simulate_sls
 
 
 def _run(capsys, argv):
@@ -148,6 +149,68 @@ class TestRocCommand:
             ["roc", "--u", "2", "--m", "2", "--ms", "3", "--snr-db", "5", "--sls", "2", "--fusion", "or"],
         )
         assert (code1, code2, code3) == (2, 2, 2)
+
+    @pytest.mark.parametrize(
+        "extra, n_units, rule",
+        [(["--sls", "2"], 2, "or"), (["--fusion", "and", "--users", "2"], 2, "and")],
+    )
+    def test_simulated_rows_are_the_library_simulator(self, capsys, extra, n_units, rule):
+        # row k simulates at the unit threshold of its fused target, seed + k
+        code, out, _ = _run(
+            capsys,
+            [
+                "roc", "--u", "2", "--m", "2", "--ms", "3", "--snr-db", "5", "--pf-grid", "0.05:0.5:3",
+                "--simulate", "--trials", "1000", "--seed", "11",
+            ]
+            + extra,
+        )
+        assert code == 0
+        _, rows = _parse_csv(out)
+        grid = np.geomspace(0.05, 0.5, 3)
+        ch = FadingParams.from_db(2.0, 3.0, 5.0)
+        assert len(rows) == 3
+        for k, (row, pf_unit) in enumerate(zip(rows, _unit_target(grid, n_units, rule))):
+            cfg = DetectorConfig(u=2, threshold=threshold_for_pfa(2, float(pf_unit)))
+            sim = SimConfig(trials=1000, seed=11 + k)
+            if "--sls" in extra:
+                want = simulate_sls(cfg, [ch, ch], sim)
+            else:
+                want = simulate_fusion(cfg, ch, n_units, rule, sim)
+            assert [float(v) for v in row[2:]] == [grid[k], want.estimate, want.ci95_halfwidth]
+
+
+class TestUsageErrors:
+    # each raise of a ValueError in the handlers exits 2 with its message
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["roc", "--snr-db", "5", "--pf-grid", "0.5:0.1:3"],
+             "--pf-grid needs 0 < lo < hi < 1 and count >= 2"),
+            (["roc"], "--snr-db is required"),
+            (["roc", "--snr-db", "5", "--simulate"], "--simulate requires a fading channel"),
+            (["pd", "--m", "2", "--snr-db", "5", "--pfa", "0.1"],
+             "--m and --ms are required for a fading channel"),
+            (["pd", "--m", "2", "--ms", "3", "--pfa", "0.1"], "--snr-db is required"),
+            (["pd", "--m", "2", "--ms", "3", "--snr-db", "5", "--threshold=-1"],
+             "--threshold must be nonnegative"),
+            (["auc", "--m", "2", "--ms", "3", "--snr-db", "5", "--sweep", "m:1:2"],
+             "--sweep must look like axis:lo:hi:steps, e.g. m:1:15:10"),
+            (["auc", "--m", "2", "--ms", "3", "--snr-db", "5", "--sweep", "q:1:2:3"],
+             "--sweep axis must be 'm' or 'ms'"),
+            (["auc", "--m", "2", "--ms", "3", "--snr-db", "5", "--sweep", "m:2:1:3"],
+             "--sweep needs 0 < lo <= hi and steps >= 1"),
+            (["auc", "--ms", "3", "--snr-db", "5"],
+             "--m is required (or sweep it with --sweep m:lo:hi:steps)"),
+            (["auc", "--m", "2", "--snr-db", "5"],
+             "--ms is required (or sweep it with --sweep ms:lo:hi:steps)"),
+            (["auc", "--m", "2", "--ms", "3"], "--snr-db is required"),
+            (["auc", "--instantaneous"], "--snr-db is required"),
+            (["entropy", "--m", "2", "--ms", "3"], "--m, --ms and --snr-db are required without --table"),
+        ],
+    )
+    def test_exits_two_with_its_message(self, capsys, argv, message):
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (2, "", f"specsense {argv[0]}: {message}\n")
 
 
 class TestAucCommand:

@@ -113,6 +113,22 @@ class TestEnvelopePdf:
         assert math.isclose(total, 1.0, abs_tol=1e-8)
         assert math.isclose(power, 2.5, rel_tol=1e-6)
 
+    @pytest.mark.parametrize("m", (0.3, 0.5, 1.0, 2.7, 12.0))
+    def test_is_the_snr_density_of_r_squared(self, m):
+        # r = sqrt(gamma) for an SNR of mean omega, so f_R(r) = 2 r f_gamma(r^2)
+        p = FadingParams(m=m, m_s=3.4, mean_snr=1.0, omega=2.3)
+        q = FadingParams(m=m, m_s=3.4, mean_snr=2.3)
+        r = np.geomspace(1e-6, 30.0, 200)
+        np.testing.assert_allclose(envelope_pdf(p, r), 2.0 * r * snr_pdf(q, r * r), rtol=1e-13, atol=0.0)
+        at_origin = envelope_pdf(p, 0.0)
+        if m < 0.5:
+            assert math.isinf(at_origin) and math.isinf(snr_pdf(q, 0.0))
+        elif m == 0.5:
+            # f_gamma blows up as gamma^{-1/2}, so 2 r f_gamma(r^2) keeps a finite limit
+            assert math.isclose(at_origin, 2e-20 * snr_pdf(q, 1e-40), rel_tol=1e-13)
+        else:
+            assert at_origin == 0.0
+
 
 class TestSampling:
     def test_scalar_and_shape_conventions(self):

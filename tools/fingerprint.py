@@ -1,0 +1,209 @@
+"""Bit-for-bit output fingerprints of a parent commit against this tree.
+
+    python3 tools/fingerprint.py [--parent HEAD] [--workdir DIR]
+
+A change that claims to keep every number must leave these outputs
+unchanged. The parent ref is exported with `git archive` into a scratch
+directory; the change is this working tree. Each tree then runs this script
+with `--collect ROOT` in a fresh interpreter, with ROOT/src and this tree's
+perfbench/ on the path, so both import their own specsense and share the
+benchmark code. Every output is hashed (SHA-256 of an array's dtype, shape
+and bytes, or of a repr), and the script prints each group's key count and
+every key whose hash differs or that one side lacks. It exits 1 if any key
+differs. Covered:
+
+- every output of two `figure_sweep` rounds at seed 41
+- selftest criterion 4's (Pd, terms) and quadrature value at all 240 points
+- the coefficient ladder, 120 rows, of m in {0.6, 1, 3.5, 20} x m_s in
+  {1.1, 2.7, 30, 300} x {-10, 0, 7, 15} dB
+- `snr_pdf` and `envelope_pdf` on grids that include t = 0, for km < 1,
+  km = 1 and km > 1, scalar calls with their return type, and the
+  negative-argument error messages
+- `digamma`, the gamma-shape fit, `collaborative_pd`, criterion 8's result
+- the JSON of the README's CLI invocations (selftest aside, as it prints
+  timings), of `roc --simulate` with `--sls 2`, with `--fusion and --users
+  2` and with neither, and of `simulate --kind pd, sls and auc`
+
+Uses the standard library and numpy; criterion 4's quadrature loads scipy
+inside specsense.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+import numpy as np
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+README_CLI = (
+    "pd --u 2 --m 2 --ms 3 --snr-db 5 --pfa 0.1",
+    "roc --u 2 --m 2 --ms 3 --snr-db 5 --pf-grid 1e-4:0.999:200",
+    "roc --u 2 --m 2 --ms 3 --snr-db 5 --fusion or --users 3",
+    "roc --u 2 --m 2 --ms 3 --snr-db 5 --sls 2 --simulate --trials 50000",
+    "auc --u 2 --snr-db 2 --sweep m:1:15:8 --sweep ms:1.5:30:8",
+    "entropy --table --samples 1000000",
+    "simulate --kind fusion --u 2 --m 2 --ms 3 --snr-db 5 --pfa 0.1 --users 3 --rule or",
+)
+EXTRA_CLI = (
+    "roc --u 2 --m 2 --ms 3 --snr-db 5 --pf-grid 1e-3:0.9:25 --simulate --trials 20000",
+    "roc --u 2 --m 2 --ms 3 --snr-db 5 --pf-grid 1e-3:0.9:25 --simulate --trials 20000 --sls 2",
+    "roc --u 3 --m 1.3 --ms 2.7 --snr-db 7 --pf-grid 1e-3:0.9:25 --simulate --trials 20000"
+    " --fusion and --users 2",
+    "simulate --kind pd --u 2 --m 2 --ms 3 --snr-db 5 --pfa 0.1 --trials 20000",
+    "simulate --kind sls --u 2 --m 2 --ms 3 --snr-db 5 --pfa 0.1 --trials 20000 --sls 3",
+    "simulate --kind auc --u 2 --m 2 --ms 3 --snr-db 5 --trials 20000",
+    "entropy --m 2 --ms 3 --snr-db 5 --samples 100000",
+)
+
+
+def _digest(value) -> str:
+    from specsense.detection import RocCurve
+
+    h = hashlib.sha256()
+    if isinstance(value, RocCurve):
+        value = (np.asarray(value.points, dtype=float), repr(value.meta))
+    if isinstance(value, tuple) and any(isinstance(v, np.ndarray) for v in value):
+        for v in value:
+            h.update(_digest(v).encode())
+    elif isinstance(value, np.ndarray):
+        h.update(f"{value.dtype}{value.shape}".encode() + np.ascontiguousarray(value).tobytes())
+    else:
+        h.update(repr(value).encode())
+    return h.hexdigest()[:32]
+
+
+def _error(fn, *args) -> str:
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return "no error"
+
+
+def _collect(root: str) -> dict[str, str]:
+    """Every covered output of root's specsense, keyed by name."""
+    import workloads
+    from specsense import acceptance, cli, detection, entropy, fading, special_fn
+
+    if not os.path.abspath(fading.__file__).startswith(os.path.join(os.path.abspath(root), "src")):
+        raise RuntimeError(f"specsense was imported from {fading.__file__}, not from {root}")
+    out: dict[str, str] = {}
+    sweep = workloads.FigureSweep(41)
+    for r in range(2):
+        for i, op in enumerate(sweep.round_ops(r)):
+            out[f"figure_sweep/{r}/{i}/{op.kind}"] = _digest(op.fn())
+
+    for i, (cfg, p) in enumerate(acceptance._criterion4_grid()):
+        value, terms, _ = detection.average_pd_detail(cfg, p)
+        quad = detection.average_pd_quadrature(cfg, p)
+        out[f"criterion4/{i}"] = _digest((value, terms, quad))
+
+    for m in (0.6, 1.0, 3.5, 20.0):
+        for ms in (1.1, 2.7, 30.0, 300.0):
+            for db in (-10.0, 0.0, 7.0, 15.0):
+                p = fading.FadingParams.from_db(m, ms, db)
+                out[f"ladder/{m}/{ms}/{db}"] = _digest(detection._ladder(p, 120)[:120].copy())
+
+    t = np.concatenate(([0.0], np.geomspace(1e-8, 1e3, 400)))
+    for m in (0.2, 0.5, 0.7, 1.0, 2.0, 12.0):
+        for ms in (1.1, 3.4, 300.0):
+            for mean in (0.1, 2.3, 31.6):
+                p = fading.FadingParams(m, ms, mean, omega=mean)
+                for name in ("snr_pdf", "envelope_pdf"):
+                    fn = getattr(fading, name)
+                    scalars = [fn(p, float(v)) for v in (0.0, 1e-3, 1.0, 40.0)]
+                    out[f"{name}/{m}/{ms}/{mean}"] = _digest(
+                        (fn(p, t), fn(p, t.reshape(1, -1, 1)), repr([(type(s), s) for s in scalars]))
+                    )
+    p = fading.FadingParams(2.0, 3.0, 1.0)
+    out["snr_pdf/negative"] = _digest(_error(fading.snr_pdf, p, [1.0, -1e-300]))
+    out["envelope_pdf/negative"] = _digest(_error(fading.envelope_pdf, p, -2.0))
+
+    x = np.geomspace(1e-4, 1e8, 300)
+    out["digamma"] = _digest([special_fn.digamma(float(v)) for v in x])
+    out["digamma/nonpositive"] = _digest([_error(special_fn.digamma, v) for v in (0.0, -1.0, np.nan)])
+    shapes = [entropy._solve_gamma_shape(float(s)) for s in np.geomspace(1e-9, 50.0, 300)]
+    out["gamma_shape"] = _digest(shapes)
+    rng = np.random.default_rng(5)
+    out["collaborative_pd"] = _digest([
+        detection.collaborative_pd(float(q), int(n), rule)
+        for q, n in zip(rng.random(200), rng.integers(1, 9, 200)) for rule in ("or", "and")
+    ])
+    out["criterion8"] = _digest(acceptance.criterion_8())
+
+    for line in README_CLI + EXTRA_CLI:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.run(line.split() + ["--format", "json"])
+        out[f"cli/{line}"] = _digest((code, json.loads(buf.getvalue())))
+    return out
+
+
+def _export(ref: str, dest: str) -> str:
+    """Write the committed files of ref into dest and return dest."""
+    tar_bytes = subprocess.run(
+        ["git", "-C", REPO, "archive", "--format=tar", ref], check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar_bytes)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
+
+
+def _run_collector(root: str) -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src"), os.path.join(REPO, "perfbench")])
+    env["SPECSENSE_THREADS"] = "2"
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--collect", root],
+        cwd=root, env=env, check=True, capture_output=True, text=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", default="HEAD", help="git ref to compare against (default HEAD)")
+    ap.add_argument("--workdir", default=None, help="directory for the exported parent")
+    ap.add_argument("--collect", metavar="ROOT", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.collect:
+        json.dump(_collect(args.collect), sys.stdout)
+        return 0
+
+    if args.workdir:
+        os.makedirs(args.workdir, exist_ok=True)
+    work = tempfile.mkdtemp(prefix="fingerprint-", dir=args.workdir)
+    try:
+        sides = {
+            "parent": _run_collector(_export(args.parent, os.path.join(work, "parent"))),
+            "change": _run_collector(REPO),
+        }
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+    keys = sorted(set(sides["parent"]) | set(sides["change"]))
+    groups = collections.Counter(key.split("/")[0] for key in keys)
+    differ = [k for k in keys if sides["parent"].get(k) != sides["change"].get(k)]
+    print(f"parent {args.parent} against the working tree: {len(keys)} keys")
+    for group, count in groups.items():
+        print(f"  {group}: {count}")
+    for key in differ:
+        print(f"DIFFERS {key}: parent {sides['parent'].get(key)} change {sides['change'].get(key)}")
+    print(f"{len(differ)} of {len(keys)} keys differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
