@@ -23,8 +23,8 @@ With c_n the coefficients (they sum to 1) and C_k their running sum, the
 remainder after N terms is at most P(N+u, lam/2) (1 - C_{N-1}), because P
 falls in its shape; truncation_bound returns it. The series stops at the
 first N of a fixed schedule where that bound is at most
-SeriesControl.rel_tol, and is summed with its two sums swapped:
-sum_{j>=u} Pois(j; lam/2) C_{min(j-u, N-1)}.
+SeriesControl.rel_tol, and is summed directly, as one running sum of
+c_n P(u+n, lam/2) over n < N along each row of a table of the tails P.
 """
 
 from __future__ import annotations
@@ -142,17 +142,15 @@ class RocCurve:
     meta: dict
 
     def __init__(self, points, sweep: str, meta: dict | None = None):
-        pts = np.array(points, dtype=float)
+        pts = np.array(points, dtype=float, order="F")  # pf and pd each contiguous
         if pts.shape != (0,) and (pts.ndim != 2 or pts.shape[1] != 2):
             raise ValueError("ROC points must be (pf, pd) pairs")
-        pts = pts.reshape(-1, 2)  # no points give shape (0,)
-        if not np.all((pts >= 0.0) & (pts <= 1.0)):
+        pts.setflags(write=False)  # and so its views pf and pd
+        pf, pd = pts.reshape(-1, 2, order="F").T  # no points give shape (0,)
+        if not (pts.min(initial=0.0) >= 0.0 and pts.max(initial=1.0) <= 1.0):  # NaN fails too
             raise ValueError("ROC entries must lie in [0, 1]")
-        if np.any(np.diff(pts[:, 0]) < 0.0):
+        if (pf[1:] < pf[:-1]).any():
             raise ValueError("ROC points must be sorted by pf ascending")
-        pf, pd = pts.T.copy()
-        pf.setflags(write=False)
-        pd.setflags(write=False)
         for name, value in (("pf", pf), ("pd", pd), ("sweep", sweep), ("meta", meta or {})):
             object.__setattr__(self, name, value)
 
@@ -399,19 +397,38 @@ def _ladder(p: FadingParams, rows: int) -> np.ndarray:
     return _ladders.put(p, np.concatenate(blocks))
 
 
-# Poisson pmf tables of threshold grids, keyed by (u, bytes of x = lam_eff/2).
-# A table depends on u and the grid alone, not on the channel, so a figure
-# that sweeps several channels over one (u, beta, Pf grid) builds it once.
-# Only a batch of several thresholds whose table fits in one _MAX_CELLS slice
-# is kept; a single threshold or a sliced scan builds its table every call.
-# The memo keeps up to 4 MiB of tables, each at most one 2 MiB slice; the
-# twelve of the paper's figure grid hold 1.66 MiB.
-_pmf_memo = _Memo(4 << 20)
+# Poisson tail tables P(u+i, x) of threshold grids, keyed by (u, bytes of
+# x = lam_eff/2). A table depends on u and the grid alone, not on the
+# channel, so a figure that sweeps several channels over one (u, beta, Pf
+# grid) builds it once. Only a batch of several thresholds whose table fits
+# in one _MAX_CELLS slice is kept; a single threshold or a sliced scan builds
+# its table every call. The memo keeps up to 4 MiB of tables, each at most
+# one 2 MiB slice; the twelve of the paper's figure grid hold 1.66 MiB.
+_tails = _Memo(4 << 20)
+
+
+def _tail_tables(u: int, x):
+    """(lo, upper) for each slice of the column x = lam_eff/2 from row lo:
+    upper[:, i] = P(u+i, x), each row to its own x + poisson_reach(x) and 0
+    past it, then a last column of zeros past every top. A grid's table
+    comes from _tails when kept there."""
+    key = (u, x.tobytes())
+    kept = _tails.get(key)
+    if kept is not None:
+        yield 0, kept
+        return
+    tops = np.ceil(x + poisson_reach(x))
+    top = max(u, int(tops.max(initial=0.0))) + 1
+    step = max(1, _MAX_CELLS // (top - u + 1))
+    ln_fact = _ln_factorials(u, top)
+    for lo in range(0, x.shape[0], step):
+        upper = _upper_tails(poisson_pmf(x[lo : lo + step], u, top, u, tops[lo : lo + step], ln_fact))
+        yield lo, _tails.put(key, upper) if 1 < x.shape[0] <= step else upper
 
 
 def _stops(u: int, lam_effs, upper, p: FadingParams, ctl: SeriesControl):
-    """(N, c, C): the terms each row of the Poisson-tail table upper sums,
-    and the channel's ladder c and its running sum C, both max(N) long.
+    """(N, c): the terms each row of the Poisson-tail table upper sums, and
+    the channel's ladder c, max(N) long.
 
     N is the first point of the row's schedule, capped at ctl.max_terms,
     where P(u+N, x) (1 - C_{N-1}) <= ctl.rel_tol; upper's last column is 0,
@@ -429,7 +446,7 @@ def _stops(u: int, lam_effs, upper, p: FadingParams, ctl: SeriesControl):
         tail = upper[todo, np.minimum(k, upper.shape[1] - 1)]
         todo = todo[tail * (1.0 - csum[k - 1]) > ctl.rel_tol]
         if not todo.shape[0]:
-            return n, coeff, csum
+            return n, coeff
         k = n[todo]
         if k.max() >= ctl.max_terms:
             raise ConvergenceError(
@@ -444,12 +461,10 @@ def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
     """Average Pd for a batch of effective thresholds sharing one channel.
 
     The complementary series miss = sum_{n<N} c_n P(u+n, x), on the
-    channel's cached ladder c, is summed swapped, as sum_{j>=u} Pois(j; x)
-    C_{min(j-u, N-1)}, with N from _stops. Each row's Poisson table runs
-    from j = u to its own x + poisson_reach(x); a grid of thresholds takes
-    its table from _pmf_memo. Every reduction is a running sum, so a row
-    equals its single-threshold call whatever the other rows, the slicing by
-    _MAX_CELLS or the cache history.
+    channel's cached ladder c, is one running sum along each row of the
+    tail table from _tail_tables, with N from _stops. Every reduction is a
+    running sum, so a row equals its single-threshold call whatever the
+    other rows, the slicing by _MAX_CELLS or the cache history.
 
     Returns (pd array, terms_used array, last_term array), with last_term
     c_{N-1} P(u+N-1, x).
@@ -458,27 +473,14 @@ def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
     out = np.ones(lam_effs.shape[0])  # zero threshold detects everything
     used = np.zeros(lam_effs.shape[0], dtype=int)
     last = np.zeros(lam_effs.shape[0])
-
     live = np.nonzero(lam_effs > 0.0)[0]
-    if not live.shape[0]:
-        return out, used, last
-    x = 0.5 * lam_effs[live, None]
-    tops = np.ceil(x + poisson_reach(x))
-    top = max(u, int(tops.max())) + 1  # a last column of zeros: P(u+i, x) past every top
-    step = max(1, _MAX_CELLS // (top - u + 1))
-    grid = 1 < live.shape[0] <= step
-    for lo in range(0, live.shape[0], step):
-        rows, xs, row_tops = live[lo : lo + step], x[lo : lo + step], tops[lo : lo + step]
-        build = lambda: poisson_pmf(xs, u, top, u, row_tops, _ln_factorials(u, top))
-        pmf = _pmf_memo.get((u, x.tobytes()), build) if grid else build()
-        upper = _upper_tails(pmf)
-        n, coeff, csum = _stops(u, lam_effs[rows], upper, p, ctl)
-        # sum_{i < N-1} pmf_i C_i, plus C_{N-1} times the pmf mass from N-1 on
+    for lo, upper in _tail_tables(u, 0.5 * lam_effs[live, None]):
+        rows = live[lo : lo + upper.shape[0]]
+        n, coeff = _stops(u, lam_effs[rows], upper, p, ctl)
+        # P is 0 past the table, so the sum stops at its last column
         k = np.arange(rows.shape[0])
-        cols = min(upper.shape[1], int(n.max()) - 1)
-        tail = upper[k, np.minimum(n - 1, upper.shape[1] - 1)]
-        head = np.cumsum(pmf[:, :cols] * csum[:cols], axis=1)[k, np.minimum(n - 2, cols - 1)]
-        miss = head + csum[n - 1] * tail
+        cols = min(upper.shape[1], int(n.max()))
+        miss = np.cumsum(upper[:, :cols] * coeff[:cols], axis=1)[k, np.minimum(n, cols) - 1]
         if miss.max() > 1.0 + 1e-9:
             raise ConvergenceError(
                 f"average_pd series exceeded 1 by more than 1e-9 (sum={miss.max()}, u={u}, "
@@ -486,7 +488,7 @@ def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
             )
         out[rows] = np.clip(1.0 - miss, 0.0, 1.0)
         used[rows] = n
-        last[rows] = coeff[n - 1] * tail
+        last[rows] = coeff[n - 1] * upper[k, np.minimum(n - 1, upper.shape[1] - 1)]
     return out, used, last
 
 
@@ -507,8 +509,8 @@ def average_pd_detail(cfg: DetectorConfig, p: FadingParams, ctl: SeriesControl |
     within truncation_bound(cfg, p, terms), plus the ladder's defect, of
     value.
 
-    last_term reads P from the series' own Poisson table, which ends at
-    x + poisson_reach(x) with x = lam_eff/2, so it is exactly 0.0 whenever
+    last_term reads P from the series' own table of tails P(u+i, x), which
+    ends at x + poisson_reach(x) with x = lam_eff/2, so it is exactly 0.0 whenever
     u+N-1 passes that end, as it does at u = 336 and at rel_tol=1e-300.
     It then says nothing about how close the stop came to rel_tol;
     truncation_bound(cfg, p, terms) still does."""
@@ -750,16 +752,6 @@ def roc_curve(
     kind, rule, n_units = _roc_units(channel, fusion, n_users)
     lams = _grid_thresholds(cfg.u, _unit_target(pf_grid, n_units, rule).tobytes())
     lam_effs = cfg.alpha ** 2 * lams
-    if kind == "sls":
-        pd_vals = _sls_batch(cfg.u, lam_effs, channel, ctl)
-    elif kind == "fading":
-        pd_vals = _fuse(_series_batch(cfg.u, lam_effs, channel, ctl)[0], n_units, rule)
-    else:
-        # the same squares of square roots as pd_awgn's marcum_q call
-        a, b = math.sqrt(2.0 * float(channel)), np.sqrt(lam_effs)
-        pd_vals = _fuse(marcum_q_grid(cfg.u, 0.5 * a * a, 0.5 * b * b), n_units, rule)
-
-    pd_vals = np.clip(pd_vals, 0.0, 1.0)
     meta = {
         "kind": kind,
         "u": cfg.u,
@@ -767,11 +759,16 @@ def roc_curve(
         "fusion": fusion.lower(),
         "n_units": n_units,
     }
-    if kind == "fading":
-        meta["channel"] = (channel.m, channel.m_s, channel.mean_snr)
-    elif kind == "sls":
+    if kind == "sls":
+        pd_vals = _sls_batch(cfg.u, lam_effs, channel, ctl)
         meta["branches"] = [(b.m, b.m_s, b.mean_snr) for b in channel]
+    elif kind == "fading":
+        pd_vals = _fuse(_series_batch(cfg.u, lam_effs, channel, ctl)[0], n_units, rule)
+        meta["channel"] = (channel.m, channel.m_s, channel.mean_snr)
     else:
+        # the same squares of square roots as pd_awgn's marcum_q call
+        a, b = math.sqrt(2.0 * float(channel)), np.sqrt(lam_effs)
+        pd_vals = _fuse(marcum_q_grid(cfg.u, 0.5 * a * a, 0.5 * b * b), n_units, rule)
         meta["awgn_snr"] = float(channel)
     sweep = f"{pf_grid.size} pf targets in [{pf_grid[0]:.3g}, {pf_grid[-1]:.3g}]"
     return RocCurve(np.column_stack((pf_grid, pd_vals)), sweep, meta)

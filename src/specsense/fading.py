@@ -43,7 +43,8 @@ class FadingParams:
 
     m fades the multipath severity, m_s the shadowing (both dimensionless
     shapes), mean_snr is the average linear SNR. omega is the mean envelope
-    power, used only by the envelope-domain density.
+    power, used only by envelope_pdf and independent of mean_snr, so
+    envelope_pdf(p) and snr_pdf(p) describe one channel only if they are equal.
     """
 
     m: float
@@ -116,7 +117,9 @@ def envelope_pdf(p: FadingParams, r):
     """Envelope (amplitude) density of the F composite channel.
 
     f(r) = 2 m^m (m_s-1)^{m_s} Omega^{m_s} r^{2m-1}
-           / (B(m, m_s) [m r^2 + (m_s-1) Omega]^{m+m_s}).
+           / (B(m, m_s) [m r^2 + (m_s-1) Omega]^{m+m_s}),
+    with Omega = p.omega, not p.mean_snr: r^2 has the density snr_pdf(p) only
+    when p.omega == p.mean_snr.
     """
     return _f_law_pdf(p, r, 2, p.omega, "envelope_pdf requires r >= 0")
 

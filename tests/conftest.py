@@ -5,9 +5,9 @@ from specsense import detection
 
 @pytest.fixture
 def cold_ladders():
-    """Start the test with no cached coefficient ladders, grid Poisson
+    """Start the test with no cached coefficient ladders, grid Poisson-tail
     tables or grid thresholds."""
     detection._ladders.clear()
-    detection._pmf_memo.clear()
+    detection._tails.clear()
     detection._grid_thresholds.cache_clear()
     yield

@@ -820,6 +820,20 @@ class TestBlockLadder:
             assert used[0] == stop
             assert abs(got[0] - (1.0 - float(np.sum(tails[:stop] * coeff[:stop])))) <= 1e-13
 
+    def test_rows_are_the_direct_running_sum(self, cold_ladders):
+        # each ROC row is 1 - sum_{n<N} c_n P(u+n, x), added term by term in
+        # order on the kept tail table, bit for bit
+        cfg = DetectorConfig(u=2, threshold=1.0, noise_uncertainty_db=2.0)
+        curve = roc_curve(CH, cfg)
+        lam_effs = cfg.alpha ** 2 * detection._grid_thresholds(2, detection._DEFAULT_PF_GRID.tobytes())
+        upper = detection._tails.get((2, (0.5 * lam_effs[:, None]).tobytes()))
+        for pd_i, lam, row in zip(curve.pd, lam_effs, upper):
+            _, used, _ = average_pd_detail(DetectorConfig(u=2, threshold=lam), CH)
+            miss = 0.0
+            for c, tail in zip(detection._ladder(CH, used)[:used], row):
+                miss += c * tail
+            assert pd_i == min(max(1.0 - miss, 0.0), 1.0)
+
     @pytest.mark.parametrize("u", [1, 2, 8, 32, 200, 500])
     def test_poisson_table_matches_a_generous_top(self, u):
         # reference: each row summed from x + 40 sqrt(x) + 60 + u + count, far
@@ -880,7 +894,7 @@ def _count_tables(monkeypatch) -> list:
     return built
 
 
-def _memo_tables(memo=detection._pmf_memo) -> list:
+def _memo_tables(memo=detection._tails) -> list:
     with memo._lock:
         return list(memo._tables.values())
 
@@ -917,6 +931,7 @@ class TestLadderCache:
         whole = roc_curve(CH, cfg).points
         built = _count_tables(monkeypatch)
         monkeypatch.setattr(detection, "_MAX_CELLS", 2000)
+        detection._tails.clear()  # a kept table would skip the slicing
         assert roc_curve(CH, cfg).points == whole
         assert len(built) > 1  # the scan ran in slices, each with its own table
 
@@ -937,7 +952,7 @@ class TestLadderCache:
 
         monkeypatch.setattr(detection, "poisson_pmf", counted)
         cfg = DetectorConfig(u=2, threshold=1.0)
-        detection._pmf_memo.clear()  # so that each ROC builds its table
+        detection._tails.clear()  # so that each ROC builds its table
         before = roc_curve(CH, cfg).points
         width, rows = sum(cells), _ladder_rows(CH)
         assert width > 0
@@ -945,7 +960,7 @@ class TestLadderCache:
                    SeriesControl(rel_tol=1e-300))
         assert _ladder_rows(CH) > 3 * rows
         cells.clear()
-        detection._pmf_memo.clear()
+        detection._tails.clear()
         assert roc_curve(CH, cfg).points == before
         assert sum(cells) == width
 
@@ -975,9 +990,9 @@ class TestLadderCache:
         want = [roc_curve(p, cfgs[i % 3], pf_grid=grid).points for i, p in enumerate(chans)]
         tables = _memo_tables()
         assert len(tables) == 3
-        monkeypatch.setattr(detection._pmf_memo, "budget", sum(t.nbytes for t in tables) - 1)
+        monkeypatch.setattr(detection._tails, "budget", sum(t.nbytes for t in tables) - 1)
         detection._ladders.clear()
-        detection._pmf_memo.clear()
+        detection._tails.clear()
         got, errors = {}, []
 
         def work(offset):
@@ -1005,7 +1020,7 @@ class TestLadderCache:
         assert detection._ladders.nbytes == sum(t.nbytes for t in ladders) <= detection._ladders.budget
         tables = _memo_tables()
         assert len(tables) == 2
-        assert detection._pmf_memo.nbytes == sum(t.nbytes for t in tables) <= detection._pmf_memo.budget
+        assert detection._tails.nbytes == sum(t.nbytes for t in tables) <= detection._tails.budget
 
 
 class TestMemo:
@@ -1058,24 +1073,60 @@ class TestGridPmfMemo:
                 x = 0.5 * (cfg.alpha ** 2 * detection._grid_thresholds(u, grid.tobytes()))[:, None]
                 tops = np.ceil(x + poisson_reach(x))
                 top = int(tops.max()) + 1
-                kept = detection._pmf_memo._tables[u, x.tobytes()]
+                kept = detection._tails._tables[u, x.tobytes()]
                 assert not kept.flags.writeable
-                assert np.array_equal(kept, poisson_pmf(x, u, top, u, tops, _ln_factorials(u, top)))
+                assert np.array_equal(kept, _upper_tails(poisson_pmf(x, u, top, u, tops, _ln_factorials(u, top))))
         tables = _memo_tables()
         assert len(tables) == 6
-        assert detection._pmf_memo.nbytes == sum(t.nbytes for t in tables) <= detection._pmf_memo.budget == 4 << 20
+        assert detection._tails.nbytes == sum(t.nbytes for t in tables) <= detection._tails.budget == 4 << 20
 
         # grids of 190..197 targets under a budget of three 190-target tables:
         # the newest stay, within the budget
-        detection._pmf_memo.clear()
+        detection._tails.clear()
         for k in range(8):
             roc_curve(CH, DetectorConfig(u=2, threshold=1.0), pf_grid=np.geomspace(1e-4, 0.9, 190 + k))
             if k == 0:
-                monkeypatch.setattr(detection._pmf_memo, "budget", 3 * detection._pmf_memo.nbytes)
+                monkeypatch.setattr(detection._tails, "budget", 3 * detection._tails.nbytes)
         tables = _memo_tables()
         assert [t.shape[0] for t in tables] in ([196, 197], [195, 196, 197])
-        assert detection._pmf_memo.nbytes == sum(t.nbytes for t in tables) <= detection._pmf_memo.budget
+        assert detection._tails.nbytes == sum(t.nbytes for t in tables) <= detection._tails.budget
         assert all(not t.flags.writeable for t in tables)
+
+    def test_a_kept_grid_builds_no_table_for_another_channel(self, monkeypatch, cold_ladders):
+        cfg = DetectorConfig(u=2, threshold=1.0, noise_uncertainty_db=2.0)
+        roc_curve(FIGURE_CHANNELS[0], cfg)
+
+        def unexpected(*args):
+            raise AssertionError("a warm ROC built a table")
+
+        for name in ("poisson_pmf", "_upper_tails"):
+            monkeypatch.setattr(detection, name, unexpected)
+        warm = roc_curve(FIGURE_CHANNELS[1], cfg).points
+        monkeypatch.undo()
+        detection._tails.clear()
+        assert roc_curve(FIGURE_CHANNELS[1], cfg).points == warm
+
+    def test_the_figure_grids_stay_kept_within_the_budget(self, monkeypatch, cold_ladders):
+        # figure_sweep's fading, fusion and SLS curves: twelve (u, effective grid)
+        # tables, all kept, so a second pass builds none
+        def figure():
+            for ch in FIGURE_CHANNELS:
+                for u in (1, 2, 5):
+                    for beta in (0.0, 2.0):
+                        roc_curve(ch, DetectorConfig(u=u, threshold=1.0, noise_uncertainty_db=beta))
+                for rule in ("or", "and"):
+                    for n in (3, 8):
+                        roc_curve(ch, DetectorConfig(u=2, threshold=1.0), fusion=rule, n_users=n)
+                for branches in (2, 4):
+                    roc_curve([ch] * branches, DetectorConfig(u=2, threshold=1.0))
+
+        figure()
+        tables = _memo_tables()
+        assert len(tables) == 12
+        assert detection._tails.nbytes == sum(t.nbytes for t in tables) <= detection._tails.budget == 4 << 20
+        built = _count_tables(monkeypatch)
+        figure()
+        assert built == []
 
     @pytest.mark.parametrize("ch", FIGURE_CHANNELS)
     def test_results_do_not_depend_on_the_memo(self, ch, cold_ladders):

@@ -9,8 +9,11 @@ with `--collect ROOT` in a fresh interpreter, with ROOT/src and this tree's
 perfbench/ on the path, so both import their own specsense and share the
 benchmark code. Every output is hashed (SHA-256 of an array's dtype, shape
 and bytes, or of a repr), and the script prints each group's key count and
-every key whose hash differs or that one side lacks. It exits 1 if any key
-differs. Covered:
+every key whose hash differs or that one side lacks. For a differing key
+that holds floats on both sides, it also prints the largest absolute and
+relative difference between them, and at the end the largest of each over
+all keys, so a change can say how far its numbers moved. It exits 1 if any
+key differs. Covered:
 
 - every output of two `figure_sweep` rounds at seed 41
 - selftest criterion 4's (Pd, terms) and quadrature value at all 240 points
@@ -46,6 +49,7 @@ import tempfile
 import numpy as np
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
 
 README_CLI = (
     "pd --u 2 --m 2 --ms 3 --snr-db 5 --pfa 0.1",
@@ -84,6 +88,37 @@ def _digest(value) -> str:
     return h.hexdigest()[:32]
 
 
+def _floats(value) -> list:
+    """Every float that value holds, in order; ints, bools and strings are left out."""
+    from specsense.detection import RocCurve
+
+    if isinstance(value, RocCurve):
+        value = (value.pf, value.pd, value.meta)
+    if isinstance(value, np.ndarray):
+        return value.ravel().tolist() if value.dtype.kind == "f" else []
+    if isinstance(value, (float, np.floating)):
+        return [float(value)]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [f for v in value for f in _floats(v)]
+    return []
+
+
+def _gap(parent, change):
+    """(largest absolute, largest relative) difference between two lists of
+    floats, relative to the larger magnitude of each pair; None when the
+    lists differ in length or are empty."""
+    a, b = np.array(parent, dtype=float), np.array(change, dtype=float)
+    if a.shape != b.shape or not a.size:
+        return None
+    with np.errstate(invalid="ignore", divide="ignore"):
+        same = a == b
+        gap = np.where(same, 0.0, np.abs(a - b))
+        rel = np.where(same, 0.0, gap / np.maximum(np.abs(a), np.abs(b)))
+    return float(gap.max()), float(rel.max())
+
+
 def _error(fn, *args) -> str:
     try:
         fn(*args)
@@ -92,29 +127,29 @@ def _error(fn, *args) -> str:
     return "no error"
 
 
-def _collect(root: str) -> dict[str, str]:
-    """Every covered output of root's specsense, keyed by name."""
+def _collect(root: str) -> dict[str, list]:
+    """[hash, floats] of every covered output of root's specsense, keyed by name."""
     import workloads
     from specsense import acceptance, cli, detection, entropy, fading, special_fn
 
     if not os.path.abspath(fading.__file__).startswith(os.path.join(os.path.abspath(root), "src")):
         raise RuntimeError(f"specsense was imported from {fading.__file__}, not from {root}")
-    out: dict[str, str] = {}
+    out: dict = {}
     sweep = workloads.FigureSweep(41)
     for r in range(2):
         for i, op in enumerate(sweep.round_ops(r)):
-            out[f"figure_sweep/{r}/{i}/{op.kind}"] = _digest(op.fn())
+            out[f"figure_sweep/{r}/{i}/{op.kind}"] = (op.fn())
 
     for i, (cfg, p) in enumerate(acceptance._criterion4_grid()):
         value, terms, _ = detection.average_pd_detail(cfg, p)
         quad = detection.average_pd_quadrature(cfg, p)
-        out[f"criterion4/{i}"] = _digest((value, terms, quad))
+        out[f"criterion4/{i}"] = ((value, terms, quad))
 
     for m in (0.6, 1.0, 3.5, 20.0):
         for ms in (1.1, 2.7, 30.0, 300.0):
             for db in (-10.0, 0.0, 7.0, 15.0):
                 p = fading.FadingParams.from_db(m, ms, db)
-                out[f"ladder/{m}/{ms}/{db}"] = _digest(detection._ladder(p, 120)[:120].copy())
+                out[f"ladder/{m}/{ms}/{db}"] = (detection._ladder(p, 120)[:120].copy())
 
     t = np.concatenate(([0.0], np.geomspace(1e-8, 1e3, 400)))
     for m in (0.2, 0.5, 0.7, 1.0, 2.0, 12.0):
@@ -124,31 +159,31 @@ def _collect(root: str) -> dict[str, str]:
                 for name in ("snr_pdf", "envelope_pdf"):
                     fn = getattr(fading, name)
                     scalars = [fn(p, float(v)) for v in (0.0, 1e-3, 1.0, 40.0)]
-                    out[f"{name}/{m}/{ms}/{mean}"] = _digest(
+                    out[f"{name}/{m}/{ms}/{mean}"] = (
                         (fn(p, t), fn(p, t.reshape(1, -1, 1)), repr([(type(s), s) for s in scalars]))
                     )
     p = fading.FadingParams(2.0, 3.0, 1.0)
-    out["snr_pdf/negative"] = _digest(_error(fading.snr_pdf, p, [1.0, -1e-300]))
-    out["envelope_pdf/negative"] = _digest(_error(fading.envelope_pdf, p, -2.0))
+    out["snr_pdf/negative"] = (_error(fading.snr_pdf, p, [1.0, -1e-300]))
+    out["envelope_pdf/negative"] = (_error(fading.envelope_pdf, p, -2.0))
 
     x = np.geomspace(1e-4, 1e8, 300)
-    out["digamma"] = _digest([special_fn.digamma(float(v)) for v in x])
-    out["digamma/nonpositive"] = _digest([_error(special_fn.digamma, v) for v in (0.0, -1.0, np.nan)])
+    out["digamma"] = ([special_fn.digamma(float(v)) for v in x])
+    out["digamma/nonpositive"] = ([_error(special_fn.digamma, v) for v in (0.0, -1.0, np.nan)])
     shapes = [entropy._solve_gamma_shape(float(s)) for s in np.geomspace(1e-9, 50.0, 300)]
-    out["gamma_shape"] = _digest(shapes)
+    out["gamma_shape"] = (shapes)
     rng = np.random.default_rng(5)
-    out["collaborative_pd"] = _digest([
+    out["collaborative_pd"] = ([
         detection.collaborative_pd(float(q), int(n), rule)
         for q, n in zip(rng.random(200), rng.integers(1, 9, 200)) for rule in ("or", "and")
     ])
-    out["criterion8"] = _digest(acceptance.criterion_8())
+    out["criterion8"] = (acceptance.criterion_8())
 
     for line in README_CLI + EXTRA_CLI:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = cli.run(line.split() + ["--format", "json"])
-        out[f"cli/{line}"] = _digest((code, json.loads(buf.getvalue())))
-    return out
+        out[f"cli/{line}"] = (code, json.loads(buf.getvalue()))
+    return {key: [_digest(value), _floats(value)] for key, value in out.items()}
 
 
 def _export(ref: str, dest: str) -> str:
@@ -161,7 +196,7 @@ def _export(ref: str, dest: str) -> str:
     return dest
 
 
-def _run_collector(root: str) -> dict[str, str]:
+def _run_collector(root: str) -> dict[str, list]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src"), os.path.join(REPO, "perfbench")])
     env["SPECSENSE_THREADS"] = "2"
@@ -195,13 +230,25 @@ def main() -> int:
 
     keys = sorted(set(sides["parent"]) | set(sides["change"]))
     groups = collections.Counter(key.split("/")[0] for key in keys)
-    differ = [k for k in keys if sides["parent"].get(k) != sides["change"].get(k)]
+    parent, change = ({k: v[0] for k, v in sides[s].items()} for s in SIDES)
+    differ = [k for k in keys if parent.get(k) != change.get(k)]
     print(f"parent {args.parent} against the working tree: {len(keys)} keys")
     for group, count in groups.items():
         print(f"  {group}: {count}")
+    worst = {"absolute": (0.0, None), "relative": (0.0, None)}
     for key in differ:
-        print(f"DIFFERS {key}: parent {sides['parent'].get(key)} change {sides['change'].get(key)}")
+        line = f"DIFFERS {key}: parent {parent.get(key)} change {change.get(key)}"
+        gap = _gap(*(sides[s][key][1] for s in SIDES)) if key in parent and key in change else None
+        if gap is not None:
+            line += f"; largest absolute difference {gap[0]:.3g}, relative {gap[1]:.3g}"
+            for kind, value in zip(worst, gap):
+                if not value <= worst[kind][0]:  # NaN counts as the largest
+                    worst[kind] = (value, key)
+        print(line)
     print(f"{len(differ)} of {len(keys)} keys differ")
+    for kind, (value, key) in worst.items():
+        if key is not None:
+            print(f"largest {kind} difference of a float: {value:.3g} ({key})")
     return 1 if differ else 0
 
 
