@@ -120,7 +120,7 @@ def criterion_3() -> tuple[bool, str]:
     worst_m, worst_snr = 0.0, 0.0
     for idx, (m, ms) in enumerate(_TABLE_PAIRS):
         p = FadingParams(m=m, m_s=ms, mean_snr=snr)
-        m_hat, mean_n, _ = entropy_report(p, 1_000_000, 714025 + idx).fitted
+        m_hat, mean_n = entropy_report(p, 1_000_000, 714025 + idx).fitted
         worst_m = max(worst_m, abs(m_hat - _M_HAT[5.0][idx]))
         worst_snr = max(worst_snr, abs(mean_n - snr) / snr)
     elapsed = time.perf_counter() - t0

@@ -347,13 +347,13 @@ class _Memo:
         self._tables: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key, build=None) -> np.ndarray | None:
-        """The array kept under key, else build()'s, kept; None with no build."""
+    def get(self, key) -> np.ndarray | None:
+        """The array kept under key, else None."""
         with self._lock:
             if key in self._tables:
                 self._tables.move_to_end(key)
                 return self._tables[key]
-        return None if build is None else self.put(key, build())
+        return None
 
     def put(self, key, table: np.ndarray) -> np.ndarray:
         """Keep table read-only under key unless a longer one is; return the kept one."""
@@ -514,8 +514,7 @@ def average_pd_detail(cfg: DetectorConfig, p: FadingParams, ctl: SeriesControl |
     u+N-1 passes that end, as it does at u = 336 and at rel_tol=1e-300.
     It then says nothing about how close the stop came to rel_tol;
     truncation_bound(cfg, p, terms) still does."""
-    ctl = ctl or _DEFAULT_CTL
-    pd, used, lastv = _series_batch(cfg.u, [cfg.effective_threshold], p, ctl)
+    pd, used, lastv = _series_batch(cfg.u, [cfg.effective_threshold], p, ctl or _DEFAULT_CTL)
     return float(pd[0]), int(used[0]), float(lastv[0])
 
 
@@ -542,7 +541,7 @@ def truncation_bound(cfg: DetectorConfig, p: FadingParams, t0: int, closed_form:
     lam_eff = cfg.effective_threshold
     if lam_eff == 0.0:
         return 0.0
-    tail = _reg_p_int_shapes(cfg.u, t0 + 1, 0.5 * lam_eff)[t0]
+    tail = _reg_p_int_shapes(cfg.u + t0, 1, 0.5 * lam_eff)[0]
     if tail == 0.0:
         return 0.0
     return float(tail * (1.0 - np.cumsum(_ladder(p, t0)[:t0])[-1]))
@@ -657,18 +656,18 @@ def sls_pfa(u: int, lam: float, branches: int) -> float:
     return _fuse(pfa(DetectorConfig(u=u, threshold=lam)), branches, "or")
 
 
-def _sls_batch(u: int, lam_effs, branches, ctl: SeriesControl) -> np.ndarray:
+def _sls_batch(u: int, lam_effs, branches) -> np.ndarray:
     """Square-law selection Pd at each effective threshold. Selection fires
     when any branch does, so over independent branches the misses multiply,
     in branch order; _series_batch sums each distinct branch once, and one
     branch gives its own Pd."""
-    pds = {bp: _series_batch(u, lam_effs, bp, ctl)[0] for bp in dict.fromkeys(branches)}
+    pds = {bp: _series_batch(u, lam_effs, bp, _DEFAULT_CTL)[0] for bp in dict.fromkeys(branches)}
     if len(branches) == 1:
         return pds[branches[0]]
     return 1.0 - math.prod(1.0 - pds[bp] for bp in branches)
 
 
-def sls_average_pd(cfg: DetectorConfig, branch_params, ctl: SeriesControl | None = None) -> float:
+def sls_average_pd(cfg: DetectorConfig, branch_params) -> float:
     """Average detection probability of square-law selection diversity.
 
     The decision statistic is the per-branch maximum, so over independent
@@ -677,7 +676,7 @@ def sls_average_pd(cfg: DetectorConfig, branch_params, ctl: SeriesControl | None
     branch_params = list(branch_params)
     if not branch_params:
         raise ValueError("sls_average_pd needs at least one branch")
-    return float(_sls_batch(cfg.u, [cfg.effective_threshold], branch_params, ctl or _DEFAULT_CTL)[0])
+    return float(_sls_batch(cfg.u, [cfg.effective_threshold], branch_params)[0])
 
 
 @functools.lru_cache(maxsize=32)
@@ -725,7 +724,6 @@ def roc_curve(
     pf_grid=None,
     fusion: str = "none",
     n_users: int = 1,
-    ctl: SeriesControl | None = None,
 ) -> RocCurve:
     """ROC curve swept by target false-alarm probability.
 
@@ -737,7 +735,6 @@ def roc_curve(
     recovered by the closed-form inverse before the unit Pd is computed.
     One user or one branch gives the plain curve exactly.
     """
-    ctl = ctl or _DEFAULT_CTL
     if pf_grid is None:
         pf_grid = _DEFAULT_PF_GRID  # valid as built
     else:
@@ -760,10 +757,10 @@ def roc_curve(
         "n_units": n_units,
     }
     if kind == "sls":
-        pd_vals = _sls_batch(cfg.u, lam_effs, channel, ctl)
+        pd_vals = _sls_batch(cfg.u, lam_effs, channel)
         meta["branches"] = [(b.m, b.m_s, b.mean_snr) for b in channel]
     elif kind == "fading":
-        pd_vals = _fuse(_series_batch(cfg.u, lam_effs, channel, ctl)[0], n_units, rule)
+        pd_vals = _fuse(_series_batch(cfg.u, lam_effs, channel, _DEFAULT_CTL)[0], n_units, rule)
         meta["channel"] = (channel.m, channel.m_s, channel.mean_snr)
     else:
         # the same squares of square roots as pd_awgn's marcum_q call

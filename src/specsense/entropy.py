@@ -40,7 +40,6 @@ _TABLE_PAIRS = ((2.0, 3.0), (2.0, 30.0), (20.0, 3.0), (20.0, 30.0))
 class FittedEncoders(NamedTuple):
     m_hat: float
     mean_snr_n: float
-    mean_snr_r: float
 
 
 @dataclass(frozen=True)
@@ -192,6 +191,6 @@ def _entropy_reports(channels, sample_count: int, seed: int) -> list[EntropyRepo
             cross_nakagami_bits=h_nak,
             kl_rayleigh_bits=h_ray - h_p,
             kl_nakagami_bits=h_nak - h_p,
-            fitted=FittedEncoders(m_hat=m_hat, mean_snr_n=mean_n, mean_snr_r=mean_n),
+            fitted=FittedEncoders(m_hat=m_hat, mean_snr_n=mean_n),
         ))
     return reports

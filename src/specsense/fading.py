@@ -42,15 +42,13 @@ class FadingParams:
     """F composite fading channel parameters.
 
     m fades the multipath severity, m_s the shadowing (both dimensionless
-    shapes), mean_snr is the average linear SNR. omega is the mean envelope
-    power, used only by envelope_pdf and independent of mean_snr, so
-    envelope_pdf(p) and snr_pdf(p) describe one channel only if they are equal.
+    shapes), mean_snr is the average linear SNR. The envelope r = sqrt(SNR)
+    has mean power Omega = mean_snr, so r^2 has the density snr_pdf(p).
     """
 
     m: float
     m_s: float
     mean_snr: float
-    omega: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.m < math.inf:
@@ -60,12 +58,10 @@ class FadingParams:
             raise ValueError("m_s must be finite and exceed 1")
         if not 0.0 < self.mean_snr < math.inf:
             raise ValueError("mean_snr must be finite and positive")
-        if not 0.0 < self.omega < math.inf:
-            raise ValueError("omega must be finite and positive")
 
     @classmethod
-    def from_db(cls, m: float, m_s: float, mean_snr_db: float, omega: float = 1.0) -> "FadingParams":
-        return cls(m, m_s, db_to_linear(mean_snr_db), omega)
+    def from_db(cls, m: float, m_s: float, mean_snr_db: float) -> "FadingParams":
+        return cls(m, m_s, db_to_linear(mean_snr_db))
 
     @property
     def mean_snr_db(self) -> float:
@@ -78,13 +74,13 @@ class FadingParams:
         return (self.m_s - 1.0) * self.mean_snr / self.m
 
 
-def _f_law_pdf(p: FadingParams, t, k: int, mean: float, message: str):
-    """The F law in t = gamma^{1/k} for gamma of mean `mean`, in log space:
+def _f_law_pdf(p: FadingParams, t, k: int, message: str):
+    """The F law in t = gamma^{1/k} for the channel's SNR gamma, in log space:
     k = 1 gives snr_pdf, k = 2 envelope_pdf. ValueError(message) if t < 0."""
     tv = np.asarray(t, dtype=float)
     if np.any(tv < 0.0):
         raise ValueError(message)
-    m, ms = p.m, p.m_s
+    m, ms, mean = p.m, p.m_s, p.mean_snr
     ln_norm = (
         math.log(k)
         + m * math.log(m)
@@ -110,7 +106,7 @@ def snr_pdf(p: FadingParams, gamma):
                / (B(m, m_s) [m gamma + (m_s-1) mean]^{m+m_s}),
     evaluated in log space. Accepts scalar or array gamma >= 0.
     """
-    return _f_law_pdf(p, gamma, 1, p.mean_snr, "snr_pdf requires gamma >= 0")
+    return _f_law_pdf(p, gamma, 1, "snr_pdf requires gamma >= 0")
 
 
 def envelope_pdf(p: FadingParams, r):
@@ -118,10 +114,9 @@ def envelope_pdf(p: FadingParams, r):
 
     f(r) = 2 m^m (m_s-1)^{m_s} Omega^{m_s} r^{2m-1}
            / (B(m, m_s) [m r^2 + (m_s-1) Omega]^{m+m_s}),
-    with Omega = p.omega, not p.mean_snr: r^2 has the density snr_pdf(p) only
-    when p.omega == p.mean_snr.
+    with Omega = p.mean_snr, so r^2 has the density snr_pdf(p).
     """
-    return _f_law_pdf(p, r, 2, p.omega, "envelope_pdf requires r >= 0")
+    return _f_law_pdf(p, r, 2, "envelope_pdf requires r >= 0")
 
 
 def sample_snr(p: FadingParams, rng: np.random.Generator, size=None):

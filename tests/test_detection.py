@@ -536,6 +536,18 @@ class TestPartialSums:
         want = special.gammainc(u + t0, 0.5 * cfg.threshold) * ladder_tail
         assert truncation_bound(cfg, p, t0) == pytest.approx(want, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("u", [1, 2, 3, 8, 32, 200])
+    def test_tail_is_the_wide_table_entry(self, u):
+        # truncation_bound reads P(u+t0, x) from a one-column window, which
+        # has the top of the (t0+1)-wide table and is summed in its order
+        x = np.geomspace(1e-4, 3000.0, 40)
+        for t0 in (1, 2, 7, 40, 333, 5000):
+            wide = _reg_p_int_shapes(u, t0 + 1, x)[:, t0]
+            assert np.array_equal(_reg_p_int_shapes(u + t0, 1, x)[:, 0], wide)
+            rest = 1.0 - np.cumsum(detection._ladder(CH, t0)[:t0])[-1]
+            want = [float(w * rest) if w else 0.0 for w in wide]
+            assert [truncation_bound(DetectorConfig(u, 2.0 * v), CH, t0) for v in x] == want
+
     def test_underflowed_bound_leaves_the_ladder_alone(self, cold_ladders):
         # P(u+t0, x) underflows long before t0 = 20000, so the bound is 0
         # without building a ladder twice max_terms long
@@ -1036,7 +1048,7 @@ class TestMemo:
         assert memo.put("b", big) is big
         assert memo.get("a") is None
         assert memo.get("b") is big and memo.nbytes == 800 > memo.budget
-        built = memo.get("c", lambda: np.ones(2))
+        built = memo.put("c", np.ones(2))
         assert memo.get("b") is None and memo.get("c") is built and memo.nbytes == 16
 
 

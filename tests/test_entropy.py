@@ -194,7 +194,7 @@ class TestReport:
                 cross_nakagami_bits=3.5,
                 kl_rayleigh_bits=-1.0,
                 kl_nakagami_bits=0.5,
-                fitted=FittedEncoders(m_hat=1.0, mean_snr_n=1.0, mean_snr_r=1.0),
+                fitted=FittedEncoders(m_hat=1.0, mean_snr_n=1.0),
             )
 
     def test_sample_count_validation(self):

@@ -29,15 +29,13 @@ class TestParams:
             FadingParams(m=1.0, m_s=1.0, mean_snr=1.0)
         with pytest.raises(ValueError):
             FadingParams(m=1.0, m_s=2.0, mean_snr=0.0)
-        with pytest.raises(ValueError):
-            FadingParams(m=1.0, m_s=2.0, mean_snr=1.0, omega=-1.0)
 
-    @pytest.mark.parametrize("field", ("m", "m_s", "mean_snr", "omega"))
+    @pytest.mark.parametrize("field", ("m", "m_s", "mean_snr"))
     @pytest.mark.parametrize("value", (math.inf, math.nan))
     def test_non_finite_fields_are_rejected(self, field, value):
         # an infinite shape or SNR used to reach the series and grow NaN
         # ladder rows up to max_terms
-        kwargs = dict(m=2.0, m_s=3.0, mean_snr=1.0, omega=1.0)
+        kwargs = dict(m=2.0, m_s=3.0, mean_snr=1.0)
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             FadingParams(**kwargs)
@@ -106,8 +104,8 @@ class TestEnvelopePdf:
         assert math.isinf(envelope_pdf(FadingParams(m=0.3, m_s=2.0, mean_snr=1.0), 0.0))
 
     def test_normalization_and_power(self):
-        # second moment of the envelope is the spread parameter omega
-        p = FadingParams(m=1.7, m_s=3.2, mean_snr=1.0, omega=2.5)
+        # second moment of the envelope is the mean SNR
+        p = FadingParams(m=1.7, m_s=3.2, mean_snr=2.5)
         total, _ = integrate.quad(lambda r: envelope_pdf(p, r), 0.0, np.inf, limit=300)
         power, _ = integrate.quad(lambda r: r * r * envelope_pdf(p, r), 0.0, np.inf, limit=300)
         assert math.isclose(total, 1.0, abs_tol=1e-8)
@@ -115,19 +113,18 @@ class TestEnvelopePdf:
 
     @pytest.mark.parametrize("m", (0.3, 0.5, 1.0, 2.7, 12.0))
     def test_is_the_snr_density_of_r_squared(self, m):
-        # r = sqrt(gamma) for an SNR of mean omega, so f_R(r) = 2 r f_gamma(r^2)
-        p = FadingParams(m=m, m_s=3.4, mean_snr=1.0, omega=2.3)
-        q = FadingParams(m=m, m_s=3.4, mean_snr=2.3)
+        # r = sqrt(gamma) for the channel's own SNR, so f_R(r) = 2 r f_gamma(r^2)
         r = np.geomspace(1e-6, 30.0, 200)
-        np.testing.assert_allclose(envelope_pdf(p, r), 2.0 * r * snr_pdf(q, r * r), rtol=1e-13, atol=0.0)
-        at_origin = envelope_pdf(p, 0.0)
-        if m < 0.5:
-            assert math.isinf(at_origin) and math.isinf(snr_pdf(q, 0.0))
-        elif m == 0.5:
-            # f_gamma blows up as gamma^{-1/2}, so 2 r f_gamma(r^2) keeps a finite limit
-            assert math.isclose(at_origin, 2e-20 * snr_pdf(q, 1e-40), rel_tol=1e-13)
-        else:
-            assert at_origin == 0.0
+        for p in (FadingParams(m=m, m_s=3.4, mean_snr=2.3), FadingParams.from_db(m, 3.4, 10.0)):
+            np.testing.assert_allclose(envelope_pdf(p, r), 2.0 * r * snr_pdf(p, r * r), rtol=1e-13, atol=0.0)
+            at_origin = envelope_pdf(p, 0.0)
+            if m < 0.5:
+                assert math.isinf(at_origin) and math.isinf(snr_pdf(p, 0.0))
+            elif m == 0.5:
+                # f_gamma blows up as gamma^{-1/2}, so 2 r f_gamma(r^2) keeps a finite limit
+                assert math.isclose(at_origin, 2e-20 * snr_pdf(p, 1e-40), rel_tol=1e-13)
+            else:
+                assert at_origin == 0.0
 
 
 class TestSampling:

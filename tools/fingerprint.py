@@ -43,10 +43,11 @@ import os
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 
 import numpy as np
+
+from bench_pairs import _export
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
@@ -152,10 +153,12 @@ def _collect(root: str) -> dict[str, list]:
                 out[f"ladder/{m}/{ms}/{db}"] = (detection._ladder(p, 120)[:120].copy())
 
     t = np.concatenate(([0.0], np.geomspace(1e-8, 1e3, 400)))
+    # a tree whose FadingParams has omega reads its envelope at omega: set it to the mean
+    has_omega = "omega" in fading.FadingParams.__dataclass_fields__
     for m in (0.2, 0.5, 0.7, 1.0, 2.0, 12.0):
         for ms in (1.1, 3.4, 300.0):
             for mean in (0.1, 2.3, 31.6):
-                p = fading.FadingParams(m, ms, mean, omega=mean)
+                p = fading.FadingParams(m, ms, mean, **({"omega": mean} if has_omega else {}))
                 for name in ("snr_pdf", "envelope_pdf"):
                     fn = getattr(fading, name)
                     scalars = [fn(p, float(v)) for v in (0.0, 1e-3, 1.0, 40.0)]
@@ -184,16 +187,6 @@ def _collect(root: str) -> dict[str, list]:
             code = cli.run(line.split() + ["--format", "json"])
         out[f"cli/{line}"] = (code, json.loads(buf.getvalue()))
     return {key: [_digest(value), _floats(value)] for key, value in out.items()}
-
-
-def _export(ref: str, dest: str) -> str:
-    """Write the committed files of ref into dest and return dest."""
-    tar_bytes = subprocess.run(
-        ["git", "-C", REPO, "archive", "--format=tar", ref], check=True, capture_output=True
-    ).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar_bytes)) as tar:
-        tar.extractall(dest, filter="data")
-    return dest
 
 
 def _run_collector(root: str) -> dict[str, list]:
