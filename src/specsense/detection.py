@@ -1,7 +1,8 @@
 """Energy-detection probabilities over AWGN and F composite fading.
 
 Covers the AWGN baseline (false alarm, and Marcum-Q detection, one
-vectorized call for pd_awgn and the AWGN ROC alike), the average detection
+vectorized call for pd_awgn and the AWGN ROC alike, the ROC's threshold
+side kept per grid by marcum_q_grid), the average detection
 probability over F composite fading via a confluent hypergeometric series,
 collaborative OR/AND fusion, square-law selection diversity, worst-case
 noise-power uncertainty, and ROC generation.
@@ -31,8 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +39,7 @@ import numpy as np
 from .fading import FadingParams
 from .special_fn import (
     _MAX_CELLS,
+    _Memo,
     _ln_factorials,
     ConvergenceError,
     check_count,
@@ -334,44 +334,6 @@ def _reg_p_int_shapes(u: int, count: int, x) -> np.ndarray:
 # at most _MAX_BLOCK rows per quadrature call, which bounds its temporaries.
 _MIN_BLOCK = 16
 _MAX_BLOCK = 256
-
-
-class _Memo:
-    """Least recently used read-only arrays, dropped once their bytes pass
-    budget; the newest array always stays. The arrays kept under one key
-    are prefixes of one another, so the longest one wins."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nbytes = 0
-        self._tables: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key) -> np.ndarray | None:
-        """The array kept under key, else None."""
-        with self._lock:
-            if key in self._tables:
-                self._tables.move_to_end(key)
-                return self._tables[key]
-        return None
-
-    def put(self, key, table: np.ndarray) -> np.ndarray:
-        """Keep table read-only under key unless a longer one is; return the kept one."""
-        table.setflags(write=False)
-        with self._lock:
-            kept = self._tables.get(key)
-            if kept is None or kept.shape[0] < table.shape[0]:
-                self.nbytes += table.nbytes - (0 if kept is None else kept.nbytes)
-                self._tables[key] = kept = table
-            self._tables.move_to_end(key)
-            while self.nbytes > self.budget and len(self._tables) > 1:
-                self.nbytes -= self._tables.popitem(last=False)[1].nbytes
-        return kept
-
-    def clear(self) -> None:
-        with self._lock:
-            self._tables.clear()
-            self.nbytes = 0
 
 
 # Coefficient ladders, exp(_ln_series_coeff(p, 0, n)), of the channels used

@@ -4,7 +4,9 @@ Everything here is built on the standard library's math module and numpy:
 digamma and ln x - digamma(x) from one Bernoulli tail, log-beta, the
 Tricomi confluent hypergeometric function on a log grid, Poisson pmf
 tables, and the generalized Marcum Q as a Poisson mixture of gamma tails,
-vectorized over the threshold. Log-gammas come from math.lgamma directly.
+vectorized over the threshold, which keeps the SNR-free threshold side
+of a grid in a byte-bounded memo (_Memo, also behind detection's caches).
+Log-gammas come from math.lgamma, those of j! < 2048 tabulated once.
 At zero noncentrality the Marcum Q is the integer-order gamma tail Q(u, x),
 so the false-alarm probability is the same Poisson-table sum. numpy
 supplies the node arrays for the Tricomi quadrature and the Poisson
@@ -16,6 +18,8 @@ acceptance suite behind `selftest` and the tests do.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -39,6 +43,44 @@ def check_count(value, name: str = "u", least: int = 1) -> int:
     if not (isinstance(value, (int, np.integer)) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}")
     return int(value)
+
+
+class _Memo:
+    """Least recently used read-only arrays, dropped once their bytes pass
+    budget; the newest array always stays. The arrays kept under one key
+    are prefixes of one another, so the longest one wins."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._tables: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key) -> np.ndarray | None:
+        """The array kept under key, else None."""
+        with self._lock:
+            if key in self._tables:
+                self._tables.move_to_end(key)
+                return self._tables[key]
+        return None
+
+    def put(self, key, table: np.ndarray) -> np.ndarray:
+        """Keep table read-only under key unless a longer one is; return the kept one."""
+        table.setflags(write=False)
+        with self._lock:
+            kept = self._tables.get(key)
+            if kept is None or kept.shape[0] < table.shape[0]:
+                self.nbytes += table.nbytes - (0 if kept is None else kept.nbytes)
+                self._tables[key] = kept = table
+            self._tables.move_to_end(key)
+            while self.nbytes > self.budget and len(self._tables) > 1:
+                self.nbytes -= self._tables.popitem(last=False)[1].nbytes
+        return kept
+
+    def clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+            self.nbytes = 0
 
 
 # Asymptotic tail coefficients -B_{2n}/(2n): psi(x) ~ ln x - 1/(2x)
@@ -255,8 +297,16 @@ def poisson_pmf(xs, lo: int, hi: int, first, last, ln_fact) -> np.ndarray:
 
 
 def _ln_factorials(lo: int, hi: int) -> np.ndarray:
-    """ln j! for j = lo..hi, each from math.lgamma."""
+    """ln j! for j = lo..hi, each from math.lgamma; a read-only view of
+    _LN_FACT when hi is below its length."""
+    if hi < _LN_FACT.shape[0]:
+        return _LN_FACT[lo : hi + 1]
     return np.fromiter(map(math.lgamma, range(lo + 1, hi + 2)), float, hi - lo + 1)
+
+
+# ln j! for j < 2048, the k and n windows of most Poisson tables here
+_LN_FACT = np.fromiter(map(math.lgamma, range(1, 2049)), float, 2048)
+_LN_FACT.setflags(write=False)
 
 
 def _chernoff(g: float, x, s) -> np.ndarray:
@@ -278,6 +328,39 @@ _SURE = 800.0  # a sum of terms all below exp(-_SURE) rounds to 0
 _MAX_CELLS = 1 << 18  # cells per slice of a Poisson table, bounding its temporaries
 _MAX_WINDOW = 1 << 20  # Poisson terms per row of a marcum_q_grid call
 
+# Poisson(x) lower-tail tables of marcum_q_grid, keyed by (u, n_lo, bytes of
+# the unsettled x). A table depends on u, the grid and n_lo alone, and n_lo
+# is 0 for every g below about 150, so the AWGN ROCs of a figure on one (u,
+# beta, Pf grid) share one. Only a call of several thresholds whose table
+# and terms fit in one _MAX_CELLS slice is kept; a single threshold or a
+# sliced scan builds its table every call. The memo keeps up to 1 MiB of
+# tables, each at most one 2 MiB slice; roc_curve's default grid at u = 2
+# keeps 134 KB.
+_lower_tails = _Memo(1 << 20)
+
+
+def _lower_tables(u: int, n_lo: int, x, k_lo, k_hi, bulk_hi, n_width: int):
+    """(rows, k0, lower) for each slice of x: lower[:, i] = the Poisson(x)
+    mass from the row's k_lo to k0 + i, a running sum and so the same
+    whatever k0 or the other rows, constant past the row's k_hi, or past
+    its bulk_hi in a table kept in _lower_tails."""
+    k0 = int(k_lo.min())
+    keep = 1 < x.shape[0] <= _MAX_CELLS // (int(bulk_hi.max()) - k0 + 1 + n_width)
+    key = (u, n_lo, x.tobytes()) if keep else None
+    kept = _lower_tails.get(key) if keep else None
+    if kept is not None:
+        yield slice(None), k0, kept
+        return
+    last = bulk_hi if keep else k_hi
+    step = x.shape[0] if keep else max(1, _MAX_CELLS // (int(k_hi.max()) - k0 + 1 + n_width))
+    for lo in range(0, x.shape[0], step):
+        rows = slice(lo, lo + step)
+        k0, k1 = int(k_lo[rows].min()), int(last[rows].max())
+        pmf = poisson_pmf(x[rows, None], k0, k1, k_lo[rows, None], last[rows, None], _ln_factorials(k0, k1))
+        lower = np.cumsum(pmf, axis=1)
+        # a kept table is column-major, so a column of terms is one run
+        yield rows, k0, _lower_tails.put(key, np.asfortranarray(lower)) if keep else lower
+
 
 def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
     """Q_u(sqrt(2g), sqrt(2x)) for one g >= 0 and an array of x >= 0.
@@ -288,24 +371,31 @@ def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
     n = 0 and the sum is Q(u, x). An entry whose terms, or those of 1 - Q,
     all lie below exp(-_SURE) by _chernoff is 0, or 1, with no table; the
     rest have sqrt(x) within about 30 + sqrt(u) of sqrt(g). For those, n
-    runs from g - poisson_reach(g) to the reach past max(g, min(x - u,
-    peak)), peak the root of (n+1)(n+u) = g(n+u+x) past which the terms
-    fall, and k from the reach below min(x, u+n) to the reach above x. The
-    windows are O(sqrt(g) + sqrt(x) + u) wide; one wider than _MAX_WINDOW
-    raises ConvergenceError. Each pmf is normalised over its bulk, which
-    cancels the rounding of ln k!. An entry depends on its own x alone.
+    runs from n_lo = g - poisson_reach(g) to n_top, the reach past max(g,
+    min(x - u, peak)), peak the root of (n+1)(n+u) = g(n+u+x) past which
+    the terms fall, and k from k_lo, the reach below min(x, u+n_lo-1), to
+    k_hi = min(u+n_top-1, bulk_hi), bulk_hi the reach above x. The windows
+    are O(sqrt(g) + sqrt(x) + u) wide; one wider than _MAX_WINDOW raises
+    ConvergenceError. Each pmf is normalised over its bulk, which cancels
+    the rounding of ln k!. Each row's mixture is one running sum, read at
+    its own n_top, so an entry depends on its own x alone.
+
+    The table of running sums Q(k+1, x) depends on g through n_lo alone. A
+    call kept in _lower_tails runs its rows to bulk_hi, so a warm call only
+    weighs, sums and picks; a row reads the same entries up to its n_top
+    as the k_hi-wide rows of a single threshold, bit for bit.
     """
     x = np.array(x, dtype=float, ndmin=1)
     out = (x == 0.0).astype(float)  # b = 0 detects everything, b = inf nothing
     live = np.nonzero((x > 0.0) & (x < math.inf))[0]
+    xl = x[live]
     # past g + u - 1 the terms of Q are the small ones, below it those of 1 - Q
-    above = x[live] > g + u - 1.0
-    sure = _chernoff(g, x[live], np.where(above, u - 1.0, float(u))) > _SURE
+    above = xl > g + u - 1.0
+    sure = _chernoff(g, xl, np.where(above, u - 1.0, float(u))) > _SURE
     out[live[sure & ~above]] = 1.0
-    live = live[~sure]
+    live, xl = live[~sure], xl[~sure]
     if live.size == 0:
         return out
-    xl = x[live]
     n_lo = max(0, math.floor(g - poisson_reach(g)))
     if g > 0.0:
         peak = 0.5 * (g - u - 1.0 + np.sqrt((u - 1.0 + g) ** 2 + 4.0 * g * xl))
@@ -313,26 +403,29 @@ def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
         n_top = np.ceil(far + poisson_reach(far))
     else:  # the point mass at n = 0, leaving Q(u, x) itself
         n_top = np.zeros_like(xl)
-    k_lo = np.maximum(0.0, np.floor(np.minimum(xl, u + n_lo - 1.0) - poisson_reach(xl)))
-    bulk_hi = np.ceil(xl + poisson_reach(xl))
+    reach = poisson_reach(xl)
+    k_lo = np.maximum(0.0, np.floor(np.minimum(xl, u + n_lo - 1.0) - reach))
+    bulk_hi = np.ceil(xl + reach)
     k_hi = np.minimum(u + n_top - 1.0, bulk_hi)
     if max(n_top.max() - n_lo, (k_hi - k_lo).max()) >= _MAX_WINDOW:
         raise ConvergenceError(f"marcum_q needs over {_MAX_WINDOW} Poisson terms (u={u}, g={g})")
     n_hi = max(int(n_top.max()), n_lo)
-    n = np.arange(n_lo, n_hi + 1)
     w = poisson_pmf(g, n_lo, n_hi, n_lo, n_hi, _ln_factorials(n_lo, n_hi)) if g > 0.0 else np.ones(1)
     w /= w[: math.ceil(g + poisson_reach(g)) - n_lo + 1].sum()
-    step = max(1, _MAX_CELLS // (int(k_hi.max() - k_lo.min()) + 1 + n.shape[0]))
-    for lo in range(0, xl.shape[0], step):
-        rows = slice(lo, lo + step)
-        k0, k1 = int(k_lo[rows].min()), int(k_hi[rows].max())
-        pmf = poisson_pmf(xl[rows, None], k0, k1, k_lo[rows, None], k_hi[rows, None], _ln_factorials(k0, k1))
-        lower = np.cumsum(pmf, axis=1)  # lower[:, i] = Q(k0 + i + 1, x)
-        whole = np.where(k_hi[rows] == bulk_hi[rows], lower[:, -1], 1.0)  # zeros past k_hi
-        terms = w * lower[:, np.minimum(n + (u - 1), k1) - k0] / whole[:, None]
-        terms[n > n_top[rows, None]] = 0.0
-        # a running sum, so the zeros past a row's own window change nothing
-        out[live[rows]] = np.minimum(np.cumsum(terms, axis=1)[:, -1], 1.0)
+    pick = (n_top - n_lo).astype(int)
+    for rows, k0, lower in _lower_tables(u, n_lo, xl, k_lo, k_hi, bulk_hi, w.shape[0]):
+        whole = np.where(k_hi[rows] == bulk_hi[rows], lower[:, -1], 1.0)  # constant past bulk_hi
+        # terms[:, i] = w_i Q(u + n_lo + i, x) / whole; past the table's last
+        # column every row's Q is constant, so those columns read that one
+        s = u + n_lo - 1 - k0
+        m = max(0, min(w.shape[0], lower.shape[1] - s))
+        terms = np.empty((lower.shape[0], w.shape[0]), order="F")
+        np.multiply(w[:m], lower[:, s : s + m], out=terms[:, :m])
+        if m < w.shape[0]:
+            np.multiply(w[m:], lower[:, -1:], out=terms[:, m:])
+        terms /= whole[:, None]
+        np.cumsum(terms, axis=1, out=terms)
+        out[live[rows]] = np.minimum(terms[np.arange(terms.shape[0]), pick[rows]], 1.0)
     return out
 
 

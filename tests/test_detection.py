@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from specsense import detection
+from specsense import detection, special_fn
 from specsense.acceptance import _criterion4_grid
 from specsense.detection import (
     DetectorConfig,
@@ -1147,3 +1147,85 @@ class TestGridPmfMemo:
         assert TestLadderCache._results(ch) == cold
         detection._ladders.clear()
         assert TestLadderCache._results(ch) == cold
+
+
+class TestAwgnLowerTailMemo:
+    GRID = np.geomspace(1e-12, 0.999, 40)
+
+    @staticmethod
+    def _no_table(monkeypatch):
+        """Patch special_fn's poisson_pmf to fail on a table of thresholds;
+        the Poisson(g) weights, one row, still pass."""
+        pmf = special_fn.poisson_pmf
+
+        def checked(xs, *args):
+            assert np.ndim(xs) < 2, "a warm AWGN ROC built a table"
+            return pmf(xs, *args)
+
+        monkeypatch.setattr(special_fn, "poisson_pmf", checked)
+
+    @pytest.mark.parametrize("u", [1, 2, 8, 32, 200])
+    @pytest.mark.parametrize("beta", [0.0, 2.0])
+    def test_warm_rocs_equal_cold_ones(self, u, beta, monkeypatch, cold_ladders):
+        # 3.16 and 31.6 share n_lo = 0 and so one table; 1e3 has n_lo = 675
+        # and keeps its own; a memo hit builds nothing
+        cfg = DetectorConfig(u=u, threshold=1.0, noise_uncertainty_db=beta)
+        cold = {}
+        for gamma in (3.16, 31.6, 1e3):
+            special_fn._lower_tails.clear()
+            cold[gamma] = roc_curve(gamma, cfg, self.GRID).points
+        special_fn._lower_tails.clear()
+        assert roc_curve(3.16, cfg, self.GRID).points == cold[3.16]
+        with monkeypatch.context() as patch:
+            self._no_table(patch)
+            assert roc_curve(31.6, cfg, self.GRID).points == cold[31.6]
+        assert roc_curve(1e3, cfg, self.GRID).points == cold[1e3]
+        assert sorted(key[1] for key in special_fn._lower_tails._tables) == [0, 675]
+        with monkeypatch.context() as patch:
+            self._no_table(patch)
+            for gamma in (3.16, 1e3, 31.6):
+                assert roc_curve(gamma, cfg, self.GRID).points == cold[gamma]
+
+    def test_kept_tables_are_read_only_within_the_budget(self, cold_ladders):
+        memo = special_fn._lower_tails
+        for k in range(40):
+            curve = roc_curve(3.16, DetectorConfig(u=2, threshold=1.0), pf_grid=np.geomspace(1e-4, 0.9, 160 + k))
+            tables = _memo_tables(memo)
+            assert memo.nbytes == sum(t.nbytes for t in tables) <= memo.budget == 1 << 20
+            assert all(not t.flags.writeable for t in tables)
+        assert len(tables) > 1
+        assert tables[-1].shape[0] == 199
+        # the last curve, read from the newest table, is pd_awgn at its thresholds
+        lams = detection._grid_thresholds(2, np.geomspace(1e-4, 0.9, 199).tobytes())
+        assert [pd_awgn(DetectorConfig(2, float(lam)), 3.16) for lam in lams[::9]] == curve.pd[::9].tolist()
+
+    def test_single_thresholds_and_sliced_scans_keep_nothing(self, monkeypatch, cold_ladders):
+        cfg = DetectorConfig(u=2, threshold=threshold_for_pfa(2, 0.1))
+        pfa(cfg)
+        pd_awgn(cfg, 3.16)
+        marcum_q(2, 1.0, 2.5)
+        roc_curve(3.16, cfg, pf_grid=[0.1])
+        assert _memo_tables(special_fn._lower_tails) == []
+        monkeypatch.setattr(special_fn, "_MAX_CELLS", 2000)
+        sliced = roc_curve(3.16, cfg).points
+        assert _memo_tables(special_fn._lower_tails) == []
+        monkeypatch.undo()
+        assert roc_curve(3.16, cfg).points == sliced
+        assert len(_memo_tables(special_fn._lower_tails)) == 1
+
+    def test_a_kept_table_at_large_snr_stays_small(self, cold_ladders):
+        # u = 200 at 8.5 dB of noise uncertainty puts the thresholds near
+        # gamma = 1e4, so the ROC keeps a table of n_lo = 9060
+        cfg = DetectorConfig(u=200, threshold=1.0, noise_uncertainty_db=8.5)
+        grid = np.geomspace(1e-6, 0.5, 20)
+        tracemalloc.start()
+        try:
+            curve = roc_curve(1e4, cfg, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [key[1] for key in special_fn._lower_tails._tables] == [9060]
+        assert peak <= 16 * 2**20
+        lams = detection._grid_thresholds(200, grid.tobytes())
+        want = [pd_awgn(DetectorConfig(200, float(lam), 8.5), 1e4) for lam in lams]
+        assert curve.pd.tolist() == want

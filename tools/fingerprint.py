@@ -22,6 +22,12 @@ key differs. Covered:
 - `snr_pdf` and `envelope_pdf` on grids that include t = 0, for km < 1,
   km = 1 and km > 1, scalar calls with their return type, and the
   negative-argument error messages
+- AWGN ROCs for u in {1, 2, 8, 32, 200} x SNR in {0, 1e-3, 0.1, 1, 3.16,
+  31.6, 200, 1e3, 1e4} x noise uncertainty in {0, 2} dB, on the default Pf
+  grid and on 40 targets in [1e-12, 0.999], each computed twice: first with
+  no Marcum Q lower-tail table kept (a tree that keeps them has its memo
+  cleared), then again, warm; plus `pd_awgn` and `pfa` at every 7th
+  threshold of each grid
 - `digamma`, the gamma-shape fit, `collaborative_pd`, criterion 8's result
 - the JSON of the README's CLI invocations (selftest aside, as it prints
   timings), of `roc --simulate` with `--sls 2`, with `--fusion and --users
@@ -151,6 +157,23 @@ def _collect(root: str) -> dict[str, list]:
             for db in (-10.0, 0.0, 7.0, 15.0):
                 p = fading.FadingParams.from_db(m, ms, db)
                 out[f"ladder/{m}/{ms}/{db}"] = (detection._ladder(p, 120)[:120].copy())
+
+    lower_tails = getattr(special_fn, "_lower_tails", None)
+    grids = {"default": detection._DEFAULT_PF_GRID, "deep": np.geomspace(1e-12, 0.999, 40)}
+    for u in (1, 2, 8, 32, 200):
+        for name, grid in grids.items():
+            lams = detection._grid_thresholds(u, grid.tobytes())[::7]
+            out[f"awgn/{u}/{name}/pfa"] = [detection.pfa(detection.DetectorConfig(u, float(v))) for v in lams]
+            for beta in (0.0, 2.0):
+                cfg = detection.DetectorConfig(u, 1.0, beta)
+                for gamma in (0.0, 1e-3, 0.1, 1.0, 3.16, 31.6, 200.0, 1e3, 1e4):
+                    if lower_tails is not None:
+                        lower_tails.clear()
+                    for state in ("cold", "warm"):
+                        out[f"awgn/{u}/{name}/{beta}/{gamma}/{state}"] = detection.roc_curve(gamma, cfg, grid)
+                    out[f"awgn/{u}/{name}/{beta}/{gamma}/pd_awgn"] = [
+                        detection.pd_awgn(detection.DetectorConfig(u, float(v), beta), gamma) for v in lams
+                    ]
 
     t = np.concatenate(([0.0], np.geomspace(1e-8, 1e3, 400)))
     # a tree whose FadingParams has omega reads its envelope at omega: set it to the mean
