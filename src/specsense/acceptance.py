@@ -19,7 +19,6 @@ from .detection import (
     SeriesControl,
     _ln_series_coeff,
     _log_axis_miss,
-    _reg_p_int_shapes,
     average_pd,
     average_pd_quadrature,
     collaborative_pd,
@@ -44,6 +43,7 @@ from .montecarlo import (
     simulate_fusion,
     simulate_sls,
 )
+from .special_fn import _reg_p_int_shapes
 
 __all__ = ["CRITERIA", "run_criterion", "run_all"]
 

@@ -37,7 +37,7 @@ from .montecarlo import (
     simulate_fusion,
     simulate_sls,
 )
-from .special_fn import ConvergenceError
+from .special_fn import ConvergenceError, check_count
 
 SCHEMA_VERSION = "1"
 DEFAULT_SEED = 1729
@@ -110,6 +110,7 @@ def _threshold_from(args, u: int) -> float:
 def _cmd_roc(args, stream) -> int:
     pf_grid = _parse_pf_grid(args.pf_grid)
     cfg = DetectorConfig(u=args.u, threshold=1.0, noise_uncertainty_db=args.noise_db)
+    check_count(args.sls, "--sls")
     fading = args.m is not None or args.ms is not None
     if args.sls > 1 and (args.fusion != "none" or not fading):
         raise ValueError("--sls needs a fading channel and --fusion none")

@@ -1,11 +1,11 @@
 """Energy-detection probabilities over AWGN and F composite fading.
 
 Covers the AWGN baseline (false alarm, and Marcum-Q detection, one
-vectorized call for pd_awgn and the AWGN ROC alike, the ROC's threshold
-side kept per grid by marcum_q_grid), the average detection
+vectorized call for pd_awgn and the AWGN ROC alike), the average detection
 probability over F composite fading via a confluent hypergeometric series,
 collaborative OR/AND fusion, square-law selection diversity, worst-case
-noise-power uncertainty, and ROC generation.
+noise-power uncertainty, and ROC generation. The Poisson tables of both
+ROCs, and the memo that keeps them per threshold grid, live in special_fn.
 
 The average-Pd series here is the exact complementary rearrangement of the
 direct Tricomi-U expansion: using the normalization identity
@@ -38,17 +38,16 @@ import numpy as np
 
 from .fading import FadingParams
 from .special_fn import (
-    _MAX_CELLS,
     _Memo,
     _ln_factorials,
+    _reg_p_int_shapes,
+    _tail_tables,
     ConvergenceError,
     check_count,
     ln_beta,
     ln_tricomi_u_grid,
     marcum_q,
     marcum_q_grid,
-    poisson_pmf,
-    poisson_reach,
 )
 
 __all__ = [
@@ -306,27 +305,6 @@ def _ln_series_coeff(p: FadingParams, start: int, stop: int) -> np.ndarray:
     return ln_c + ln_g + ln_u
 
 
-def _upper_tails(pmf) -> np.ndarray:
-    """upper[:, i] = P(u+i, x) from a table of the Poisson(x) pmf at j = u..top,
-    one row per x and 0 past that row's own top, summed from the top down.
-    The zeros past a row's top change nothing, so a row does not depend on
-    the others."""
-    return np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
-
-
-def _reg_p_int_shapes(u: int, count: int, x) -> np.ndarray:
-    """P(u+n, x) for n = 0..count-1; one row per entry when x is an array.
-
-    Each row's window runs to its own top, poisson_reach(x) past max(x,
-    u+count-1), so P keeps its relative accuracy over all count shapes.
-    """
-    xs = np.array(x, dtype=float, ndmin=1)[:, None]
-    tops = np.ceil(np.maximum(xs, u + count - 1.0) + poisson_reach(xs))
-    top = int(tops.max())
-    upper = _upper_tails(poisson_pmf(xs, u, top, u, tops, _ln_factorials(u, top)))
-    return upper[:, :count] if np.ndim(x) else upper[0, :count]
-
-
 # Stop schedule: a series is tested for convergence after b_0 = ceil(x +
 # 4 sqrt(x)) + _MIN_BLOCK terms, its Poisson bulk, and then after b_{k+1} =
 # b_k + min(max(_MIN_BLOCK, b_k // 2), _MAX_BLOCK) terms, so a slow series
@@ -357,35 +335,6 @@ def _ladder(p: FadingParams, rows: int) -> np.ndarray:
     ]
     # rows are pure functions of (p, n), so the longest ladder wins
     return _ladders.put(p, np.concatenate(blocks))
-
-
-# Poisson tail tables P(u+i, x) of threshold grids, keyed by (u, bytes of
-# x = lam_eff/2). A table depends on u and the grid alone, not on the
-# channel, so a figure that sweeps several channels over one (u, beta, Pf
-# grid) builds it once. Only a batch of several thresholds whose table fits
-# in one _MAX_CELLS slice is kept; a single threshold or a sliced scan builds
-# its table every call. The memo keeps up to 4 MiB of tables, each at most
-# one 2 MiB slice; the twelve of the paper's figure grid hold 1.66 MiB.
-_tails = _Memo(4 << 20)
-
-
-def _tail_tables(u: int, x):
-    """(lo, upper) for each slice of the column x = lam_eff/2 from row lo:
-    upper[:, i] = P(u+i, x), each row to its own x + poisson_reach(x) and 0
-    past it, then a last column of zeros past every top. A grid's table
-    comes from _tails when kept there."""
-    key = (u, x.tobytes())
-    kept = _tails.get(key)
-    if kept is not None:
-        yield 0, kept
-        return
-    tops = np.ceil(x + poisson_reach(x))
-    top = max(u, int(tops.max(initial=0.0))) + 1
-    step = max(1, _MAX_CELLS // (top - u + 1))
-    ln_fact = _ln_factorials(u, top)
-    for lo in range(0, x.shape[0], step):
-        upper = _upper_tails(poisson_pmf(x[lo : lo + step], u, top, u, tops[lo : lo + step], ln_fact))
-        yield lo, _tails.put(key, upper) if 1 < x.shape[0] <= step else upper
 
 
 def _stops(u: int, lam_effs, upper, p: FadingParams, ctl: SeriesControl):
@@ -424,9 +373,9 @@ def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
 
     The complementary series miss = sum_{n<N} c_n P(u+n, x), on the
     channel's cached ladder c, is one running sum along each row of the
-    tail table from _tail_tables, with N from _stops. Every reduction is a
-    running sum, so a row equals its single-threshold call whatever the
-    other rows, the slicing by _MAX_CELLS or the cache history.
+    grid's tail table from special_fn._tail_tables, with N from _stops.
+    Every reduction is a running sum, so a row equals its single-threshold
+    call whatever the other rows, the table's slicing or the cache history.
 
     Returns (pd array, terms_used array, last_term array), with last_term
     c_{N-1} P(u+N-1, x).

@@ -2,16 +2,17 @@
 
 Everything here is built on the standard library's math module and numpy:
 digamma and ln x - digamma(x) from one Bernoulli tail, log-beta, the
-Tricomi confluent hypergeometric function on a log grid, Poisson pmf
-tables, and the generalized Marcum Q as a Poisson mixture of gamma tails,
-vectorized over the threshold, which keeps the SNR-free threshold side
-of a grid in a byte-bounded memo (_Memo, also behind detection's caches).
-Log-gammas come from math.lgamma, those of j! < 2048 tabulated once.
-At zero noncentrality the Marcum Q is the integer-order gamma tail Q(u, x),
-so the false-alarm probability is the same Poisson-table sum. numpy
-supplies the node arrays for the Tricomi quadrature and the Poisson
-tables. Nothing here uses scipy; in this
-package only the independent oracle (detection.average_pd_quadrature), the
+Tricomi confluent hypergeometric function on a log grid, every Poisson(x)
+table over a threshold grid, and the generalized Marcum Q as a Poisson
+mixture of gamma tails, vectorized over the threshold. A grid's SNR-free
+tables, the F-fading series' upper tails P(u+i, x) and marcum_q_grid's
+lower running sums, share one byte-bounded memo, _tails (a _Memo, as is
+detection's ladder cache). Log-gammas come from math.lgamma, those of
+j! < 2048 tabulated once. At zero noncentrality the Marcum Q is the
+integer-order gamma tail Q(u, x), so the false-alarm probability is the
+same Poisson-table sum. numpy supplies the node arrays for the Tricomi
+quadrature and the Poisson tables. Nothing here uses scipy; in this package
+only the independent oracle (detection.average_pd_quadrature), the
 acceptance suite behind `selftest` and the tests do.
 """
 
@@ -328,26 +329,66 @@ _SURE = 800.0  # a sum of terms all below exp(-_SURE) rounds to 0
 _MAX_CELLS = 1 << 18  # cells per slice of a Poisson table, bounding its temporaries
 _MAX_WINDOW = 1 << 20  # Poisson terms per row of a marcum_q_grid call
 
-# Poisson(x) lower-tail tables of marcum_q_grid, keyed by (u, n_lo, bytes of
-# the unsettled x). A table depends on u, the grid and n_lo alone, and n_lo
-# is 0 for every g below about 150, so the AWGN ROCs of a figure on one (u,
-# beta, Pf grid) share one. Only a call of several thresholds whose table
-# and terms fit in one _MAX_CELLS slice is kept; a single threshold or a
-# sliced scan builds its table every call. The memo keeps up to 1 MiB of
-# tables, each at most one 2 MiB slice; roc_curve's default grid at u = 2
-# keeps 134 KB.
-_lower_tails = _Memo(1 << 20)
+# Poisson(x) tail tables of threshold grids, both kinds in one memo: the
+# F-fading series' upper tails P(u+i, x), keyed ("upper", u, bytes of x), and
+# marcum_q_grid's lower running sums, keyed ("lower", u, n_lo, bytes of the
+# unsettled x). A table depends on u, the grid and n_lo alone, not on the
+# channel, and n_lo is 0 for every g below about 150. Only a call of several
+# thresholds whose table fits in one _MAX_CELLS slice keeps it; a single
+# threshold or a sliced scan builds its table every call. Each table is at
+# most one 2 MiB slice; the paper's figure grids keep 13, 1.79 MiB in all.
+_tails = _Memo(4 << 20)
+
+
+def _upper_tails(pmf) -> np.ndarray:
+    """upper[:, i] = P(u+i, x) from a table of the Poisson(x) pmf at j = u..top,
+    one row per x and 0 past that row's own top, summed from the top down.
+    The zeros past a row's top change nothing, so a row does not depend on
+    the others."""
+    return np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+
+
+def _reg_p_int_shapes(u: int, count: int, x) -> np.ndarray:
+    """P(u+n, x) for n = 0..count-1; one row per entry when x is an array.
+
+    Each row's window runs to its own top, poisson_reach(x) past max(x,
+    u+count-1), so P keeps its relative accuracy over all count shapes.
+    """
+    xs = np.array(x, dtype=float, ndmin=1)[:, None]
+    tops = np.ceil(np.maximum(xs, u + count - 1.0) + poisson_reach(xs))
+    top = int(tops.max())
+    upper = _upper_tails(poisson_pmf(xs, u, top, u, tops, _ln_factorials(u, top)))
+    return upper[:, :count] if np.ndim(x) else upper[0, :count]
+
+
+def _tail_tables(u: int, x):
+    """(lo, upper) for each slice of the column x = lam_eff/2 from row lo:
+    upper[:, i] = P(u+i, x), each row to its own x + poisson_reach(x) and 0
+    past it, then a last column of zeros past every top. A grid's table
+    comes from _tails when kept there."""
+    key = ("upper", u, x.tobytes())
+    kept = _tails.get(key)
+    if kept is not None:
+        yield 0, kept
+        return
+    tops = np.ceil(x + poisson_reach(x))
+    top = max(u, int(tops.max(initial=0.0))) + 1
+    step = max(1, _MAX_CELLS // (top - u + 1))
+    ln_fact = _ln_factorials(u, top)
+    for lo in range(0, x.shape[0], step):
+        upper = _upper_tails(poisson_pmf(x[lo : lo + step], u, top, u, tops[lo : lo + step], ln_fact))
+        yield lo, _tails.put(key, upper) if 1 < x.shape[0] <= step else upper
 
 
 def _lower_tables(u: int, n_lo: int, x, k_lo, k_hi, bulk_hi, n_width: int):
     """(rows, k0, lower) for each slice of x: lower[:, i] = the Poisson(x)
     mass from the row's k_lo to k0 + i, a running sum and so the same
     whatever k0 or the other rows, constant past the row's k_hi, or past
-    its bulk_hi in a table kept in _lower_tails."""
+    its bulk_hi in a table kept in _tails."""
     k0 = int(k_lo.min())
     keep = 1 < x.shape[0] <= _MAX_CELLS // (int(bulk_hi.max()) - k0 + 1 + n_width)
-    key = (u, n_lo, x.tobytes()) if keep else None
-    kept = _lower_tails.get(key) if keep else None
+    key = ("lower", u, n_lo, x.tobytes()) if keep else None
+    kept = _tails.get(key) if keep else None
     if kept is not None:
         yield slice(None), k0, kept
         return
@@ -359,7 +400,7 @@ def _lower_tables(u: int, n_lo: int, x, k_lo, k_hi, bulk_hi, n_width: int):
         pmf = poisson_pmf(x[rows, None], k0, k1, k_lo[rows, None], last[rows, None], _ln_factorials(k0, k1))
         lower = np.cumsum(pmf, axis=1)
         # a kept table is column-major, so a column of terms is one run
-        yield rows, k0, _lower_tails.put(key, np.asfortranarray(lower)) if keep else lower
+        yield rows, k0, _tails.put(key, np.asfortranarray(lower)) if keep else lower
 
 
 def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
@@ -381,7 +422,7 @@ def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
     its own n_top, so an entry depends on its own x alone.
 
     The table of running sums Q(k+1, x) depends on g through n_lo alone. A
-    call kept in _lower_tails runs its rows to bulk_hi, so a warm call only
+    call kept in _tails runs its rows to bulk_hi, so a warm call only
     weighs, sums and picks; a row reads the same entries up to its n_top
     as the k_hi-wide rows of a single threshold, bit for bit.
     """

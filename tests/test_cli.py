@@ -206,6 +206,9 @@ class TestUsageErrors:
             (["auc", "--m", "2", "--ms", "3"], "--snr-db is required"),
             (["auc", "--instantaneous"], "--snr-db is required"),
             (["entropy", "--m", "2", "--ms", "3"], "--m, --ms and --snr-db are required without --table"),
+            (["roc", "--m", "2", "--ms", "3", "--snr-db", "5", "--sls", "0"], "--sls must be an integer >= 1"),
+            (["roc", "--m", "2", "--ms", "3", "--snr-db", "5", "--sls", "-4"], "--sls must be an integer >= 1"),
+            (["roc", "--snr-db", "5", "--sls", "0"], "--sls must be an integer >= 1"),
         ],
     )
     def test_exits_two_with_its_message(self, capsys, argv, message):

@@ -36,12 +36,18 @@ from specsense.detection import (
     threshold_for_pfa,
     truncation_bound,
     _ln_series_coeff,
-    _reg_p_int_shapes,
     _series_batch,
-    _upper_tails,
 )
 from specsense.fading import FadingParams, snr_pdf
-from specsense.special_fn import ConvergenceError, _ln_factorials, marcum_q, poisson_pmf, poisson_reach
+from specsense.special_fn import (
+    ConvergenceError,
+    _ln_factorials,
+    _reg_p_int_shapes,
+    _upper_tails,
+    marcum_q,
+    poisson_pmf,
+    poisson_reach,
+)
 
 CH = FadingParams.from_db(2.0, 3.0, 5.0)
 
@@ -838,7 +844,7 @@ class TestBlockLadder:
         cfg = DetectorConfig(u=2, threshold=1.0, noise_uncertainty_db=2.0)
         curve = roc_curve(CH, cfg)
         lam_effs = cfg.alpha ** 2 * detection._grid_thresholds(2, detection._DEFAULT_PF_GRID.tobytes())
-        upper = detection._tails.get((2, (0.5 * lam_effs[:, None]).tobytes()))
+        upper = special_fn._tails.get(("upper", 2, (0.5 * lam_effs[:, None]).tobytes()))
         for pd_i, lam, row in zip(curve.pd, lam_effs, upper):
             _, used, _ = average_pd_detail(DetectorConfig(u=2, threshold=lam), CH)
             miss = 0.0
@@ -894,19 +900,19 @@ FIGURE_CHANNELS = [
 
 
 def _count_tables(monkeypatch) -> list:
-    """Patch detection's poisson_pmf to record the rows of every table built."""
+    """Patch special_fn's poisson_pmf to record the rows of every table built."""
     built = []
-    pmf = detection.poisson_pmf
+    pmf = special_fn.poisson_pmf
 
     def counted(*args):
         built.append(args[0].shape[0])
         return pmf(*args)
 
-    monkeypatch.setattr(detection, "poisson_pmf", counted)
+    monkeypatch.setattr(special_fn, "poisson_pmf", counted)
     return built
 
 
-def _memo_tables(memo=detection._tails) -> list:
+def _memo_tables(memo=special_fn._tails) -> list:
     with memo._lock:
         return list(memo._tables.values())
 
@@ -942,8 +948,8 @@ class TestLadderCache:
         cfg = DetectorConfig(u=5, threshold=1.0, noise_uncertainty_db=2.0)
         whole = roc_curve(CH, cfg).points
         built = _count_tables(monkeypatch)
-        monkeypatch.setattr(detection, "_MAX_CELLS", 2000)
-        detection._tails.clear()  # a kept table would skip the slicing
+        monkeypatch.setattr(special_fn, "_MAX_CELLS", 2000)
+        special_fn._tails.clear()  # a kept table would skip the slicing
         assert roc_curve(CH, cfg).points == whole
         assert len(built) > 1  # the scan ran in slices, each with its own table
 
@@ -955,16 +961,16 @@ class TestLadderCache:
 
     def test_roc_table_does_not_grow_with_the_cached_ladder(self, monkeypatch, cold_ladders):
         cells = []
-        pmf = detection.poisson_pmf
+        pmf = special_fn.poisson_pmf
 
         def counted(*args):
             table = pmf(*args)
             cells.append(table.size)
             return table
 
-        monkeypatch.setattr(detection, "poisson_pmf", counted)
+        monkeypatch.setattr(special_fn, "poisson_pmf", counted)
         cfg = DetectorConfig(u=2, threshold=1.0)
-        detection._tails.clear()  # so that each ROC builds its table
+        special_fn._tails.clear()  # so that each ROC builds its table
         before = roc_curve(CH, cfg).points
         width, rows = sum(cells), _ladder_rows(CH)
         assert width > 0
@@ -972,7 +978,7 @@ class TestLadderCache:
                    SeriesControl(rel_tol=1e-300))
         assert _ladder_rows(CH) > 3 * rows
         cells.clear()
-        detection._tails.clear()
+        special_fn._tails.clear()
         assert roc_curve(CH, cfg).points == before
         assert sum(cells) == width
 
@@ -1002,9 +1008,9 @@ class TestLadderCache:
         want = [roc_curve(p, cfgs[i % 3], pf_grid=grid).points for i, p in enumerate(chans)]
         tables = _memo_tables()
         assert len(tables) == 3
-        monkeypatch.setattr(detection._tails, "budget", sum(t.nbytes for t in tables) - 1)
+        monkeypatch.setattr(special_fn._tails, "budget", sum(t.nbytes for t in tables) - 1)
         detection._ladders.clear()
-        detection._tails.clear()
+        special_fn._tails.clear()
         got, errors = {}, []
 
         def work(offset):
@@ -1032,7 +1038,7 @@ class TestLadderCache:
         assert detection._ladders.nbytes == sum(t.nbytes for t in ladders) <= detection._ladders.budget
         tables = _memo_tables()
         assert len(tables) == 2
-        assert detection._tails.nbytes == sum(t.nbytes for t in tables) <= detection._tails.budget
+        assert special_fn._tails.nbytes == sum(t.nbytes for t in tables) <= special_fn._tails.budget
 
 
 class TestMemo:
@@ -1072,7 +1078,7 @@ class TestGridPmfMemo:
         sls_average_pd(cfg, FIGURE_CHANNELS[:2])
         roc_curve(CH, cfg, pf_grid=[0.1])
         assert _memo_tables() == []
-        monkeypatch.setattr(detection, "_MAX_CELLS", 2000)
+        monkeypatch.setattr(special_fn, "_MAX_CELLS", 2000)
         roc_curve(CH, DetectorConfig(u=5, threshold=1.0))
         assert _memo_tables() == []
 
@@ -1085,23 +1091,23 @@ class TestGridPmfMemo:
                 x = 0.5 * (cfg.alpha ** 2 * detection._grid_thresholds(u, grid.tobytes()))[:, None]
                 tops = np.ceil(x + poisson_reach(x))
                 top = int(tops.max()) + 1
-                kept = detection._tails._tables[u, x.tobytes()]
+                kept = special_fn._tails._tables["upper", u, x.tobytes()]
                 assert not kept.flags.writeable
                 assert np.array_equal(kept, _upper_tails(poisson_pmf(x, u, top, u, tops, _ln_factorials(u, top))))
         tables = _memo_tables()
         assert len(tables) == 6
-        assert detection._tails.nbytes == sum(t.nbytes for t in tables) <= detection._tails.budget == 4 << 20
+        assert special_fn._tails.nbytes == sum(t.nbytes for t in tables) <= special_fn._tails.budget == 4 << 20
 
         # grids of 190..197 targets under a budget of three 190-target tables:
         # the newest stay, within the budget
-        detection._tails.clear()
+        special_fn._tails.clear()
         for k in range(8):
             roc_curve(CH, DetectorConfig(u=2, threshold=1.0), pf_grid=np.geomspace(1e-4, 0.9, 190 + k))
             if k == 0:
-                monkeypatch.setattr(detection._tails, "budget", 3 * detection._tails.nbytes)
+                monkeypatch.setattr(special_fn._tails, "budget", 3 * special_fn._tails.nbytes)
         tables = _memo_tables()
         assert [t.shape[0] for t in tables] in ([196, 197], [195, 196, 197])
-        assert detection._tails.nbytes == sum(t.nbytes for t in tables) <= detection._tails.budget
+        assert special_fn._tails.nbytes == sum(t.nbytes for t in tables) <= special_fn._tails.budget
         assert all(not t.flags.writeable for t in tables)
 
     def test_a_kept_grid_builds_no_table_for_another_channel(self, monkeypatch, cold_ladders):
@@ -1112,10 +1118,10 @@ class TestGridPmfMemo:
             raise AssertionError("a warm ROC built a table")
 
         for name in ("poisson_pmf", "_upper_tails"):
-            monkeypatch.setattr(detection, name, unexpected)
+            monkeypatch.setattr(special_fn, name, unexpected)
         warm = roc_curve(FIGURE_CHANNELS[1], cfg).points
         monkeypatch.undo()
-        detection._tails.clear()
+        special_fn._tails.clear()
         assert roc_curve(FIGURE_CHANNELS[1], cfg).points == warm
 
     def test_the_figure_grids_stay_kept_within_the_budget(self, monkeypatch, cold_ladders):
@@ -1135,7 +1141,7 @@ class TestGridPmfMemo:
         figure()
         tables = _memo_tables()
         assert len(tables) == 12
-        assert detection._tails.nbytes == sum(t.nbytes for t in tables) <= detection._tails.budget == 4 << 20
+        assert special_fn._tails.nbytes == sum(t.nbytes for t in tables) <= special_fn._tails.budget == 4 << 20
         built = _count_tables(monkeypatch)
         figure()
         assert built == []
@@ -1172,26 +1178,26 @@ class TestAwgnLowerTailMemo:
         cfg = DetectorConfig(u=u, threshold=1.0, noise_uncertainty_db=beta)
         cold = {}
         for gamma in (3.16, 31.6, 1e3):
-            special_fn._lower_tails.clear()
+            special_fn._tails.clear()
             cold[gamma] = roc_curve(gamma, cfg, self.GRID).points
-        special_fn._lower_tails.clear()
+        special_fn._tails.clear()
         assert roc_curve(3.16, cfg, self.GRID).points == cold[3.16]
         with monkeypatch.context() as patch:
             self._no_table(patch)
             assert roc_curve(31.6, cfg, self.GRID).points == cold[31.6]
         assert roc_curve(1e3, cfg, self.GRID).points == cold[1e3]
-        assert sorted(key[1] for key in special_fn._lower_tails._tables) == [0, 675]
+        assert sorted(key[:3] for key in special_fn._tails._tables) == [("lower", u, 0), ("lower", u, 675)]
         with monkeypatch.context() as patch:
             self._no_table(patch)
             for gamma in (3.16, 1e3, 31.6):
                 assert roc_curve(gamma, cfg, self.GRID).points == cold[gamma]
 
     def test_kept_tables_are_read_only_within_the_budget(self, cold_ladders):
-        memo = special_fn._lower_tails
+        memo = special_fn._tails
         for k in range(40):
             curve = roc_curve(3.16, DetectorConfig(u=2, threshold=1.0), pf_grid=np.geomspace(1e-4, 0.9, 160 + k))
             tables = _memo_tables(memo)
-            assert memo.nbytes == sum(t.nbytes for t in tables) <= memo.budget == 1 << 20
+            assert memo.nbytes == sum(t.nbytes for t in tables) <= memo.budget == 4 << 20
             assert all(not t.flags.writeable for t in tables)
         assert len(tables) > 1
         assert tables[-1].shape[0] == 199
@@ -1205,13 +1211,13 @@ class TestAwgnLowerTailMemo:
         pd_awgn(cfg, 3.16)
         marcum_q(2, 1.0, 2.5)
         roc_curve(3.16, cfg, pf_grid=[0.1])
-        assert _memo_tables(special_fn._lower_tails) == []
+        assert _memo_tables() == []
         monkeypatch.setattr(special_fn, "_MAX_CELLS", 2000)
         sliced = roc_curve(3.16, cfg).points
-        assert _memo_tables(special_fn._lower_tails) == []
+        assert _memo_tables() == []
         monkeypatch.undo()
         assert roc_curve(3.16, cfg).points == sliced
-        assert len(_memo_tables(special_fn._lower_tails)) == 1
+        assert len(_memo_tables()) == 1
 
     def test_a_kept_table_at_large_snr_stays_small(self, cold_ladders):
         # u = 200 at 8.5 dB of noise uncertainty puts the thresholds near
@@ -1224,8 +1230,40 @@ class TestAwgnLowerTailMemo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [key[1] for key in special_fn._lower_tails._tables] == [9060]
+        assert [key[:3] for key in special_fn._tails._tables] == [("lower", 200, 9060)]
         assert peak <= 16 * 2**20
         lams = detection._grid_thresholds(200, grid.tobytes())
         want = [pd_awgn(DetectorConfig(200, float(lam), 8.5), 1e4) for lam in lams]
         assert curve.pd.tolist() == want
+
+
+class TestSharedTableMemo:
+    @staticmethod
+    def _figure() -> list:
+        """The fading, fusion, SLS and AWGN ROCs of one figure at u = 2 on the default grid."""
+        cfg = DetectorConfig(u=2, threshold=1.0)
+        return (
+            [roc_curve(ch, cfg).points for ch in FIGURE_CHANNELS]
+            + [roc_curve(ch, cfg, fusion="or", n_users=3).points for ch in FIGURE_CHANNELS]
+            + [roc_curve([ch, ch], cfg).points for ch in FIGURE_CHANNELS]
+            + [roc_curve(gamma, cfg).points for gamma in (3.16, 3.98, 31.6)]
+        )
+
+    def test_both_kinds_of_table_share_one_memo(self, monkeypatch, cold_ladders):
+        # three upper-tail grids (plain, OR of 3, SLS of 2) and the one lower
+        # table that the three AWGN SNRs share
+        cold = self._figure()
+        memo = special_fn._tails
+        with memo._lock:
+            keys = list(memo._tables)
+        tables = _memo_tables()
+        assert sorted(key[0] for key in keys) == ["lower", "upper", "upper", "upper"]
+        assert len(set(keys)) == len(tables) == 4
+        assert all(not t.flags.writeable for t in tables)
+        assert memo.nbytes == sum(t.nbytes for t in tables) <= memo.budget == 4 << 20
+        with monkeypatch.context() as patch:
+            TestAwgnLowerTailMemo._no_table(patch)
+            assert self._figure() == cold
+        with memo._lock:
+            assert set(memo._tables) == set(keys)
+

@@ -24,10 +24,10 @@ key differs. Covered:
   negative-argument error messages
 - AWGN ROCs for u in {1, 2, 8, 32, 200} x SNR in {0, 1e-3, 0.1, 1, 3.16,
   31.6, 200, 1e3, 1e4} x noise uncertainty in {0, 2} dB, on the default Pf
-  grid and on 40 targets in [1e-12, 0.999], each computed twice: first with
-  no Marcum Q lower-tail table kept (a tree that keeps them has its memo
-  cleared), then again, warm; plus `pd_awgn` and `pfa` at every 7th
-  threshold of each grid
+  grid and on 40 targets in [1e-12, 0.999], each computed twice: first
+  cold, with every `_Memo` that `special_fn` or `detection` binds cleared
+  (whatever each tree names them), then again, warm; plus `pd_awgn` and
+  `pfa` at every 7th threshold of each grid
 - `digamma`, the gamma-shape fit, `collaborative_pd`, criterion 8's result
 - the JSON of the README's CLI invocations (selftest aside, as it prints
   timings), of `roc --simulate` with `--sls 2`, with `--fusion and --users
@@ -158,7 +158,8 @@ def _collect(root: str) -> dict[str, list]:
                 p = fading.FadingParams.from_db(m, ms, db)
                 out[f"ladder/{m}/{ms}/{db}"] = (detection._ladder(p, 120)[:120].copy())
 
-    lower_tails = getattr(special_fn, "_lower_tails", None)
+    memos = {id(v): v for mod in (special_fn, detection) for v in vars(mod).values()
+             if isinstance(v, special_fn._Memo)}.values()
     grids = {"default": detection._DEFAULT_PF_GRID, "deep": np.geomspace(1e-12, 0.999, 40)}
     for u in (1, 2, 8, 32, 200):
         for name, grid in grids.items():
@@ -167,8 +168,8 @@ def _collect(root: str) -> dict[str, list]:
             for beta in (0.0, 2.0):
                 cfg = detection.DetectorConfig(u, 1.0, beta)
                 for gamma in (0.0, 1e-3, 0.1, 1.0, 3.16, 31.6, 200.0, 1e3, 1e4):
-                    if lower_tails is not None:
-                        lower_tails.clear()
+                    for memo in memos:
+                        memo.clear()
                     for state in ("cold", "warm"):
                         out[f"awgn/{u}/{name}/{beta}/{gamma}/{state}"] = detection.roc_curve(gamma, cfg, grid)
                     out[f"awgn/{u}/{name}/{beta}/{gamma}/pd_awgn"] = [
@@ -176,12 +177,10 @@ def _collect(root: str) -> dict[str, list]:
                     ]
 
     t = np.concatenate(([0.0], np.geomspace(1e-8, 1e3, 400)))
-    # a tree whose FadingParams has omega reads its envelope at omega: set it to the mean
-    has_omega = "omega" in fading.FadingParams.__dataclass_fields__
     for m in (0.2, 0.5, 0.7, 1.0, 2.0, 12.0):
         for ms in (1.1, 3.4, 300.0):
             for mean in (0.1, 2.3, 31.6):
-                p = fading.FadingParams(m, ms, mean, **({"omega": mean} if has_omega else {}))
+                p = fading.FadingParams(m, ms, mean)
                 for name in ("snr_pdf", "envelope_pdf"):
                     fn = getattr(fading, name)
                     scalars = [fn(p, float(v)) for v in (0.0, 1e-3, 1.0, 40.0)]
