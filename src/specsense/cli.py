@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -111,6 +112,7 @@ def _cmd_roc(args, stream) -> int:
     pf_grid = _parse_pf_grid(args.pf_grid)
     cfg = DetectorConfig(u=args.u, threshold=1.0, noise_uncertainty_db=args.noise_db)
     check_count(args.sls, "--sls")
+    check_count(args.users, "--users")
     fading = args.m is not None or args.ms is not None
     if args.sls > 1 and (args.fusion != "none" or not fading):
         raise ValueError("--sls needs a fading channel and --fusion none")
@@ -377,7 +379,15 @@ def run(argv=None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): point it at devnull so the
+        # flush at exit stays quiet, and exit as a SIGPIPE death would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(141)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

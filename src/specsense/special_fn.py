@@ -162,7 +162,18 @@ def ln_beta(a: float, b: float) -> float:
 #
 # has a single interior maximum. Panels: a sigma-scaled core around the
 # mode plus a geometric ladder for the wings, Gauss-Legendre 32 per panel,
-# and a uniform refinement pass as the error estimate.
+# and a uniform refinement pass as the error estimate. A pass evaluates phi
+# at the new midpoints alone; the edges keep their exponents, shifted by
+# the mode's, from the pass before. A panel whose two edge exponents lie
+# _DROP under the mode is skipped: phi has one maximum, so it adds under
+# e^-50 of the mode's value per unit of width, short of a row's last bit.
+# Against a drop at e^-90, every output tools/fingerprint.py hashes and
+# 256-row blocks stay the same bit for bit, and a test holds that. Nodes
+# are formed _BLOCK panels at a time, 64 KiB arrays, so a call's
+# temporaries do not grow with its rows: a 256-row ladder block peaks at
+# 1.9 MiB (tracemalloc), against 9.9 MiB with all its nodes at once. Under
+# glibc's default 128 KiB mmap and trim thresholds such arrays stay on the
+# heap; 256 KiB ones were trimmed and faulted in again on every call.
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -173,9 +184,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _CORE = np.linspace(-13.0, 13.0, 21)
 _LADDER = 13.0 * 1.28 ** np.arange(1, 49)
 _OFFSETS = np.concatenate((-_LADDER[::-1], _CORE, _LADDER))
-# Panels with both endpoint exponents this far under the mode contribute
-# less than e^-90 relatively and are skipped.
-_DROP = 90.0
+# the drop rule and the panels per block of nodes, as set out above
+_DROP = 50.0
+_BLOCK = 256
 # A row is done once a refinement pass moves it by at most this, relatively,
 # within this many passes.
 _U_TOL = 1e-12
@@ -188,12 +199,12 @@ def _phi(y, a, bma1, z):
     bma1 is b - a - 1, either scalar or per-row column vector. Works in
     place, so a call holds at most three temporaries the size of y.
     """
-    out = np.exp(np.minimum(y, MAXLOG))
+    out = np.minimum(y, MAXLOG)
+    np.exp(out, out=out)
+    sp = np.log1p(out)  # ln(1 + e^y) wherever y <= 33
     with np.errstate(over="ignore"):  # -z*t saturating to -inf is the intent
         out *= -z
     out += a * y
-    sp = np.minimum(y, 33.0)
-    np.log1p(np.exp(sp, out=sp), out=sp)
     big = y > 33.0
     if big.any():  # ln(1 + e^y) = y + ln(1 + e^-y), and e^-y < 1e-14 there
         sp[big] = y[big] + np.exp(-y[big])
@@ -202,33 +213,50 @@ def _phi(y, a, bma1, z):
     return out
 
 
-def _panel_sum(edges, a, bma1_col, z, shift):
+def _panel_sum(edges, phi_e, a, bma1_col, z, shift):
     """Sum of exp(phi - shift) over all panels, per row.
 
-    edges: (rows, n_edges); bma1_col: (rows, 1); shift: (rows,).
+    edges, and phi_e = phi - shift at them: (rows, n_edges); bma1_col:
+    (rows, 1); shift: (rows,).
     """
-    rows = edges.shape[0]
-    phi_e = _phi(edges, a, bma1_col, z) - shift[:, None]
     keep = np.maximum(phi_e[:, :-1], phi_e[:, 1:]) > -_DROP
     ridx, pidx = np.nonzero(keep)
-    if ridx.size == 0:
-        return np.zeros(rows)
-    lo = edges[ridx, pidx]
-    hi = edges[ridx, pidx + 1]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    y = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    f = np.exp(_phi(y, a, bma1_col[ridx, 0][:, None], z) - shift[ridx, None])
-    part = half * (f @ _GL_WEIGHTS)
-    return np.bincount(ridx, weights=part, minlength=rows)
+    left, right = edges[ridx, pidx], edges[ridx, pidx + 1]
+    half = 0.5 * (right - left)
+    mid = 0.5 * (right + left)
+    bma1_p, shift_p = bma1_col[ridx], shift[ridx, None]
+    # numpy's bundled OpenBLAS weighs the rows of f four at a time from the
+    # first, and the last one to three rows by a kernel that rounds
+    # differently; blocks of whole fours keep each panel in the group it
+    # has with all panels at once, so its sum keeps its bits. A BLAS that
+    # groups otherwise would break this; test_node_blocks_change_no_bit
+    # names the BLAS it ran on
+    step = -(-_BLOCK // 4) * 4
+    part = np.empty(ridx.size)
+    for lo in range(0, ridx.size, step):
+        s = slice(lo, lo + step)
+        y = half[s, None] * _GL_NODES
+        y += mid[s, None]
+        f = _phi(y, a, bma1_p[s], z)
+        f -= shift_p[s]
+        part[s] = half[s] * (np.exp(f, out=f) @ _GL_WEIGHTS)
+    return np.bincount(ridx, weights=part, minlength=edges.shape[0])
 
 
-def _refine(edges):
-    """Insert panel midpoints, doubling the panel count."""
-    rows, n = edges.shape
-    out = np.empty((rows, 2 * n - 1))
-    out[:, 0::2] = edges
-    out[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
+def _refine(edges, phi_e, a, bma1_col, z, shift):
+    """Insert panel midpoints, doubling the panel count; phi is evaluated
+    at the midpoints alone, the edges keeping their exponents."""
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    phi_mid = _phi(mid, a, bma1_col, z)
+    phi_mid -= shift[:, None]
+    return _interleave(edges, mid), _interleave(phi_e, phi_mid)
+
+
+def _interleave(even, odd):
+    """Rows of even with the columns of odd set between their columns."""
+    out = np.empty((even.shape[0], 2 * even.shape[1] - 1))
+    out[:, 0::2] = even
+    out[:, 1::2] = odd
     return out
 
 
@@ -260,21 +288,24 @@ def ln_tricomi_u_grid(a: float, b_values, z: float) -> np.ndarray:
 
     shift = _phi(y_star, a, bma1[:, 0], z)
     edges = y_star[:, None] + sigma[:, None] * _OFFSETS[None, :]
+    phi_e = _phi(edges, a, bma1, z) - shift[:, None]
 
     # A row stops refining once it converges, so its value depends on its
     # own b alone and not on which other rows share the call.
     out = np.empty(b.shape[0])
     todo = np.arange(b.shape[0])
-    prev = _panel_sum(edges, a, bma1, z, shift)
+    prev = _panel_sum(edges, phi_e, a, bma1, z, shift)
     for _ in range(_U_PASSES):
-        edges = _refine(edges)
-        vals = _panel_sum(edges, a, bma1, z, shift)
+        edges, phi_e = _refine(edges, phi_e, a, bma1, z, shift)
+        vals = _panel_sum(edges, phi_e, a, bma1, z, shift)
         change = np.abs(vals - prev)
         done = change <= _U_TOL * np.abs(vals)
         out[todo[done]] = shift[done] + np.log(vals[done]) - math.lgamma(a)
         if done.all():
             return out
-        todo, edges, bma1, shift, prev = todo[~done], edges[~done], bma1[~done], shift[~done], vals[~done]
+        todo, edges, phi_e, bma1, shift, prev = (
+            todo[~done], edges[~done], phi_e[~done], bma1[~done], shift[~done], vals[~done]
+        )
     raise ConvergenceError(
         f"ln_tricomi_u_grid quadrature did not reach relative change {_U_TOL:g} in {_U_PASSES} "
         f"refinement passes (a={a}, z={z}, first unconverged b={b[todo[0]]}, "

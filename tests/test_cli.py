@@ -209,6 +209,10 @@ class TestUsageErrors:
             (["roc", "--m", "2", "--ms", "3", "--snr-db", "5", "--sls", "0"], "--sls must be an integer >= 1"),
             (["roc", "--m", "2", "--ms", "3", "--snr-db", "5", "--sls", "-4"], "--sls must be an integer >= 1"),
             (["roc", "--snr-db", "5", "--sls", "0"], "--sls must be an integer >= 1"),
+            (["roc", "--snr-db", "5", "--users", "0"], "--users must be an integer >= 1"),
+            (["roc", "--m", "2", "--ms", "3", "--snr-db", "5", "--users", "-3"], "--users must be an integer >= 1"),
+            (["roc", "--m", "2", "--ms", "3", "--snr-db", "5", "--fusion", "or", "--users", "0"],
+             "--users must be an integer >= 1"),
         ],
     )
     def test_exits_two_with_its_message(self, capsys, argv, message):
@@ -369,6 +373,24 @@ class TestParserBasics:
         )
         assert out.returncode == 0
         assert "specsense" in out.stdout
+
+    def test_closed_stdout_exits_141_without_a_traceback(self):
+        # a reader that stops after a few bytes, as `specsense roc ... | head
+        # -c 200` does; the 5000-row ROC overfills the pipe, so the write
+        # meets the closed end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "specsense.cli", "roc", "--u", "2", "--m", "2", "--ms", "3", "--snr-db", "5",
+             "--pf-grid", "1e-4:0.999:5000", "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(200)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert head.startswith(b'{"schema_version"')
+        assert err == b""
 
     def test_import_loads_no_oracle_modules(self):
         # the CLI must start without scipy.stats and scipy.integrate; the

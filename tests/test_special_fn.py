@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from specsense import special_fn
+from specsense.fading import FadingParams
 from specsense.special_fn import (
     ConvergenceError,
     digamma,
@@ -159,6 +160,42 @@ class TestTricomiU:
         for k in range(b.size):
             assert one_call[k] == ln_tricomi_u_grid(a, b[k : k + 1], z)[0]
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_node_blocks_change_no_bit(self, block, monkeypatch):
+        # blocks round up to 4 and 8 panels, whole groups of the four rows
+        # OpenBLAS's dgemv weighs together; the guarantee is for that BLAS,
+        # named in the message. The last channel has rows that need more
+        # refinement passes, so kept edge exponents are subset between
+        # passes too
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+        default = [ln_tricomi_u_grid(*_ladder_args(m, ms, db, 300)) for m, ms, db in _THREE_CHANNELS]
+        monkeypatch.setattr(special_fn, "_BLOCK", block)
+        for (m, ms, db), want in zip(_THREE_CHANNELS, default, strict=True):
+            got = ln_tricomi_u_grid(*_ladder_args(m, ms, db, 300))
+            assert got.tobytes() == want.tobytes(), f"{(m, ms, db)} under {blas}"
+
+    def test_dropped_panels_never_reach_a_bit(self, monkeypatch):
+        # the panels between e^-90 and e^-50 of the mode, which the drop
+        # rule skips, over the fingerprinted 120-row ladders and one 256-row
+        # block
+        cases = [(m, ms, db, 120) for m in (0.6, 1.0, 3.5, 20.0) for ms in (1.1, 2.7, 30.0, 300.0)
+                 for db in (-10.0, 0.0, 7.0, 15.0)] + [(2.0, 3.0, 5.0, 256)]
+        default = [ln_tricomi_u_grid(*_ladder_args(*case)) for case in cases]
+        monkeypatch.setattr(special_fn, "_DROP", 90.0)
+        for case, want in zip(cases, default, strict=True):
+            assert ln_tricomi_u_grid(*_ladder_args(*case)).tobytes() == want.tobytes(), case
+
+    def test_working_set_is_bounded(self):
+        args = _ladder_args(2.0, 3.0, 5.0, 256)
+        tracemalloc.start()
+        try:
+            ln_tricomi_u_grid(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
     def test_exponent_on_both_sides_of_its_switch(self):
         # ln(1 + e^y) changes form at y = 33; both forms agree with logaddexp
         y = np.tile(np.linspace(-60.0, 700.0, 2001), (2, 1))
@@ -268,6 +305,16 @@ class TestMarcumQ:
             marcum_q(2, -0.1, 1.0)
         with pytest.raises(ValueError):
             marcum_q(2, 1.0, -1.0)
+
+
+def _ladder_args(m, ms, db, rows):
+    """(a, b, z) of the first `rows` rows of the channel's series ladder,
+    as detection._ln_series_coeff passes them."""
+    p = FadingParams.from_db(m, ms, db)
+    return p.m + p.m_s, p.m_s - np.arange(float(rows)) + 1.0, p.snr_scale
+
+
+_THREE_CHANNELS = ((2.0, 3.0, 5.0), (0.6, 1.1, -10.0), (1.5, 6600.0, 22.0))
 
 
 def test_convergence_error_is_arithmetic_error():

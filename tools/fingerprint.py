@@ -16,9 +16,15 @@ all keys, so a change can say how far its numbers moved. It exits 1 if any
 key differs. Covered:
 
 - every output of two `figure_sweep` rounds at seed 41
+- the threshold and Pd of each of the 40 queries of one `pd_scatter` round
+  at seed 41, every one on a fresh channel
 - selftest criterion 4's (Pd, terms) and quadrature value at all 240 points
 - the coefficient ladder, 120 rows, of m in {0.6, 1, 3.5, 20} x m_s in
   {1.1, 2.7, 30, 300} x {-10, 0, 7, 15} dB
+- `average_pd` at u = 2, Pf = 0.01 over m in {0.5, 1, 2, 4, 20} x {-10, 0,
+  10, 20} dB x m_s in {1e4, 2e4, 5e4, 1e5, 1 + 1e-6}, the edge where the
+  ladder quadrature stops converging: each value, or its
+  `ConvergenceError` message
 - `snr_pdf` and `envelope_pdf` on grids that include t = 0, for km < 1,
   km = 1 and km > 1, scalar calls with their return type, and the
   negative-argument error messages
@@ -147,6 +153,9 @@ def _collect(root: str) -> dict[str, list]:
         for i, op in enumerate(sweep.round_ops(r)):
             out[f"figure_sweep/{r}/{i}/{op.kind}"] = (op.fn())
 
+    for i, op in enumerate(workloads.PdScatter(41).round_ops(0)):
+        out[f"pd_scatter/0/{i}/{op.kind}"] = op.fn()
+
     for i, (cfg, p) in enumerate(acceptance._criterion4_grid()):
         value, terms, _ = detection.average_pd_detail(cfg, p)
         quad = detection.average_pd_quadrature(cfg, p)
@@ -157,6 +166,16 @@ def _collect(root: str) -> dict[str, list]:
             for db in (-10.0, 0.0, 7.0, 15.0):
                 p = fading.FadingParams.from_db(m, ms, db)
                 out[f"ladder/{m}/{ms}/{db}"] = (detection._ladder(p, 120)[:120].copy())
+
+    cfg = detection.DetectorConfig(2, detection.threshold_for_pfa(2, 0.01))
+    for ms in (1e4, 2e4, 5e4, 1e5, 1.0 + 1e-6):
+        for m in (0.5, 1.0, 2.0, 4.0, 20.0):
+            for db in (-10.0, 0.0, 10.0, 20.0):
+                try:
+                    value = detection.average_pd(cfg, fading.FadingParams.from_db(m, ms, db))
+                except special_fn.ConvergenceError as exc:
+                    value = f"ConvergenceError: {exc}"
+                out[f"convergence_edge/{m}/{ms}/{db}"] = value
 
     memos = {id(v): v for mod in (special_fn, detection) for v in vars(mod).values()
              if isinstance(v, special_fn._Memo)}.values()
