@@ -35,21 +35,20 @@ and independent of how the arrays were built.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .detection import _ladder
+from .detection import _ladder, _u_tables
 from .fading import FadingParams
 from .special_fn import _ln_factorials, check_count, poisson_pmf
 
 __all__ = ["auc_instantaneous", "auc_average"]
 
 
-@functools.lru_cache(maxsize=64)
-def _weights(u: int):
-    """(w, ln i!) for i = 0..u-1, with w_i = P(Binomial(2u-1, 1/2) >= u+i).
+def _weights(u: int) -> np.ndarray:
+    """Rows (w, ln i!) for i = 0..u-1, with w_i = P(Binomial(2u-1, 1/2) >=
+    u+i); the area functions keep them in detection._u_tables.
 
     The binomial masses at k = u..2u-1, relative to the one at k = u,
     follow from their ratios (2u-1-k)/(k+1). w is their reversed cumsum,
@@ -59,11 +58,7 @@ def _weights(u: int):
     k = np.arange(u, 2 * u - 1, dtype=float)
     mass = np.cumprod(np.concatenate(([1.0], (2 * u - 1 - k) / (k + 1.0))))
     tail = np.cumsum(mass[::-1])[::-1]
-    w = 0.5 * (tail / tail[0])
-    ln_fact = _ln_factorials(0, u - 1)
-    for table in (w, ln_fact):
-        table.setflags(write=False)
-    return w, ln_fact
+    return np.stack((0.5 * (tail / tail[0]), _ln_factorials(0, u - 1)))
 
 
 def auc_instantaneous(u: int, gamma: float) -> float:
@@ -79,7 +74,7 @@ def auc_instantaneous(u: int, gamma: float) -> float:
     x = 0.5 * gamma
     if x == 0.0:
         return 0.5
-    w, ln_fact = _weights(u)
+    w, ln_fact = _u_tables.get(("auc", u), _weights, u)
     return 1.0 - math.fsum((w * poisson_pmf(x, 0, u - 1, 0, u - 1, ln_fact)).tolist())
 
 
@@ -93,6 +88,6 @@ def auc_average(u: int, p: FadingParams) -> float:
     bit whatever the cache held.
     """
     u = check_count(u)
-    w, _ = _weights(u)
+    w = _u_tables.get(("auc", u), _weights, u)[0]
     half = FadingParams(p.m, p.m_s, 0.5 * p.mean_snr)
     return 1.0 - math.fsum((w * _ladder(half, u)[:u]).tolist())

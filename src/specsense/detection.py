@@ -5,7 +5,8 @@ vectorized call for pd_awgn and the AWGN ROC alike), the average detection
 probability over F composite fading via a confluent hypergeometric series,
 collaborative OR/AND fusion, square-law selection diversity, worst-case
 noise-power uncertainty, and ROC generation. The Poisson tables of both
-ROCs, and the memo that keeps them per threshold grid, live in special_fn.
+ROCs, and the memo that keeps them per threshold grid, live in special_fn;
+_u_tables keeps the tables that depend on u alone, and grid thresholds.
 
 The average-Pd series here is the exact complementary rearrangement of the
 direct Tricomi-U expansion: using the normalization identity
@@ -30,7 +31,6 @@ c_n P(u+n, lam/2) over n < N along each row of a table of the tails P.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -192,24 +192,22 @@ _MAX_HALLEY = 20
 _NEAR_ONE = 1e-6
 
 
-@functools.lru_cache(maxsize=64)
-def _poisson_tables(u: int):
-    """Per-u tables for _thresholds: ((c, e) of Q, (c, e) of P, ln (u-1)!,
-    ln u!).
+# _halley_table's and auc._weights' tables and the thresholds of unit-Pf
+# grids, keyed ("halley", u), ("auc", u) and ("grid", u, bytes of the grid):
+# 16 KB for the paper's figures, and 160-180 KB per table at u = 1e4.
+_u_tables = _Memo(1 << 20)
 
-    With w(x) = sum_i exp(c_i + e_i ln x), both tails are pmf(u-1; x) w(x):
-    Q(u, x) for c = ln((u-1)!/k!), e = k-u+1 over k < u, and P(u, x) for
-    c = -ln((u-1+j)!/(u-1)!), e = j over 1 <= j <= 10 sqrt(u) + 20, which
-    leaves out less than 1e-21 of P wherever x <= u.
+
+def _halley_table(u: int) -> np.ndarray:
+    """Rows (c, e) of _thresholds' terms over k = 0..u+J-1, with J =
+    ceil(10 sqrt(u)) + 20: c_k = ln((u-1)!/k!) and e_k = k-u+1.
+
+    With w(x) = sum_k exp(c_k + e_k ln x) over a slice of k, both tails are
+    pmf(u-1; x) w(x): Q(u, x) over k < u, and P(u, x) over k >= u, where the
+    J terms leave out less than 1e-21 of P wherever x <= u.
     """
-    ln_top = math.lgamma(u)
-    k = np.arange(u, dtype=float)
-    j = np.arange(1.0, math.ceil(10.0 * math.sqrt(u)) + 21.0)
-    q_form = (ln_top - _ln_factorials(0, u - 1), k - (u - 1.0))
-    p_form = (ln_top - _ln_factorials(u, u + j.shape[0] - 1), j)
-    for table in q_form + p_form:
-        table.setflags(write=False)
-    return q_form, p_form, ln_top, math.lgamma(u + 1.0)
+    k = np.arange(u + math.ceil(10.0 * math.sqrt(u)) + 20, dtype=float)
+    return np.stack((math.lgamma(u) - _ln_factorials(0, k.shape[0] - 1), k - (u - 1.0)))
 
 
 def _thresholds(u: int, pf) -> np.ndarray:
@@ -224,26 +222,27 @@ def _thresholds(u: int, pf) -> np.ndarray:
     converge.
     """
     pf = np.array(pf, dtype=float, ndmin=1)
-    q_form, p_form, ln_top, ln_ufact = _poisson_tables(u)
+    table, ln_top = _u_tables.get(("halley", u), _halley_table, u), math.lgamma(u)
     ln_pf = np.log(pf)
     ln_pq = np.log1p(-pf)
     t = np.sqrt(-2.0 * np.minimum(ln_pf, ln_pq))
     z = np.copysign(t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t)), 0.5 - pf)
     x = u * (1.0 - 1.0 / (9.0 * u) + z / (3.0 * math.sqrt(u))) ** 3  # < 0 falls to the floor
-    x = np.maximum(x, np.exp((ln_ufact + ln_pq) / u))
+    x = np.maximum(x, np.exp((math.lgamma(u + 1.0) + ln_pq) / u))
 
     lam = np.empty_like(x)
     near = pf > 1.0 - _NEAR_ONE
-    forms = ((~near, q_form, -1.0, ln_pf), (near, p_form, 1.0, ln_pq))
-    for sel, (c, e), sign, ln_target in forms:
+    forms = ((~near, slice(0, u), -1.0, ln_pf), (near, slice(u, None), 1.0, ln_pq))
+    for sel, cols, sign, ln_target in forms:
         if sel.any():
+            c, e = table[0, cols], table[1, cols]
             lam[sel] = 2.0 * _halley(u, x[sel], ln_top + ln_target[sel], c, e, sign, pf[sel])
     return lam
 
 
 def _halley(u: int, x, shift, c, e, sign: float, pf) -> np.ndarray:
     """Root of f(x) = (u-1) ln x - x + ln w(x) - shift, that is
-    ln(pmf(u-1; x) w(x)) = shift - ln (u-1)!, with w from _poisson_tables.
+    ln(pmf(u-1; x) w(x)) = shift - ln (u-1)!, with w from _halley_table.
 
     f' = r = sign/w, where sign is -1 for the Q form and +1 for the P form,
     and f'' = r ((u-1)/x - 1 - r). Each entry stops once its own step is
@@ -438,7 +437,9 @@ def truncation_bound(cfg: DetectorConfig, p: FadingParams, t0: int, closed_form:
     average_pd_detail's terms N is the first point of its stop schedule
     where this is at most rel_tol, so truncation_bound(cfg, p, N) is the
     certified remainder of the value it returns. P(u+t0, x) keeps its
-    relative accuracy past the series' own Poisson table.
+    relative accuracy past the series' own Poisson table. Below about 1e-16
+    the factor 1 - C_{t0-1} is rounding, and where it rounds below 0 the
+    bound reads 0.0.
 
     With closed_form=True this evaluates the fully closed-form bound of the
     direct series, whose rearrangement contains the factor 1F0(m;;1) =
@@ -455,7 +456,7 @@ def truncation_bound(cfg: DetectorConfig, p: FadingParams, t0: int, closed_form:
     tail = _reg_p_int_shapes(cfg.u + t0, 1, 0.5 * lam_eff)[0]
     if tail == 0.0:
         return 0.0
-    return float(tail * (1.0 - np.cumsum(_ladder(p, t0)[:t0])[-1]))
+    return float(tail * max(1.0 - np.cumsum(_ladder(p, t0)[:t0])[-1], 0.0))
 
 
 def _log_axis_miss(u: int, lam_eff: float, m: float, ln_norm: float, s_mode: float, ln_decay):
@@ -590,13 +591,11 @@ def sls_average_pd(cfg: DetectorConfig, branch_params) -> float:
     return float(_sls_batch(cfg.u, [cfg.effective_threshold], branch_params)[0])
 
 
-@functools.lru_cache(maxsize=32)
 def _grid_thresholds(u: int, unit_pf: bytes) -> np.ndarray:
-    """_thresholds of a unit-Pf grid given by its float64 bytes, read-only;
-    the paper's figures sweep many channels over a few (u, grid) pairs."""
-    lams = _thresholds(u, np.frombuffer(unit_pf))
-    lams.setflags(write=False)
-    return lams
+    """_thresholds of a unit-Pf grid given by its float64 bytes, read-only
+    and kept in _u_tables; the paper's figures sweep many channels over a
+    few (u, grid) pairs."""
+    return _u_tables.get(("grid", u, unit_pf), _thresholds, u, np.frombuffer(unit_pf))
 
 
 def _roc_units(channel, fusion: str, n_users: int):

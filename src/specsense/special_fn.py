@@ -6,8 +6,8 @@ Tricomi confluent hypergeometric function on a log grid, every Poisson(x)
 table over a threshold grid, and the generalized Marcum Q as a Poisson
 mixture of gamma tails, vectorized over the threshold. A grid's SNR-free
 tables, the F-fading series' upper tails P(u+i, x) and marcum_q_grid's
-lower running sums, share one byte-bounded memo, _tails (a _Memo, as is
-detection's ladder cache). Log-gammas come from math.lgamma, those of
+lower running sums, share one byte-bounded memo, _tails (a _Memo, as are
+detection's two caches). Log-gammas come from math.lgamma, those of
 j! < 2048 tabulated once. At zero noncentrality the Marcum Q is the
 integer-order gamma tail Q(u, x), so the false-alarm probability is the
 same Poisson-table sum. numpy supplies the node arrays for the Tricomi
@@ -57,13 +57,17 @@ class _Memo:
         self._tables: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key) -> np.ndarray | None:
-        """The array kept under key, else None."""
-        with self._lock:
-            if key in self._tables:
+    def get(self, key, build=None, *args) -> np.ndarray | None:
+        """The array under key; else build(*args)'s, now kept, or None without build."""
+        self._lock.acquire()  # cheaper than `with` on a warm hit
+        try:
+            table = self._tables.get(key)
+            if table is not None:
                 self._tables.move_to_end(key)
-                return self._tables[key]
-        return None
+                return table
+        finally:
+            self._lock.release()
+        return None if build is None else self.put(key, build(*args))
 
     def put(self, key, table: np.ndarray) -> np.ndarray:
         """Keep table read-only under key unless a longer one is; return the kept one."""

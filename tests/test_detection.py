@@ -20,6 +20,7 @@ from scipy import integrate, special, stats
 
 from specsense import detection, special_fn
 from specsense.acceptance import _criterion4_grid
+from specsense.auc import auc_instantaneous
 from specsense.detection import (
     DetectorConfig,
     RocCurve,
@@ -233,27 +234,20 @@ class TestThresholdInversion:
             assert lam > 0.0
             assert abs(special.gammainc(u, 0.5 * lam) - (1.0 - pf)) <= 1e-11 * (1.0 - pf)
 
-    def test_tables_take_ln_factorials_from_one_source(self, monkeypatch):
-        # the tables as list comprehensions over math.lgamma, and the
-        # thresholds they give, bit for bit
+    def test_tables_take_ln_factorials_from_one_source(self, monkeypatch, cold_ladders):
+        # the table as list comprehensions over math.lgamma, and the
+        # thresholds it gives, bit for bit
         def reference(u):
-            ln_top = math.lgamma(u)
-            k = np.arange(u, dtype=float)
-            j = np.arange(1.0, math.ceil(10.0 * math.sqrt(u)) + 21.0)
-            q_form = (np.array([ln_top - math.lgamma(v + 1.0) for v in k]), k - (u - 1.0))
-            p_form = (np.array([ln_top - math.lgamma(u + v) for v in j]), j)
-            return q_form, p_form, ln_top, math.lgamma(u + 1.0)
+            k = range(u + math.ceil(10.0 * math.sqrt(u)) + 20)
+            return np.array([[math.lgamma(u) - math.lgamma(v + 1.0) for v in k], [v - u + 1.0 for v in k]])
 
         grid = np.concatenate((np.geomspace(1e-15, 0.999, 60), [1.0 - 1e-7, 1.0 - 1e-13]))
         us = (1, 2, 8, 32, 336)
         got = {u: detection._thresholds(u, grid) for u in us}
         for u in us:
-            (qc, qe), (pc, pe), ln_top, ln_ufact = detection._poisson_tables(u)
-            (rqc, rqe), (rpc, rpe), r_top, r_ufact = reference(u)
-            for have, want in ((qc, rqc), (qe, rqe), (pc, rpc), (pe, rpe)):
-                assert np.array_equal(have, want)
-            assert (ln_top, ln_ufact) == (r_top, r_ufact)
-        monkeypatch.setattr(detection, "_poisson_tables", reference)
+            assert np.array_equal(detection._halley_table(u), reference(u))
+        monkeypatch.setattr(detection, "_halley_table", reference)
+        detection._u_tables.clear()
         for u in us:
             assert np.array_equal(detection._thresholds(u, grid), got[u])
 
@@ -566,6 +560,13 @@ class TestPartialSums:
             after = _ladder_rows(CH)
             assert after <= before
 
+    def test_bound_is_never_negative(self):
+        # 1 - C_{N-1} is rounding once the ladder sums to 1, and it rounded
+        # below 0 at six criterion-4 points, u=3, m=20, m_s=30 at 0 dB with
+        # N=31 the lowest at -1.75e-30
+        for cfg, p in _criterion4_grid():
+            assert truncation_bound(cfg, p, average_pd_detail(cfg, p)[1]) >= 0.0, (cfg, p)
+
     def test_zero_threshold_leaves_no_remainder(self):
         assert truncation_bound(DetectorConfig(2, 0.0), CH, 10) == 0.0
 
@@ -750,8 +751,7 @@ class TestRocCurve:
                 arr[0] = 0.5
         assert grid.flags.writeable
 
-    def test_each_grid_is_inverted_once(self, monkeypatch):
-        detection._grid_thresholds.cache_clear()
+    def test_each_grid_is_inverted_once(self, monkeypatch, cold_ladders):
         calls = []
         invert = detection._thresholds
 
@@ -1056,6 +1056,25 @@ class TestMemo:
         assert memo.get("b") is big and memo.nbytes == 800 > memo.budget
         built = memo.put("c", np.ones(2))
         assert memo.get("b") is None and memo.get("c") is built and memo.nbytes == 16
+
+
+class TestUTables:
+    def test_retained_bytes_stay_within_the_budget(self, cold_ladders):
+        # 40 inversions and 40 areas at distinct u past 1e4 build 80 tables
+        # of 160-340 KB; counted by entries rather than bytes, they all stayed
+        tracemalloc.start()
+        try:
+            for u in range(10_000, 20_000, 250):
+                threshold_for_pfa(u, 0.01)
+                auc_instantaneous(u, 0.5 * u)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        memo = detection._u_tables
+        tables = _memo_tables(memo)
+        assert 1 < len(tables) < 80 and memo.budget == 1 << 20
+        assert memo.nbytes == sum(t.nbytes for t in tables) <= memo.budget
+        assert retained <= memo.budget + max(t.nbytes for t in tables)
 
 
 class TestGridPmfMemo:

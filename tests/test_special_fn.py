@@ -152,13 +152,25 @@ class TestTricomiU:
 
     def test_grid_rows_do_not_depend_on_their_neighbours(self):
         # series ladder of the channel m=1.5, m_s=6600 at 22 dB, where a few
-        # rows need one more refinement pass than the rest
+        # rows need one more refinement pass than the rest, row by row
         m, ms = 1.5, 6600.0
         a, z = m + ms, (ms - 1.0) * 10.0 ** 2.2 / m
         b = ms - np.arange(300.0) + 1.0
         one_call = ln_tricomi_u_grid(a, b, z)
         for k in range(b.size):
             assert one_call[k] == ln_tricomi_u_grid(a, b[k : k + 1], z)[0]
+        # the ladder memo keeps the longest ladder, so a row must not depend
+        # on how many rows its call had, which rests on the BLAS: 20 ladders
+        # over pd_scatter's ranges (m in [0.6, 20], m_s - 1 in [0.05, 30],
+        # -5..15 dB), each split in two at a random row
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            m, ms = 0.6 * (20.0 / 0.6) ** rng.random(), 1.0 + 0.05 * 600.0 ** rng.random()
+            db = rng.uniform(-5.0, 15.0)
+            a, b, z = _ladder_args(m, ms, db, int(rng.integers(64, 700)))
+            k = int(rng.integers(1, b.size))
+            split = np.concatenate((ln_tricomi_u_grid(a, b[:k], z), ln_tricomi_u_grid(a, b[k:], z)))
+            assert split.tobytes() == ln_tricomi_u_grid(a, b, z).tobytes(), (m, ms, db, k)
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_node_blocks_change_no_bit(self, block, monkeypatch):

@@ -18,7 +18,8 @@ key differs. Covered:
 - every output of two `figure_sweep` rounds at seed 41
 - the threshold and Pd of each of the 40 queries of one `pd_scatter` round
   at seed 41, every one on a fresh channel
-- selftest criterion 4's (Pd, terms) and quadrature value at all 240 points
+- selftest criterion 4's (Pd, terms) and quadrature value at all 240 points,
+  and `truncation_bound` at each point's terms
 - the coefficient ladder, 120 rows, of m in {0.6, 1, 3.5, 20} x m_s in
   {1.1, 2.7, 30, 300} x {-10, 0, 7, 15} dB
 - `average_pd` at u = 2, Pf = 0.01 over m in {0.5, 1, 2, 4, 20} x {-10, 0,
@@ -160,6 +161,7 @@ def _collect(root: str) -> dict[str, list]:
         value, terms, _ = detection.average_pd_detail(cfg, p)
         quad = detection.average_pd_quadrature(cfg, p)
         out[f"criterion4/{i}"] = ((value, terms, quad))
+        out[f"truncation_bound/{i}"] = detection.truncation_bound(cfg, p, terms)
 
     for m in (0.6, 1.0, 3.5, 20.0):
         for ms in (1.1, 2.7, 30.0, 300.0):
