@@ -20,13 +20,19 @@ before u-i failures, that is within 2u-1 trials. The weights depend on u
 alone and cost O(u): a ratio recurrence for the binomial masses and a
 reversed cumsum. w_0 = 1/2, so A(0) = 1/2.
 
+Both sums stop at K, the first i with w_i <= 1e-20. The weights fall and
+the Poisson weights they meet sum to at most 1, so the terms left out add
+at most w_K <= 1e-20. By Hoeffding w_i <= exp(-2(i+1/2)^2/(2u-1)), so K
+is below 7 sqrt(u): 655 at u = 1e4. Up to u = 33 every w_i passes 1e-20,
+and K = u.
+
 Averaging over F composite fading only replaces Pois(i; gamma/2) by its
 fading average E[Pois(i; gamma/2)]. gamma/2 is the SNR of the same channel
 at half the mean SNR, so that average is c_i, the i-th coefficient of the
 half-SNR channel's series ladder (detection._ladder), which holds exactly
 the fading-averaged Poisson weights c_n = E[Pois(n; gamma)]. The AUC then
 shares the ladder cache with average_pd and the ROCs: a warm call is a
-u-term dot product, and a cold one builds u ladder rows.
+K-term dot product, and a cold one builds K ladder rows.
 
 Both sums weigh probabilities by 0 <= w_i <= 1/2, so the areas lie in
 [1/2, 1] without clipping. They are taken by math.fsum, correctly rounded
@@ -47,8 +53,9 @@ __all__ = ["auc_instantaneous", "auc_average"]
 
 
 def _weights(u: int) -> np.ndarray:
-    """Rows (w, ln i!) for i = 0..u-1, with w_i = P(Binomial(2u-1, 1/2) >=
-    u+i); the area functions keep them in detection._u_tables.
+    """Rows (w, ln i!) for i = 0..K-1, with w_i = P(Binomial(2u-1, 1/2) >=
+    u+i) and K the first i where w_i <= 1e-20, or u; the area functions
+    keep them in detection._u_tables.
 
     The binomial masses at k = u..2u-1, relative to the one at k = u,
     follow from their ratios (2u-1-k)/(k+1). w is their reversed cumsum,
@@ -58,12 +65,14 @@ def _weights(u: int) -> np.ndarray:
     k = np.arange(u, 2 * u - 1, dtype=float)
     mass = np.cumprod(np.concatenate(([1.0], (2 * u - 1 - k) / (k + 1.0))))
     tail = np.cumsum(mass[::-1])[::-1]
-    return np.stack((0.5 * (tail / tail[0]), _ln_factorials(0, u - 1)))
+    w = 0.5 * (tail / tail[0])
+    count = np.count_nonzero(w > 1e-20)  # w falls, so these are its first
+    return np.stack((w[:count], _ln_factorials(0, count - 1)))
 
 
 def auc_instantaneous(u: int, gamma: float) -> float:
     """Area under the AWGN ROC at SNR gamma:
-    1 - sum_{i<u} w_i(u) Pois(i; gamma/2).
+    1 - sum_{i<K} w_i(u) Pois(i; gamma/2), within 1e-20 of the u-term sum.
 
     Runs from exactly 0.5 (the chance line, gamma = 0, or gamma/2
     underflowing to 0) toward 1 as the SNR grows.
@@ -75,13 +84,15 @@ def auc_instantaneous(u: int, gamma: float) -> float:
     if x == 0.0:
         return 0.5
     w, ln_fact = _u_tables.get(("auc", u), _weights, u)
-    return 1.0 - math.fsum((w * poisson_pmf(x, 0, u - 1, 0, u - 1, ln_fact)).tolist())
+    top = w.shape[0] - 1
+    return 1.0 - math.fsum((w * poisson_pmf(x, 0, top, 0, top, ln_fact)).tolist())
 
 
 def auc_average(u: int, p: FadingParams) -> float:
     """Area under the ROC averaged over F composite fading:
-    1 - sum_{i<u} w_i(u) c_i, with c_i = E[Pois(i; gamma/2)] the first u
-    coefficients of the channel at half the mean SNR.
+    1 - sum_{i<K} w_i(u) c_i, with c_i = E[Pois(i; gamma/2)] the first K
+    coefficients of the channel at half the mean SNR; within w_K (1 -
+    C_{K-1}) <= 1e-20 of the u-term sum.
 
     The coefficients come from the shared ladder cache, and ladder rows do
     not depend on which block built them, so the result is the same bit for
@@ -90,4 +101,4 @@ def auc_average(u: int, p: FadingParams) -> float:
     u = check_count(u)
     w = _u_tables.get(("auc", u), _weights, u)[0]
     half = FadingParams(p.m, p.m_s, 0.5 * p.mean_snr)
-    return 1.0 - math.fsum((w * _ladder(half, u)[:u]).tolist())
+    return 1.0 - math.fsum((w * _ladder(half, w.shape[0])[: w.shape[0]]).tolist())

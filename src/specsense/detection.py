@@ -6,7 +6,8 @@ probability over F composite fading via a confluent hypergeometric series,
 collaborative OR/AND fusion, square-law selection diversity, worst-case
 noise-power uncertainty, and ROC generation. The Poisson tables of both
 ROCs, and the memo that keeps them per threshold grid, live in special_fn;
-_u_tables keeps the tables that depend on u alone, and grid thresholds.
+_u_tables keeps the tables that depend on u alone, grid thresholds, and
+each grid's stop vectors per channel.
 
 The average-Pd series here is the exact complementary rearrangement of the
 direct Tricomi-U expansion: using the normalization identity
@@ -23,9 +24,13 @@ decay from the Poisson-like factor P(n+u, lam/2) once n passes lam/2.
 
 With c_n the coefficients (they sum to 1) and C_k their running sum, the
 remainder after N terms is at most P(N+u, lam/2) (1 - C_{N-1}), because P
-falls in its shape; truncation_bound returns it. The series stops at the
-first N of a fixed schedule where that bound is at most
-SeriesControl.rel_tol, and is summed directly, as one running sum of
+falls in its shape; truncation_bound returns it. The c_n are the
+fading-averaged Poisson weights E[Pois(n; g)], so 1 - C_{N-1} is at most
+a closed-form Markov bound in the F law's moments E[g^k], k < m_s. The
+series is first tested at the first N where P(u+N, lam/2) times that
+bound is at most SeriesControl.rel_tol, an N that grows like sqrt(u), and
+then on a schedule of growing steps until the remainder bound itself is
+at most rel_tol. It is summed directly, as one running sum of
 c_n P(u+n, lam/2) over n < N along each row of a table of the tails P.
 """
 
@@ -170,11 +175,16 @@ def pfa(cfg: DetectorConfig) -> float:
 
 def threshold_for_pfa(u: int, target_pfa: float) -> float:
     """Threshold lambda whose false-alarm probability Q(u, lambda/2) is the
-    target to double-precision relative accuracy.
+    target to a relative accuracy that is near double precision at small u
+    and degrades as u grows.
 
     Inverts the closed-form integer-u tail Q(u, x) = e^{-x} sum_{k<u} x^k/k!
     by Halley's method (see _thresholds), so the contract is relative all
-    the way down to targets of 1e-15 and below.
+    the way down to targets of 1e-15 and below. Its terms exp(c_k + e_k ln x)
+    have exponents of order u ln u, whose rounding leaves a relative error
+    of about u ln u times the double epsilon: at Pf = 0.01 the true Pf of
+    the returned threshold is off by 6e-13, 6e-12 and 8e-11 relative at
+    u = 1e3, 1e4 and 1e5 (against mpmath at 40 digits).
     """
     check_count(u)
     if not 0.0 < target_pfa < 1.0:
@@ -192,9 +202,11 @@ _MAX_HALLEY = 20
 _NEAR_ONE = 1e-6
 
 
-# _halley_table's and auc._weights' tables and the thresholds of unit-Pf
-# grids, keyed ("halley", u), ("auc", u) and ("grid", u, bytes of the grid):
-# 16 KB for the paper's figures, and 160-180 KB per table at u = 1e4.
+# _halley_table's and auc._weights' tables, the thresholds of unit-Pf grids
+# and the stop vectors of _series_batch, keyed ("halley", u), ("auc", u),
+# ("grid", u, bytes of the grid) and ("stops", u, bytes of x, channel, ctl):
+# 223 KB for the paper's figures, keys included, 160-180 KB per
+# Halley table at u = 1e4 and 10 KB per AUC table there.
 _u_tables = _Memo(1 << 20)
 
 
@@ -304,10 +316,12 @@ def _ln_series_coeff(p: FadingParams, start: int, stop: int) -> np.ndarray:
     return ln_c + ln_g + ln_u
 
 
-# Stop schedule: a series is tested for convergence after b_0 = ceil(x +
-# 4 sqrt(x)) + _MIN_BLOCK terms, its Poisson bulk, and then after b_{k+1} =
-# b_k + min(max(_MIN_BLOCK, b_k // 2), _MAX_BLOCK) terms, so a slow series
-# needs few tests and overshoots by at most _MAX_BLOCK rows. _ladder builds
+# Stop schedule: a series is tested for convergence first at b_0, the first
+# N where P(u+N, x) B(N) <= rel_tol, with B(N) >= 1 - C_{N-1} the closed-form
+# bound of _ladder_tail_bound, and then after b_{k+1} = b_k + min(max(
+# _MIN_BLOCK, b_k // 2), _MAX_BLOCK) terms. b_0 reads the row's tail table and
+# the channel's F-law moments, so it follows both u and the channel, and the
+# check against the ladder itself rarely needs a second point. _ladder builds
 # at most _MAX_BLOCK rows per quadrature call, which bounds its temporaries.
 _MIN_BLOCK = 16
 _MAX_BLOCK = 256
@@ -336,35 +350,57 @@ def _ladder(p: FadingParams, rows: int) -> np.ndarray:
     return _ladders.put(p, np.concatenate(blocks))
 
 
-def _stops(u: int, lam_effs, upper, p: FadingParams, ctl: SeriesControl):
-    """(N, c): the terms each row of the Poisson-tail table upper sums, and
-    the channel's ladder c, max(N) long.
+def _ladder_tail_bound(p: FadingParams, width: int) -> np.ndarray:
+    """B(N) >= 1 - C_{N-1} = Pr[Pois(g) >= N] for N = 0..width-1, g the
+    channel's SNR: min(1, min over integers k < m_s, k <= N of E[g^k]/(N)_k).
+
+    That is Markov's inequality on the falling factorial (X)_k, whose mean is
+    E[g^k] for the mixed Poisson X, with the F law's moments E[g^k] =
+    z^k Gamma(m+k) Gamma(m_s-k)/(Gamma(m) Gamma(m_s)). The k+1 bound is
+    the k bound times r_k/(N-k), with r_k = E[g^{k+1}]/E[g^k] =
+    z(m+k)/(m_s-1-k), so it is the smaller one while N > k + r_k. As
+    k + r_k rises with k, the least bound lies at k = the number of j with
+    N > j + r_j. O(width) time and memory.
+    """
+    m, a, z = p.m, p.m_s - 1.0, p.snr_scale
+    j = np.arange(min(width - 1, math.ceil(p.m_s) - 1), dtype=float)
+    ratio = z * (m + j) / (a - j)
+    n = np.arange(width)
+    k = (j + ratio).searchsorted(n)
+    ln_moment = np.zeros(j.shape[0] + 1)
+    np.log(ratio).cumsum(out=ln_moment[1:])
+    ln_fact = _ln_factorials(0, width - 1)
+    return np.exp(ln_moment[k] - ln_fact + ln_fact[n - k])
+
+
+def _stops(u: int, lam_effs, upper, p: FadingParams, ctl: SeriesControl) -> np.ndarray:
+    """N, the terms each row of the Poisson-tail table upper sums.
 
     N is the first point of the row's schedule, capped at ctl.max_terms,
     where P(u+N, x) (1 - C_{N-1}) <= ctl.rel_tol; upper's last column is 0,
-    the tail past every row's top. N reads the row's own x and the ladder
-    alone, not the other rows or the cached length. Raises ConvergenceError
-    naming u, lambda and the channel if a row fails at ctl.max_terms.
+    the tail past every row's top, so every row has a first point. N reads
+    the row's own x and the ladder alone, not the other rows or the cached
+    length. Raises ConvergenceError naming u, lambda and the channel if a
+    row fails at ctl.max_terms.
     """
-    x = 0.5 * lam_effs
-    n = np.minimum(np.ceil(x + 4.0 * np.sqrt(x)) + _MIN_BLOCK, ctl.max_terms).astype(int)
-    todo = np.arange(n.shape[0])
+    bound = _ladder_tail_bound(p, upper.shape[1])[1:]
+    n = np.minimum(np.argmax(upper[:, 1:] * bound <= ctl.rel_tol, axis=1) + 1, ctl.max_terms)
+    rows = np.arange(n.shape[0])
     while True:
-        k = n[todo]
-        coeff = _ladder(p, int(n.max()))[: n.max()]
-        csum = np.cumsum(coeff)
-        tail = upper[todo, np.minimum(k, upper.shape[1] - 1)]
-        todo = todo[tail * (1.0 - csum[k - 1]) > ctl.rel_tol]
-        if not todo.shape[0]:
-            return n, coeff
-        k = n[todo]
+        top = int(n.max())
+        csum = np.cumsum(_ladder(p, top)[:top])
+        tail = upper[rows, np.minimum(n, upper.shape[1] - 1)]
+        short = tail * (1.0 - csum[n - 1]) > ctl.rel_tol  # a row that passed stays passed
+        if not short.any():
+            return n
+        k = n[short]
         if k.max() >= ctl.max_terms:
             raise ConvergenceError(
                 f"average_pd series did not converge within {ctl.max_terms} terms "
-                f"(u={u}, lam={lam_effs[todo[k.argmax()]]}, m={p.m}, m_s={p.m_s}, "
+                f"(u={u}, lam={lam_effs[short][k.argmax()]}, m={p.m}, m_s={p.m_s}, "
                 f"snr={p.mean_snr})"
             )
-        n[todo] = np.minimum(k + np.clip(k // 2, _MIN_BLOCK, _MAX_BLOCK), ctl.max_terms)
+        n[short] = np.minimum(k + np.clip(k // 2, _MIN_BLOCK, _MAX_BLOCK), ctl.max_terms)
 
 
 def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
@@ -372,9 +408,11 @@ def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
 
     The complementary series miss = sum_{n<N} c_n P(u+n, x), on the
     channel's cached ladder c, is one running sum along each row of the
-    grid's tail table from special_fn._tail_tables, with N from _stops.
-    Every reduction is a running sum, so a row equals its single-threshold
-    call whatever the other rows, the table's slicing or the cache history.
+    grid's tail table from special_fn._tail_tables, with N from _stops. A
+    grid whose table is kept keeps its N per channel and ctl in _u_tables,
+    so a warm ROC runs no _stops; a single threshold keeps nothing. Every
+    reduction is a running sum, so a row equals its single-threshold call
+    whatever the other rows, the table's slicing or the cache history.
 
     Returns (pd array, terms_used array, last_term array), with last_term
     c_{N-1} P(u+N-1, x).
@@ -384,12 +422,19 @@ def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
     used = np.zeros(lam_effs.shape[0], dtype=int)
     last = np.zeros(lam_effs.shape[0])
     live = np.nonzero(lam_effs > 0.0)[0]
-    for lo, upper in _tail_tables(u, 0.5 * lam_effs[live, None]):
+    x = 0.5 * lam_effs[live, None]
+    for lo, upper in _tail_tables(u, x):
         rows = live[lo : lo + upper.shape[0]]
-        n, coeff = _stops(u, lam_effs[rows], upper, p, ctl)
+        if 1 < upper.shape[0] == x.shape[0]:  # a whole grid, whose table is kept
+            key = ("stops", u, x.tobytes(), p, ctl)
+            n = _u_tables.get(key, _stops, u, lam_effs[rows], upper, p, ctl)
+        else:
+            n = _stops(u, lam_effs[rows], upper, p, ctl)
+        top = int(n.max())
+        coeff = _ladder(p, top)
         # P is 0 past the table, so the sum stops at its last column
         k = np.arange(rows.shape[0])
-        cols = min(upper.shape[1], int(n.max()))
+        cols = min(upper.shape[1], top)
         miss = np.cumsum(upper[:, :cols] * coeff[:cols], axis=1)[k, np.minimum(n, cols) - 1]
         if miss.max() > 1.0 + 1e-9:
             raise ConvergenceError(
@@ -421,7 +466,7 @@ def average_pd_detail(cfg: DetectorConfig, p: FadingParams, ctl: SeriesControl |
 
     last_term reads P from the series' own table of tails P(u+i, x), which
     ends at x + poisson_reach(x) with x = lam_eff/2, so it is exactly 0.0 whenever
-    u+N-1 passes that end, as it does at u = 336 and at rel_tol=1e-300.
+    u+N-1 passes that end, as it can at rel_tol=1e-300.
     It then says nothing about how close the stop came to rel_tol;
     truncation_bound(cfg, p, terms) still does."""
     pd, used, lastv = _series_batch(cfg.u, [cfg.effective_threshold], p, ctl or _DEFAULT_CTL)
@@ -436,10 +481,13 @@ def truncation_bound(cfg: DetectorConfig, p: FadingParams, t0: int, closed_form:
 
     average_pd_detail's terms N is the first point of its stop schedule
     where this is at most rel_tol, so truncation_bound(cfg, p, N) is the
-    certified remainder of the value it returns. P(u+t0, x) keeps its
-    relative accuracy past the series' own Poisson table. Below about 1e-16
-    the factor 1 - C_{t0-1} is rounding, and where it rounds below 0 the
-    bound reads 0.0.
+    certified remainder of the value it returns. The schedule starts where
+    P(u+N, x) times a closed-form bound on 1 - C_{N-1} (_ladder_tail_bound)
+    is at most rel_tol, so the bound there often lies well below rel_tol:
+    1.2e-12 to 5.6e-11 over selftest criterion 4's grid at rel_tol = 1e-10.
+    P(u+t0, x) keeps its relative accuracy past the series' own Poisson
+    table. Below about 1e-16 the factor 1 - C_{t0-1} is rounding, and where
+    it rounds below 0 the bound reads 0.0.
 
     With closed_form=True this evaluates the fully closed-form bound of the
     direct series, whose rearrangement contains the factor 1F0(m;;1) =

@@ -49,7 +49,9 @@ def check_count(value, name: str = "u", least: int = 1) -> int:
 class _Memo:
     """Least recently used read-only arrays, dropped once their bytes pass
     budget; the newest array always stays. The arrays kept under one key
-    are prefixes of one another, so the longest one wins."""
+    are prefixes of one another, so the longest one wins. An entry's bytes
+    are its array's plus those of the bytes objects in its key, since a grid
+    key holds the grid itself."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -75,17 +77,23 @@ class _Memo:
         with self._lock:
             kept = self._tables.get(key)
             if kept is None or kept.shape[0] < table.shape[0]:
-                self.nbytes += table.nbytes - (0 if kept is None else kept.nbytes)
+                self.nbytes += table.nbytes + (_key_bytes(key) if kept is None else -kept.nbytes)
                 self._tables[key] = kept = table
             self._tables.move_to_end(key)
             while self.nbytes > self.budget and len(self._tables) > 1:
-                self.nbytes -= self._tables.popitem(last=False)[1].nbytes
+                old_key, old = self._tables.popitem(last=False)
+                self.nbytes -= old.nbytes + _key_bytes(old_key)
         return kept
 
     def clear(self) -> None:
         with self._lock:
             self._tables.clear()
             self.nbytes = 0
+
+
+def _key_bytes(key) -> int:
+    """Bytes held by the bytes objects in a tuple key; 0 for any other key."""
+    return sum(len(part) for part in key if isinstance(part, bytes)) if isinstance(key, tuple) else 0
 
 
 # Asymptotic tail coefficients -B_{2n}/(2n): psi(x) ~ ln x - 1/(2x)
@@ -371,7 +379,8 @@ _MAX_WINDOW = 1 << 20  # Poisson terms per row of a marcum_q_grid call
 # channel, and n_lo is 0 for every g below about 150. Only a call of several
 # thresholds whose table fits in one _MAX_CELLS slice keeps it; a single
 # threshold or a sliced scan builds its table every call. Each table is at
-# most one 2 MiB slice; the paper's figure grids keep 13, 1.79 MiB in all.
+# most one 2 MiB slice; the paper's figure grids keep 13, 1.81 MiB in all
+# with their keys.
 _tails = _Memo(4 << 20)
 
 

@@ -108,10 +108,29 @@ class TestWeights:
     @pytest.mark.parametrize("u", [1, 2, 3, 5, 8, 32, 128, 500, 2000])
     def test_are_the_binomial_tail(self, u):
         # w_i(u) = sum_{l=i}^{u-1} C(l+u-1, l-i) / 2^{l+u} = P(Bin(2u-1, 1/2) >= u+i)
+        # the table stops at the first weight at most 1e-20: at u = 500 and 2000
         w, _ = _weights(u)
         want = stats.binom.sf(u + np.arange(u) - 1, 2 * u - 1, 0.5)
+        k = w.shape[0]
         assert w[0] == 0.5
-        assert np.max(np.abs(w - want)) <= 1e-14
+        assert np.max(np.abs(w - want[:k])) <= 1e-14
+        assert want[k - 1] > 1e-20 and (k == u or want[k] <= 1e-20)
+        assert (k < u) == (u >= 34)
+
+
+class TestStop:
+    @pytest.mark.parametrize("u", [33, 34, 200, 1000])
+    def test_sums_match_the_u_term_sums(self, u, cold_ladders):
+        # the sums stop at the first weight at most 1e-20; the u-term sums,
+        # with the binomial tails from scipy, differ by rounding alone
+        w = stats.binom.sf(u + np.arange(u) - 1, 2 * u - 1, 0.5)
+        for g in (0.5, 3.0, 40.0):
+            want = 1.0 - math.fsum((w * stats.poisson.pmf(np.arange(u), 0.5 * g)).tolist())
+            assert abs(auc_instantaneous(u, g) - want) <= 1e-15
+        p = FadingParams(m=2.0, m_s=3.0, mean_snr=3.0)
+        half = FadingParams(p.m, p.m_s, 0.5 * p.mean_snr)
+        want = 1.0 - math.fsum((w * detection._ladder(half, u)[:u]).tolist())
+        assert abs(auc_average(u, p) - want) <= 1e-15
 
 
 class TestAverage:

@@ -53,6 +53,35 @@ from specsense.special_fn import (
 CH = FadingParams.from_db(2.0, 3.0, 5.0)
 
 
+def _ln_tail_bound(p, n):
+    """ln of min(1, min over integers k < m_s, k <= n of E[g^k]/(n)_k), each
+    k tried, with the F law's moments E[g^k] = z^k Gamma(m+k) Gamma(m_s-k)
+    / (Gamma(m) Gamma(m_s))."""
+    m, ms, ln_z = p.m, p.m_s, math.log(p.snr_scale)
+    best = 0.0
+    for k in range(1, min(n, math.ceil(ms) - 1) + 1):
+        ln_moment = k * ln_z + math.lgamma(m + k) - math.lgamma(m) + math.lgamma(ms - k) - math.lgamma(ms)
+        best = min(best, ln_moment - math.lgamma(n + 1.0) + math.lgamma(n - k + 1.0))
+    return best
+
+
+def _first_stop(u, x, p, rel_tol):
+    """The first N >= 1 where P(u+N, x) B(N) <= rel_tol, B from
+    _ln_tail_bound, in plain Python: P is a running sum of the Poisson(x)
+    pmf from the row's top, ceil(x + 9 sqrt(x) + 40), down, and 0 past that
+    top, as in the series' own tail table."""
+    top = math.ceil(x + 9.0 * math.sqrt(x) + 40.0)
+    tails, acc = [], 0.0
+    for j in range(top, u - 1, -1):
+        acc += math.exp(-x + j * math.log(x) - math.lgamma(j + 1.0))
+        tails.append(acc)
+    tails.reverse()  # tails[N] = P(u+N, x) for u+N <= top
+    n = 1
+    while (tails[n] if n < len(tails) else 0.0) * math.exp(_ln_tail_bound(p, n)) > rel_tol:
+        n += 1
+    return n
+
+
 class TestConfigTypes:
     def test_detector_config_validation(self):
         with pytest.raises(ValueError):
@@ -512,11 +541,34 @@ class TestPartialSums:
     def test_series_stops_where_the_bound_first_meets_rel_tol(self, rel_tol):
         ctl = SeriesControl(rel_tol=rel_tol)
         for cfg, p in _criterion4_grid():
-            x = 0.5 * cfg.effective_threshold
-            want = math.ceil(x + 4.0 * math.sqrt(x)) + detection._MIN_BLOCK
+            want = _first_stop(cfg.u, 0.5 * cfg.effective_threshold, p, rel_tol)
             while truncation_bound(cfg, p, want) > rel_tol:
                 want += min(max(detection._MIN_BLOCK, want // 2), detection._MAX_BLOCK)
             assert average_pd_detail(cfg, p, ctl)[1] == want, (cfg, p)
+
+    def test_tail_bound_dominates_the_ladder_tail(self):
+        # B(N) >= 1 - C_{N-1}, the ladder's running sum taken by fsum, less
+        # the ladder's defect; and B(N) >= the ladder's own terms from N on,
+        # relatively, where 1 - C_{N-1} is below rounding. B is the least of
+        # the bounds over every k, tried one by one. Over the criterion-4
+        # channels and 24 drawn over test_contract_over_the_box's ranges
+        rng = np.random.default_rng(25)
+        chans = {p for _, p in _criterion4_grid()} | {
+            FadingParams.from_db(
+                10.0 ** rng.uniform(-1.0, math.log10(50.0)),
+                1.0 + 10.0 ** rng.uniform(-3.0, 4.0),
+                rng.uniform(-5.0, 25.0),
+            )
+            for _ in range(24)
+        }
+        width = 200
+        for p in chans:
+            coeff = detection._ladder(p, width)[:width].tolist()
+            bound = detection._ladder_tail_bound(p, width)
+            for n in range(width):
+                assert bound[n] >= 1.0 - math.fsum(coeff[:n]) - 1e-12, (p, n)
+                assert bound[n] >= math.fsum(coeff[n:]) * (1.0 - 1e-10), (p, n)
+                assert bound[n] == pytest.approx(math.exp(_ln_tail_bound(p, n)), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize(
         "u, m, ms, snr_db",
@@ -798,10 +850,11 @@ class TestBlockLadder:
         ctl = SeriesControl(rel_tol=1e-300, max_terms=600)
         first = average_pd_detail(cfg, CH, ctl)
         _, used, _ = first
-        # the bound is 0 once u+N passes the row's Poisson table, x + 9 sqrt(x)
-        # + 40 = 62 here, at the schedule point 28 -> 44 -> 66
-        assert used == 66
-        assert 0 < sum(rows) <= used + max(16, used // 2)
+        # the first point is where P(u+N, x) B(N) first reads at most 1e-300,
+        # at the latest once u+N passes the row's Poisson table, x + 9 sqrt(x)
+        # + 40 = 62 here; the ladder is built to that point and no further
+        assert used == _first_stop(2, 0.5 * cfg.threshold, CH, 1e-300) <= 61
+        assert sum(rows) == used
         rows.clear()
         assert average_pd_detail(cfg, CH, ctl) == first
         assert sum(rows) == 0
@@ -831,7 +884,7 @@ class TestBlockLadder:
             window = int(math.ceil(x + 20.0 * math.sqrt(x) + 40.0)) + cfg.u + 16
             coeff = np.exp(_ln_series_coeff(p, 0, window))
             tails = _reg_p_int_shapes(cfg.u, window, x)
-            stop = math.ceil(x + 4.0 * math.sqrt(x)) + 16
+            stop = _first_stop(cfg.u, x, p, ctl.rel_tol)
             while tails[stop] * (1.0 - float(np.sum(coeff[:stop]))) > ctl.rel_tol:
                 stop += min(max(16, stop // 2), 256)
             got, used, _ = _series_batch(cfg.u, [cfg.effective_threshold], p, ctl)
@@ -880,9 +933,9 @@ class TestBlockLadder:
         upper = _upper_tails(poisson_pmf(x[:, None], u, top, u, tops, _ln_factorials(u, top)))
         coeff = np.exp(_ln_series_coeff(CH, 0, 1000))
         for rel_tol in (1e-10, 1e-14, 1e-300):
-            got = detection._stops(u, 2.0 * x, upper, CH, SeriesControl(rel_tol, 2000))[0]
+            got = detection._stops(u, 2.0 * x, upper, CH, SeriesControl(rel_tol, 2000))
             for row, xi, stop in zip(upper, x, got):
-                want, csum, done = math.ceil(xi + 4.0 * math.sqrt(xi)) + 16, 0.0, 0
+                want, csum, done = _first_stop(u, float(xi), CH, rel_tol), 0.0, 0
                 while True:
                     for c in coeff[done:want]:
                         csum += c
@@ -915,6 +968,17 @@ def _count_tables(monkeypatch) -> list:
 def _memo_tables(memo=special_fn._tails) -> list:
     with memo._lock:
         return list(memo._tables.values())
+
+
+def _memo_bytes(memo=special_fn._tails) -> int:
+    """The bytes a memo holds: each kept array's, plus those of the bytes
+    objects in its key (a threshold grid's, say)."""
+    with memo._lock:
+        items = list(memo._tables.items())
+    return sum(
+        t.nbytes + sum(len(part) for part in (key if isinstance(key, tuple) else ()) if isinstance(part, bytes))
+        for key, t in items
+    )
 
 
 def _ladder_rows(p):
@@ -997,7 +1061,7 @@ class TestLadderCache:
         with detection._ladders._lock:
             assert list(detection._ladders._tables) == chans[-10:]
         ladders = _memo_tables(detection._ladders)
-        assert detection._ladders.nbytes == sum(t.nbytes for t in ladders) <= detection._ladders.budget
+        assert detection._ladders.nbytes == _memo_bytes(detection._ladders) <= detection._ladders.budget
 
     def test_threads_share_the_cache_safely(self, monkeypatch, cold_ladders):
         # three (u, grid) tables under a budget of two, so the threads race
@@ -1008,7 +1072,7 @@ class TestLadderCache:
         want = [roc_curve(p, cfgs[i % 3], pf_grid=grid).points for i, p in enumerate(chans)]
         tables = _memo_tables()
         assert len(tables) == 3
-        monkeypatch.setattr(special_fn._tails, "budget", sum(t.nbytes for t in tables) - 1)
+        monkeypatch.setattr(special_fn._tails, "budget", _memo_bytes() - 1)
         detection._ladders.clear()
         special_fn._tails.clear()
         got, errors = {}, []
@@ -1035,10 +1099,31 @@ class TestLadderCache:
         assert errors == []
         assert all(got[off, i] == want[i] for off in range(0, 28, 7) for i in range(len(chans)))
         ladders = _memo_tables(detection._ladders)
-        assert detection._ladders.nbytes == sum(t.nbytes for t in ladders) <= detection._ladders.budget
+        assert detection._ladders.nbytes == _memo_bytes(detection._ladders) <= detection._ladders.budget
         tables = _memo_tables()
         assert len(tables) == 2
-        assert special_fn._tails.nbytes == sum(t.nbytes for t in tables) <= special_fn._tails.budget
+        assert special_fn._tails.nbytes == _memo_bytes() <= special_fn._tails.budget
+
+
+class TestLargeU:
+    CHANNELS = (
+        FadingParams.from_db(2.0, 3.0, 5.0),
+        FadingParams.from_db(1.3, 1.1, 0.0),
+        FadingParams.from_db(20.0, 30.0, 15.0),
+    )
+
+    @pytest.mark.parametrize("u", [336, 1000, 10_000, 100_000])
+    def test_series_meets_the_oracle_in_few_terms(self, u, cold_ladders):
+        # the first stop follows the Poisson bulk past u and the channel's
+        # tail, so N grows like sqrt(u): about 2,300 at u = 1e5, where a
+        # start from the bulk of x counted from 0 ran into max_terms
+        ctl = SeriesControl()
+        cfg = DetectorConfig(u, threshold_for_pfa(u, 0.01))
+        for p in self.CHANNELS:
+            value, used, _ = average_pd_detail(cfg, p)
+            assert abs(value - average_pd_quadrature(cfg, p)) <= ctl.rel_tol + 1e-12, p
+            assert truncation_bound(cfg, p, used) <= ctl.rel_tol
+            assert used < 2500
 
 
 class TestMemo:
@@ -1057,11 +1142,26 @@ class TestMemo:
         built = memo.put("c", np.ones(2))
         assert memo.get("b") is None and memo.get("c") is built and memo.nbytes == 16
 
+    def test_bytes_in_a_key_count_toward_the_budget(self):
+        # a grid key holds the grid itself: 16 B of key beside a 16 B array
+        memo = detection._Memo(100)
+        grid = np.array([0.1, 0.5]).tobytes()
+        memo.put(("grid", 2, grid), np.ones(2))
+        assert memo.nbytes == 32
+        memo.put(("grid", 2, grid), np.ones(3))
+        assert memo.nbytes == 40
+        memo.put(("grid", 3, grid), np.ones(3))
+        assert memo.nbytes == 80
+        # a third entry passes 100 B, so the oldest goes with its key
+        memo.put(("grid", 5, grid), np.ones(2))
+        assert memo.get(("grid", 2, grid)) is None and memo.nbytes == 72
+
 
 class TestUTables:
     def test_retained_bytes_stay_within_the_budget(self, cold_ladders):
-        # 40 inversions and 40 areas at distinct u past 1e4 build 80 tables
-        # of 160-340 KB; counted by entries rather than bytes, they all stayed
+        # 40 inversions and 40 areas at distinct u past 1e4 build 40 tables
+        # of 160-340 KB and 40 of 8-12 KB; counted by entries rather than
+        # bytes, they all stayed
         tracemalloc.start()
         try:
             for u in range(10_000, 20_000, 250):
@@ -1073,7 +1173,7 @@ class TestUTables:
         memo = detection._u_tables
         tables = _memo_tables(memo)
         assert 1 < len(tables) < 80 and memo.budget == 1 << 20
-        assert memo.nbytes == sum(t.nbytes for t in tables) <= memo.budget
+        assert memo.nbytes == _memo_bytes(memo) <= memo.budget
         assert retained <= memo.budget + max(t.nbytes for t in tables)
 
 
@@ -1115,7 +1215,7 @@ class TestGridPmfMemo:
                 assert np.array_equal(kept, _upper_tails(poisson_pmf(x, u, top, u, tops, _ln_factorials(u, top))))
         tables = _memo_tables()
         assert len(tables) == 6
-        assert special_fn._tails.nbytes == sum(t.nbytes for t in tables) <= special_fn._tails.budget == 4 << 20
+        assert special_fn._tails.nbytes == _memo_bytes() <= special_fn._tails.budget == 4 << 20
 
         # grids of 190..197 targets under a budget of three 190-target tables:
         # the newest stay, within the budget
@@ -1126,7 +1226,7 @@ class TestGridPmfMemo:
                 monkeypatch.setattr(special_fn._tails, "budget", 3 * special_fn._tails.nbytes)
         tables = _memo_tables()
         assert [t.shape[0] for t in tables] in ([196, 197], [195, 196, 197])
-        assert special_fn._tails.nbytes == sum(t.nbytes for t in tables) <= special_fn._tails.budget
+        assert special_fn._tails.nbytes == _memo_bytes() <= special_fn._tails.budget
         assert all(not t.flags.writeable for t in tables)
 
     def test_a_kept_grid_builds_no_table_for_another_channel(self, monkeypatch, cold_ladders):
@@ -1142,6 +1242,31 @@ class TestGridPmfMemo:
         monkeypatch.undo()
         special_fn._tails.clear()
         assert roc_curve(FIGURE_CHANNELS[1], cfg).points == warm
+
+    def test_a_warm_roc_keeps_its_stops(self, monkeypatch, cold_ladders):
+        # each grid's stop vector is kept per channel beside its table, so a
+        # second pass runs no _stops and gives the same points bit for bit;
+        # a single threshold keeps none
+        cfg = DetectorConfig(u=2, threshold=1.0, noise_uncertainty_db=2.0)
+
+        def curves():
+            return [roc_curve(ch, cfg).points for ch in FIGURE_CHANNELS] + [
+                roc_curve(FIGURE_CHANNELS[:2], cfg).points,
+                roc_curve(CH, cfg, fusion="or", n_users=3).points,
+            ]
+
+        cold = curves()
+        average_pd(DetectorConfig(u=3, threshold=2.0), CH)
+        with detection._u_tables._lock:
+            stops = [key for key in detection._u_tables._tables if key[0] == "stops"]
+        # 5 channels on the plain grid, 2 branches and CH on their own grids
+        assert len(stops) == 8 and {key[1] for key in stops} == {2}
+
+        def unexpected(*args):
+            raise AssertionError("a warm ROC ran _stops")
+
+        monkeypatch.setattr(detection, "_stops", unexpected)
+        assert curves() == cold
 
     def test_the_figure_grids_stay_kept_within_the_budget(self, monkeypatch, cold_ladders):
         # figure_sweep's fading, fusion and SLS curves: twelve (u, effective grid)
@@ -1160,7 +1285,7 @@ class TestGridPmfMemo:
         figure()
         tables = _memo_tables()
         assert len(tables) == 12
-        assert special_fn._tails.nbytes == sum(t.nbytes for t in tables) <= special_fn._tails.budget == 4 << 20
+        assert special_fn._tails.nbytes == _memo_bytes() <= special_fn._tails.budget == 4 << 20
         built = _count_tables(monkeypatch)
         figure()
         assert built == []
@@ -1216,7 +1341,7 @@ class TestAwgnLowerTailMemo:
         for k in range(40):
             curve = roc_curve(3.16, DetectorConfig(u=2, threshold=1.0), pf_grid=np.geomspace(1e-4, 0.9, 160 + k))
             tables = _memo_tables(memo)
-            assert memo.nbytes == sum(t.nbytes for t in tables) <= memo.budget == 4 << 20
+            assert memo.nbytes == _memo_bytes(memo) <= memo.budget == 4 << 20
             assert all(not t.flags.writeable for t in tables)
         assert len(tables) > 1
         assert tables[-1].shape[0] == 199
@@ -1279,7 +1404,7 @@ class TestSharedTableMemo:
         assert sorted(key[0] for key in keys) == ["lower", "upper", "upper", "upper"]
         assert len(set(keys)) == len(tables) == 4
         assert all(not t.flags.writeable for t in tables)
-        assert memo.nbytes == sum(t.nbytes for t in tables) <= memo.budget == 4 << 20
+        assert memo.nbytes == _memo_bytes(memo) <= memo.budget == 4 << 20
         with monkeypatch.context() as patch:
             TestAwgnLowerTailMemo._no_table(patch)
             assert self._figure() == cold

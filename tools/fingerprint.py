@@ -20,6 +20,9 @@ key differs. Covered:
   at seed 41, every one on a fresh channel
 - selftest criterion 4's (Pd, terms) and quadrature value at all 240 points,
   and `truncation_bound` at each point's terms
+- cold `average_pd_detail` (value and terms) and `truncation_bound` at its
+  terms for u in {32, 336, 1e3, 1e4} at Pf = 0.01 on the channels (m, m_s,
+  dB) = (2, 3, 5), (1.3, 1.1, 0) and (20, 30, 15), every memo cleared first
 - the coefficient ladder, 120 rows, of m in {0.6, 1, 3.5, 20} x m_s in
   {1.1, 2.7, 30, 300} x {-10, 0, 7, 15} dB
 - `average_pd` at u = 2, Pf = 0.01 over m in {0.5, 1, 2, 4, 20} x {-10, 0,
@@ -163,6 +166,18 @@ def _collect(root: str) -> dict[str, list]:
         out[f"criterion4/{i}"] = ((value, terms, quad))
         out[f"truncation_bound/{i}"] = detection.truncation_bound(cfg, p, terms)
 
+    memos = {id(v): v for mod in (special_fn, detection) for v in vars(mod).values()
+             if isinstance(v, special_fn._Memo)}.values()
+    for u in (32, 336, 1000, 10_000):
+        cfg = detection.DetectorConfig(u, detection.threshold_for_pfa(u, 0.01))
+        for m, ms, db in ((2.0, 3.0, 5.0), (1.3, 1.1, 0.0), (20.0, 30.0, 15.0)):
+            p = fading.FadingParams.from_db(m, ms, db)
+            for memo in memos:
+                memo.clear()
+            value, terms, _ = detection.average_pd_detail(cfg, p)
+            out[f"large_u/{u}/{m}/{ms}/{db}"] = (value, terms)
+            out[f"large_u/{u}/{m}/{ms}/{db}/truncation_bound"] = detection.truncation_bound(cfg, p, terms)
+
     for m in (0.6, 1.0, 3.5, 20.0):
         for ms in (1.1, 2.7, 30.0, 300.0):
             for db in (-10.0, 0.0, 7.0, 15.0):
@@ -179,8 +194,6 @@ def _collect(root: str) -> dict[str, list]:
                     value = f"ConvergenceError: {exc}"
                 out[f"convergence_edge/{m}/{ms}/{db}"] = value
 
-    memos = {id(v): v for mod in (special_fn, detection) for v in vars(mod).values()
-             if isinstance(v, special_fn._Memo)}.values()
     grids = {"default": detection._DEFAULT_PF_GRID, "deep": np.geomspace(1e-12, 0.999, 40)}
     for u in (1, 2, 8, 32, 200):
         for name, grid in grids.items():
