@@ -30,8 +30,9 @@ a closed-form Markov bound in the F law's moments E[g^k], k < m_s. The
 series is first tested at the first N where P(u+N, lam/2) times that
 bound is at most SeriesControl.rel_tol, an N that grows like sqrt(u), and
 then on a schedule of growing steps until the remainder bound itself is
-at most rel_tol. It is summed directly, as one running sum of
-c_n P(u+n, lam/2) over n < N along each row of a table of the tails P.
+at most rel_tol. It is summed directly: the terms c_n P(u+n, lam/2) over
+n < N, read down the columns of a table of the tails P, are added in order
+of n, each threshold on its own (special_fn._sums_to).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .special_fn import (
     _Memo,
     _ln_factorials,
     _reg_p_int_shapes,
+    _sums_to,
     _tail_tables,
     ConvergenceError,
     check_count,
@@ -407,12 +409,14 @@ def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
     """Average Pd for a batch of effective thresholds sharing one channel.
 
     The complementary series miss = sum_{n<N} c_n P(u+n, x), on the
-    channel's cached ladder c, is one running sum along each row of the
-    grid's tail table from special_fn._tail_tables, with N from _stops. A
-    grid whose table is kept keeps its N per channel and ctl in _u_tables,
-    so a warm ROC runs no _stops; a single threshold keeps nothing. Every
-    reduction is a running sum, so a row equals its single-threshold call
-    whatever the other rows, the table's slicing or the cache history.
+    channel's cached ladder c and the grid's tail table from
+    special_fn._tail_tables, with N from _stops, is summed by
+    special_fn._sums_to, which adds each row's terms in order of n. A grid
+    whose table is kept keeps its N per channel and ctl in _u_tables, so a
+    warm ROC runs no _stops; a single threshold keeps nothing. Every
+    reduction adds one term at a time, so a row equals its single-threshold
+    call whatever the other rows, the table's slicing or the cache history.
+    A sum past 1 + 1e-9 means a broken ladder and raises ConvergenceError.
 
     Returns (pd array, terms_used array, last_term array), with last_term
     c_{N-1} P(u+N-1, x).
@@ -433,9 +437,8 @@ def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
         top = int(n.max())
         coeff = _ladder(p, top)
         # P is 0 past the table, so the sum stops at its last column
-        k = np.arange(rows.shape[0])
         cols = min(upper.shape[1], top)
-        miss = np.cumsum(upper[:, :cols] * coeff[:cols], axis=1)[k, np.minimum(n, cols) - 1]
+        miss = _sums_to(upper[:, :cols], coeff[:cols], np.minimum(n, cols))
         if miss.max() > 1.0 + 1e-9:
             raise ConvergenceError(
                 f"average_pd series exceeded 1 by more than 1e-9 (sum={miss.max()}, u={u}, "
@@ -443,7 +446,7 @@ def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
             )
         out[rows] = np.clip(1.0 - miss, 0.0, 1.0)
         used[rows] = n
-        last[rows] = coeff[n - 1] * upper[k, np.minimum(n - 1, upper.shape[1] - 1)]
+        last[rows] = coeff[n - 1] * upper[np.arange(rows.shape[0]), np.minimum(n - 1, upper.shape[1] - 1)]
     return out, used, last
 
 

@@ -384,6 +384,31 @@ _MAX_WINDOW = 1 << 20  # Poisson terms per row of a marcum_q_grid call
 _tails = _Memo(4 << 20)
 
 
+def _sums_to(a, b, stop, scale=None) -> np.ndarray:
+    """For each row r of a, the sum over j < stop[r] <= len(b) of a[r, j] b[j]
+    (over scale[r] if given), a's last column standing for the entries past
+    it, added one term at a time from j = 0: the row's running sum read at
+    stop[r] - 1, bit for bit, whatever the other rows.
+
+    Row r's terms fill column r of a C-ordered buffer of zeros, zeroed past
+    its stop, and np.add.reduce adds the buffer's rows in order. numpy sums
+    a one-column buffer pairwise, so it has at least two columns, and one
+    row takes the same path as a grid.
+    """
+    (rows, cols), width = a.shape, b.shape[0]
+    buf = np.zeros((width, max(rows, 2)))
+    terms = buf[:, :rows]
+    np.multiply(b[:cols, None], a.T, out=terms[:cols])
+    if cols < width:
+        np.multiply(b[cols:, None], a[:, -1], out=terms[cols:])
+    if scale is not None:
+        terms /= scale
+    lo = stop.min()
+    if lo < width:  # the band where some rows have stopped
+        np.copyto(terms[lo:], 0.0, where=np.arange(lo, width)[:, None] >= stop)
+    return np.add.reduce(buf, axis=0)[:rows]
+
+
 def _upper_tails(pmf) -> np.ndarray:
     """upper[:, i] = P(u+i, x) from a table of the Poisson(x) pmf at j = u..top,
     one row per x and 0 past that row's own top, summed from the top down.
@@ -421,7 +446,8 @@ def _tail_tables(u: int, x):
     ln_fact = _ln_factorials(u, top)
     for lo in range(0, x.shape[0], step):
         upper = _upper_tails(poisson_pmf(x[lo : lo + step], u, top, u, tops[lo : lo + step], ln_fact))
-        yield lo, _tails.put(key, upper) if 1 < x.shape[0] <= step else upper
+        # a kept table is column-major, so _sums_to reads each column in one run
+        yield lo, _tails.put(key, np.asfortranarray(upper)) if 1 < x.shape[0] <= step else upper
 
 
 def _lower_tables(u: int, n_lo: int, x, k_lo, k_hi, bulk_hi, n_width: int):
@@ -443,7 +469,7 @@ def _lower_tables(u: int, n_lo: int, x, k_lo, k_hi, bulk_hi, n_width: int):
         k0, k1 = int(k_lo[rows].min()), int(last[rows].max())
         pmf = poisson_pmf(x[rows, None], k0, k1, k_lo[rows, None], last[rows, None], _ln_factorials(k0, k1))
         lower = np.cumsum(pmf, axis=1)
-        # a kept table is column-major, so a column of terms is one run
+        # column-major, as in _tail_tables
         yield rows, k0, _tails.put(key, np.asfortranarray(lower)) if keep else lower
 
 
@@ -462,8 +488,8 @@ def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
     k_hi = min(u+n_top-1, bulk_hi), bulk_hi the reach above x. The windows
     are O(sqrt(g) + sqrt(x) + u) wide; one wider than _MAX_WINDOW raises
     ConvergenceError. Each pmf is normalised over its bulk, which cancels
-    the rounding of ln k!. Each row's mixture is one running sum, read at
-    its own n_top, so an entry depends on its own x alone.
+    the rounding of ln k!. Each row's mixture is summed by _sums_to, term
+    by term up to its own n_top, so an entry depends on its own x alone.
 
     The table of running sums Q(k+1, x) depends on g through n_lo alone. A
     call kept in _tails runs its rows to bulk_hi, so a warm call only
@@ -500,17 +526,12 @@ def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
     pick = (n_top - n_lo).astype(int)
     for rows, k0, lower in _lower_tables(u, n_lo, xl, k_lo, k_hi, bulk_hi, w.shape[0]):
         whole = np.where(k_hi[rows] == bulk_hi[rows], lower[:, -1], 1.0)  # constant past bulk_hi
-        # terms[:, i] = w_i Q(u + n_lo + i, x) / whole; past the table's last
-        # column every row's Q is constant, so those columns read that one
+        # term i is w_i Q(u + n_lo + i, x) / whole; past the table's last
+        # column every row's Q is constant, so q ends there (or is that one
+        # column) and _sums_to repeats it
         s = u + n_lo - 1 - k0
-        m = max(0, min(w.shape[0], lower.shape[1] - s))
-        terms = np.empty((lower.shape[0], w.shape[0]), order="F")
-        np.multiply(w[:m], lower[:, s : s + m], out=terms[:, :m])
-        if m < w.shape[0]:
-            np.multiply(w[m:], lower[:, -1:], out=terms[:, m:])
-        terms /= whole[:, None]
-        np.cumsum(terms, axis=1, out=terms)
-        out[live[rows]] = np.minimum(terms[np.arange(terms.shape[0]), pick[rows]], 1.0)
+        q = lower[:, min(s, lower.shape[1] - 1) : s + w.shape[0]]
+        out[live[rows]] = np.minimum(_sums_to(q, w, pick[rows] + 1, whole), 1.0)
     return out
 
 

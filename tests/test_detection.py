@@ -1411,3 +1411,76 @@ class TestSharedTableMemo:
         with memo._lock:
             assert set(memo._tables) == set(keys)
 
+
+class TestOneRowSums:
+    """Every series and AWGN sum goes through special_fn._sums_to, one path
+    for a grid, a one-row slice of it and a single threshold."""
+
+    @staticmethod
+    def _curves(cfg):
+        return [
+            roc_curve(CH, cfg).points,
+            roc_curve(FIGURE_CHANNELS[:2], cfg).points,
+            roc_curve(CH, cfg, fusion="and", n_users=3).points,
+        ] + [roc_curve(gamma, cfg).points for gamma in (0.0, 3.16, 31.6)]
+
+    def test_one_row_slices_change_nothing(self, monkeypatch, cold_ladders):
+        # with one cell per slice, _tail_tables and _lower_tables hand every
+        # threshold over alone, and no table is kept
+        cfg = DetectorConfig(u=2, threshold=1.0, noise_uncertainty_db=2.0)
+        whole = self._curves(cfg)
+        rows = []
+
+        def counted(a, *args):
+            rows.append(a.shape[0])
+            return sums(a, *args)
+
+        sums = special_fn._sums_to
+        for module in (special_fn, detection):
+            monkeypatch.setattr(module, "_sums_to", counted)
+        monkeypatch.setattr(special_fn, "_MAX_CELLS", 1)
+        special_fn._tails.clear()
+        assert self._curves(cfg) == whole
+        assert len(rows) > 1000 and set(rows) == {1}
+        assert _memo_tables() == []
+
+    @pytest.mark.parametrize("points", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [0.0, 2.0])
+    def test_small_grids_are_their_single_threshold_calls(self, points, beta, cold_ladders):
+        # an SLS point's threshold is that of the OR of its branches' Pf
+        grid = np.geomspace(1e-3, 0.5, points)
+        branches = FIGURE_CHANNELS[:2]
+        units = {"fading": grid, "sls": detection._unit_target(grid, 2, "or"), "awgn": grid}
+        singles = {
+            "fading": lambda one: average_pd(one, CH),
+            "sls": lambda one: sls_average_pd(one, branches),
+            "awgn": lambda one: pd_awgn(one, 3.16),
+        }
+        cfg = DetectorConfig(u=2, threshold=1.0, noise_uncertainty_db=beta)
+        for state in ("cold", "warm"):
+            for kind, ch in (("fading", CH), ("sls", branches), ("awgn", 3.16)):
+                curve = roc_curve(ch, cfg, grid).pd.tolist()
+                for i, lam in enumerate(detection._thresholds(2, units[kind]).tolist()):
+                    one = DetectorConfig(u=2, threshold=lam, noise_uncertainty_db=beta)
+                    assert curve[i] == singles[kind](one), (state, kind, i)
+
+    def test_a_ladder_past_one_raises(self, cold_ladders):
+        # a ladder summing to 2 takes the complementary sum past 1 at any
+        # threshold with Pd below 1/2; average_pd and roc_curve both refuse it
+        p = FadingParams.from_db(1.7, 2.3, 1.0)
+        ladder = detection._ladder(p, 400).copy()
+        detection._ladders.clear()
+        detection._ladders.put(p, 2.0 * ladder)
+        try:
+            calls = (
+                lambda: average_pd(DetectorConfig(u=2, threshold=threshold_for_pfa(2, 1e-3)), p),
+                lambda: roc_curve(p, DetectorConfig(u=2, threshold=1.0)),
+            )
+            for call in calls:
+                with pytest.raises(ConvergenceError, match="exceeded 1 by more than 1e-9") as info:
+                    call()
+                for part in ("u=2", f"m={p.m}", f"m_s={p.m_s}", f"snr={p.mean_snr}"):
+                    assert part in str(info.value)
+        finally:  # the planted ladder and the stops found on it go
+            detection._ladders.clear()
+            detection._u_tables.clear()

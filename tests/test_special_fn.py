@@ -319,6 +319,50 @@ class TestMarcumQ:
             marcum_q(2, 1.0, -1.0)
 
 
+class TestOrderedSums:
+    # special_fn._sums_to relies on numpy adding the rows of a C-ordered
+    # array of two or more columns one after another; a one-column array
+    # is summed pairwise. The message names the numpy it ran on
+    N = sorted(set(range(1, 21)) | set(np.linspace(21, 300, 31).astype(int).tolist()))
+    K = (2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 64, 100, 127, 200, 255, 256, 511, 1000, 1024)
+
+    def test_numpy_adds_the_rows_in_order(self):
+        rng = np.random.default_rng(26)
+        told = 0
+        for n in self.N:
+            for k in self.K:
+                a = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, k))
+                forward, backward = a[0].copy(), a[-1].copy()
+                for i in range(1, n):  # one add per column and row, left to right
+                    forward += a[i]
+                    backward += a[n - 1 - i]
+                told += np.any(forward != backward)
+                got = np.add.reduce(a, axis=0)
+                assert got.tobytes() == forward.tobytes(), f"shape {(n, k)} under numpy {np.__version__}"
+        assert len(self.N) * len(self.K) == 969
+        assert told > 900  # the data tell one order of the sum from another
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 40])
+    def test_sums_are_running_sums_read_at_each_stop(self, rows):
+        # products by a, by a's last column past its width, with and
+        # without a scale, against np.cumsum along each row
+        rng = np.random.default_rng(rows)
+        for width, cols in ((1, 1), (5, 5), (60, 45), (60, 60), (30, 1)):
+            a = rng.random((rows, cols)) * 10.0 ** rng.uniform(-6.0, 0.0, (rows, cols))
+            b = rng.random(width)
+            stop = rng.integers(1, width + 1, rows)
+            scale = rng.uniform(0.5, 2.0, rows)
+            full = np.concatenate((a, np.repeat(a[:, -1:], width - cols, axis=1)), axis=1)
+            for sc in (None, scale):
+                terms = full * b if sc is None else full * b / sc[:, None]
+                want = np.cumsum(terms, axis=1)[np.arange(rows), stop - 1]
+                got = special_fn._sums_to(a, b, stop, sc)
+                assert got.tobytes() == want.tobytes(), (rows, width, cols, sc is None)
+                for r in range(rows):  # each row alone, as a one-row call
+                    one = special_fn._sums_to(a[r : r + 1], b, stop[r : r + 1], None if sc is None else sc[r : r + 1])
+                    assert one.tobytes() == want[r : r + 1].tobytes()
+
+
 def _ladder_args(m, ms, db, rows):
     """(a, b, z) of the first `rows` rows of the channel's series ladder,
     as detection._ln_series_coeff passes them."""

@@ -38,6 +38,11 @@ key differs. Covered:
   cold, with every `_Memo` that `special_fn` or `detection` binds cleared
   (whatever each tree names them), then again, warm; plus `pd_awgn` and
   `pfa` at every 7th threshold of each grid
+- fading, fusion (OR of 3), SLS (2 branches) and AWGN (SNR 0, 3.16 and
+  31.6) ROCs at u in {2, 8} x noise uncertainty in {0, 2} dB: on 1-, 2- and
+  3-point Pf grids, each cold (every memo cleared) and then warm, and on
+  the default grid with `special_fn._MAX_CELLS` at 1, so every table is
+  built and summed one threshold at a time
 - `digamma`, the gamma-shape fit, `collaborative_pd`, criterion 8's result
 - the JSON of the README's CLI invocations (selftest aside, as it prints
   timings), of `roc --simulate` with `--sls 2`, with `--fusion and --users
@@ -209,6 +214,31 @@ def _collect(root: str) -> dict[str, list]:
                     out[f"awgn/{u}/{name}/{beta}/{gamma}/pd_awgn"] = [
                         detection.pd_awgn(detection.DetectorConfig(u, float(v), beta), gamma) for v in lams
                     ]
+
+    p, q = fading.FadingParams.from_db(2.0, 3.0, 5.0), fading.FadingParams.from_db(1.3, 2.7, 6.0)
+    rocs = {
+        "fading": lambda cfg, grid: detection.roc_curve(p, cfg, grid),
+        "fusion": lambda cfg, grid: detection.roc_curve(p, cfg, grid, fusion="or", n_users=3),
+        "sls": lambda cfg, grid: detection.roc_curve([p, q], cfg, grid),
+        **{f"awgn/{g}": lambda cfg, grid, g=g: detection.roc_curve(g, cfg, grid) for g in (0.0, 3.16, 31.6)},
+    }
+    cells = special_fn._MAX_CELLS
+    for u in (2, 8):
+        for beta in (0.0, 2.0):
+            cfg = detection.DetectorConfig(u, 1.0, beta)
+            for kind, roc in rocs.items():
+                for points in (1, 2, 3):
+                    for memo in memos:
+                        memo.clear()
+                    for state in ("cold", "warm"):
+                        out[f"small_grid/{u}/{beta}/{kind}/{points}/{state}"] = roc(cfg, np.geomspace(1e-3, 0.5, points))
+                for memo in memos:
+                    memo.clear()
+                special_fn._MAX_CELLS = 1
+                try:
+                    out[f"one_row_slices/{u}/{beta}/{kind}"] = roc(cfg, None)
+                finally:
+                    special_fn._MAX_CELLS = cells
 
     t = np.concatenate(([0.0], np.geomspace(1e-8, 1e3, 400)))
     for m in (0.2, 0.5, 0.7, 1.0, 2.0, 12.0):
