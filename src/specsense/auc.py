@@ -17,8 +17,8 @@ where Pois(i; x) = x^i e^{-x} / i! and the l-sum
 
 is a negative-binomial CDF: the chance that u+i fair successes arrive
 before u-i failures, that is within 2u-1 trials. The weights depend on u
-alone and cost O(u): a ratio recurrence for the binomial masses and a
-reversed cumsum. w_0 = 1/2, so A(0) = 1/2.
+alone and cost O(sqrt(u)): a ratio recurrence for the binomial masses
+and a reversed cumsum. w_0 = 1/2, so A(0) = 1/2.
 
 Both sums stop at K, the first i with w_i <= 1e-20. The weights fall and
 the Poisson weights they meet sum to at most 1, so the terms left out add
@@ -57,12 +57,14 @@ def _weights(u: int) -> np.ndarray:
     u+i) and K the first i where w_i <= 1e-20, or u; the area functions
     keep them in detection._u_tables.
 
-    The binomial masses at k = u..2u-1, relative to the one at k = u,
-    follow from their ratios (2u-1-k)/(k+1). w is their reversed cumsum,
-    smallest first, scaled so that w_0 is exactly 1/2, as the symmetric
-    binomial requires. Masses past the double-precision range read 0.
+    The binomial masses at k = u+i, relative to the one at k = u, follow
+    from their ratios (2u-1-k)/(k+1) for i up to min(u-1, J), J = ceil(10
+    sqrt(u)) + 20 > K: by the Hoeffding bound above, those past J add w_{J+1}
+    < exp(-100), against w_0 = 1/2. w is their reversed cumsum, smallest
+    first, scaled so that w_0 is exactly 1/2, as the symmetric binomial
+    requires. Masses past the double-precision range read 0.
     """
-    k = np.arange(u, 2 * u - 1, dtype=float)
+    k = np.arange(u, u + min(u - 1, math.ceil(10.0 * math.sqrt(u)) + 20), dtype=float)
     mass = np.cumprod(np.concatenate(([1.0], (2 * u - 1 - k) / (k + 1.0))))
     tail = np.cumsum(mass[::-1])[::-1]
     w = 0.5 * (tail / tail[0])

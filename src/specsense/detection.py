@@ -6,8 +6,8 @@ probability over F composite fading via a confluent hypergeometric series,
 collaborative OR/AND fusion, square-law selection diversity, worst-case
 noise-power uncertainty, and ROC generation. The Poisson tables of both
 ROCs, and the memo that keeps them per threshold grid, live in special_fn;
-_u_tables keeps the tables that depend on u alone, grid thresholds, and
-each grid's stop vectors per channel.
+_u_tables keeps the AUC weights per u, grid thresholds, and each grid's
+stop vectors per channel.
 
 The average-Pd series here is the exact complementary rearrangement of the
 direct Tricomi-U expansion: using the normalization identity
@@ -55,6 +55,7 @@ from .special_fn import (
     ln_tricomi_u_grid,
     marcum_q,
     marcum_q_grid,
+    poisson_reach,
 )
 
 __all__ = [
@@ -181,12 +182,13 @@ def threshold_for_pfa(u: int, target_pfa: float) -> float:
     and degrades as u grows.
 
     Inverts the closed-form integer-u tail Q(u, x) = e^{-x} sum_{k<u} x^k/k!
-    by Halley's method (see _thresholds), so the contract is relative all
-    the way down to targets of 1e-15 and below. Its terms exp(c_k + e_k ln x)
-    have exponents of order u ln u, whose rounding leaves a relative error
-    of about u ln u times the double epsilon: at Pf = 0.01 the true Pf of
-    the returned threshold is off by 6e-13, 6e-12 and 8e-11 relative at
-    u = 1e3, 1e4 and 1e5 (against mpmath at 40 digits).
+    by Halley's method (see _thresholds) on O(sqrt(u)) terms, so the contract
+    is relative down to targets of 1e-15 and below, and time and memory grow
+    as sqrt(u). The terms exp(c_k + e_k ln x) have exponents of order u ln u,
+    whose rounding leaves a relative error of about u ln u times the double
+    epsilon: at Pf = 0.01 the true Pf of the returned threshold is off by
+    6e-13, 6e-12 and 8e-11 relative at u = 1e3, 1e4 and 1e5 (against mpmath
+    at 40 digits).
     """
     check_count(u)
     if not 0.0 < target_pfa < 1.0:
@@ -204,24 +206,11 @@ _MAX_HALLEY = 20
 _NEAR_ONE = 1e-6
 
 
-# _halley_table's and auc._weights' tables, the thresholds of unit-Pf grids
-# and the stop vectors of _series_batch, keyed ("halley", u), ("auc", u),
-# ("grid", u, bytes of the grid) and ("stops", u, bytes of x, channel, ctl):
-# 223 KB for the paper's figures, keys included, 160-180 KB per
-# Halley table at u = 1e4 and 10 KB per AUC table there.
+# auc._weights' tables, the thresholds of unit-Pf grids and the stop vectors
+# of _series_batch, keyed ("auc", u), ("grid", u, bytes of the grid) and
+# ("stops", u, bytes of x, channel, ctl): 221 KB for the paper's figures,
+# keys included, and 10 KB per AUC table at u = 1e4.
 _u_tables = _Memo(1 << 20)
-
-
-def _halley_table(u: int) -> np.ndarray:
-    """Rows (c, e) of _thresholds' terms over k = 0..u+J-1, with J =
-    ceil(10 sqrt(u)) + 20: c_k = ln((u-1)!/k!) and e_k = k-u+1.
-
-    With w(x) = sum_k exp(c_k + e_k ln x) over a slice of k, both tails are
-    pmf(u-1; x) w(x): Q(u, x) over k < u, and P(u, x) over k >= u, where the
-    J terms leave out less than 1e-21 of P wherever x <= u.
-    """
-    k = np.arange(u + math.ceil(10.0 * math.sqrt(u)) + 20, dtype=float)
-    return np.stack((math.lgamma(u) - _ln_factorials(0, k.shape[0] - 1), k - (u - 1.0)))
 
 
 def _thresholds(u: int, pf) -> np.ndarray:
@@ -236,7 +225,6 @@ def _thresholds(u: int, pf) -> np.ndarray:
     converge.
     """
     pf = np.array(pf, dtype=float, ndmin=1)
-    table, ln_top = _u_tables.get(("halley", u), _halley_table, u), math.lgamma(u)
     ln_pf = np.log(pf)
     ln_pq = np.log1p(-pf)
     t = np.sqrt(-2.0 * np.minimum(ln_pf, ln_pq))
@@ -246,25 +234,34 @@ def _thresholds(u: int, pf) -> np.ndarray:
 
     lam = np.empty_like(x)
     near = pf > 1.0 - _NEAR_ONE
-    forms = ((~near, slice(0, u), -1.0, ln_pf), (near, slice(u, None), 1.0, ln_pq))
-    for sel, cols, sign, ln_target in forms:
+    for sel, sign, ln_target in ((~near, -1.0, ln_pf), (near, 1.0, ln_pq)):
         if sel.any():
-            c, e = table[0, cols], table[1, cols]
-            lam[sel] = 2.0 * _halley(u, x[sel], ln_top + ln_target[sel], c, e, sign, pf[sel])
+            lam[sel] = 2.0 * _halley(u, x[sel], math.lgamma(u) + ln_target[sel], sign, pf[sel])
     return lam
 
 
-def _halley(u: int, x, shift, c, e, sign: float, pf) -> np.ndarray:
+def _halley(u: int, x, shift, sign: float, pf) -> np.ndarray:
     """Root of f(x) = (u-1) ln x - x + ln w(x) - shift, that is
-    ln(pmf(u-1; x) w(x)) = shift - ln (u-1)!, with w from _halley_table.
-
-    f' = r = sign/w, where sign is -1 for the Q form and +1 for the P form,
-    and f'' = r ((u-1)/x - 1 - r). Each entry stops once its own step is
-    below _STEP_TOL relative and is then frozen.
+    ln(pmf(u-1; x) w(x)) = shift - ln (u-1)!, with w(x) = sum_k exp(c_k +
+    e_k ln x), c_k = ln((u-1)!/k!), e_k = k-u+1, so pmf(u-1; x) w(x) is
+    Q(u, x), k < u, for sign = -1 and P(u, x), k >= u, for sign = +1. Each
+    step sums marcum_q_grid's or _reg_p_int_shapes' window around its
+    iterates, widest over the rows: k from poisson_reach(x) below min(x,
+    u-1) to u-1, every k < u up to u = 41, or from u to poisson_reach(x)
+    past max(x, u). f' = r = sign/w and f'' = r ((u-1)/x - 1 - r). Each
+    entry stops once its own step is below _STEP_TOL relative and is then
+    frozen.
     """
     out = np.empty_like(x)
     todo = np.arange(x.shape[0])
     for _ in range(_MAX_HALLEY):
+        reach = poisson_reach(x)
+        if sign < 0.0:
+            lo, hi = max(0, math.floor((np.minimum(x, u - 1.0) - reach).min())), u - 1
+        else:
+            lo, hi = u, math.ceil((np.maximum(x, u) + reach).max())
+        c = math.lgamma(u) - _ln_factorials(lo, hi)
+        e = np.arange(lo, hi + 1, dtype=float) - (u - 1.0)
         ln_x = np.log(x)
         w = np.exp(c + np.multiply.outer(ln_x, e)).sum(axis=1)
         r = sign / w

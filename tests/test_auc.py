@@ -117,6 +117,26 @@ class TestWeights:
         assert want[k - 1] > 1e-20 and (k == u or want[k] <= 1e-20)
         assert (k < u) == (u >= 34)
 
+    @pytest.mark.parametrize("u", [131, 1000, 10_000])
+    def test_equal_the_full_range_build(self, u):
+        # the masses past ceil(10 sqrt(u)) + 20 change no bit of the weights
+        k = np.arange(u, 2 * u - 1, dtype=float)
+        mass = np.cumprod(np.concatenate(([1.0], (2 * u - 1 - k) / (k + 1.0))))
+        tail = np.cumsum(mass[::-1])[::-1]
+        w = 0.5 * (tail / tail[0])
+        assert np.array_equal(_weights(u)[0], w[: np.count_nonzero(w > 1e-20)])
+
+    def test_large_u_is_bounded_in_memory(self):
+        # O(sqrt(u)) masses: about 1.4 MiB of temporaries at u = 1e7
+        tracemalloc.start()
+        try:
+            w = _weights(10**7)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
+        assert w[0] == 0.5 and w.shape[0] < 7 * math.sqrt(10**7)
+
 
 class TestStop:
     @pytest.mark.parametrize("u", [33, 34, 200, 1000])

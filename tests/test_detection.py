@@ -264,21 +264,36 @@ class TestThresholdInversion:
             assert abs(special.gammainc(u, 0.5 * lam) - (1.0 - pf)) <= 1e-11 * (1.0 - pf)
 
     def test_tables_take_ln_factorials_from_one_source(self, monkeypatch, cold_ladders):
-        # the table as list comprehensions over math.lgamma, and the
-        # thresholds it gives, bit for bit
-        def reference(u):
-            k = range(u + math.ceil(10.0 * math.sqrt(u)) + 20)
-            return np.array([[math.lgamma(u) - math.lgamma(v + 1.0) for v in k], [v - u + 1.0 for v in k]])
+        # ln k! as a list comprehension over math.lgamma gives the same
+        # thresholds, bit for bit
+        def reference(lo, hi):
+            calls.append((lo, hi))
+            return np.array([math.lgamma(j + 1.0) for j in range(lo, hi + 1)])
 
         grid = np.concatenate((np.geomspace(1e-15, 0.999, 60), [1.0 - 1e-7, 1.0 - 1e-13]))
         us = (1, 2, 8, 32, 336)
         got = {u: detection._thresholds(u, grid) for u in us}
-        for u in us:
-            assert np.array_equal(detection._halley_table(u), reference(u))
-        monkeypatch.setattr(detection, "_halley_table", reference)
-        detection._u_tables.clear()
+        calls = []
+        monkeypatch.setattr(detection, "_ln_factorials", reference)
         for u in us:
             assert np.array_equal(detection._thresholds(u, grid), got[u])
+        assert calls
+
+    @pytest.mark.parametrize("pf, want", ((0.01, 20014716.057070892), (1.0 - 1e-7, 19967133.855399594)))
+    def test_large_u_is_bounded_in_memory(self, pf, want, cold_ladders):
+        # each Halley step sums O(sqrt(x)) terms, about 0.9 MiB of
+        # temporaries at u = 1e7, and keeps nothing
+        tracemalloc.start()
+        try:
+            lam = threshold_for_pfa(10**7, pf)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # frozen values; within a few ulp, as numpy's exp may round
+        # differently on another CPU
+        assert math.isclose(lam, want, rel_tol=1e-15)
+        assert peak <= 4 << 20
+        assert retained <= 1 << 16 and _memo_tables(detection._u_tables) == []
 
     def test_iteration_cap_names_u_and_pf(self, monkeypatch):
         monkeypatch.setattr(detection, "_MAX_HALLEY", 1)
@@ -1159,18 +1174,19 @@ class TestMemo:
 
 class TestUTables:
     def test_retained_bytes_stay_within_the_budget(self, cold_ladders):
-        # 40 inversions and 40 areas at distinct u past 1e4 build 40 tables
-        # of 160-340 KB and 40 of 8-12 KB; counted by entries rather than
-        # bytes, they all stayed
+        # 40 areas at distinct u past 1e4 build 40 tables of 8-16 KB, and
+        # the 40 inversions between them keep nothing
+        memo = detection._u_tables
         tracemalloc.start()
         try:
             for u in range(10_000, 20_000, 250):
+                kept = len(_memo_tables(memo))
                 threshold_for_pfa(u, 0.01)
+                assert len(_memo_tables(memo)) == kept
                 auc_instantaneous(u, 0.5 * u)
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        memo = detection._u_tables
         tables = _memo_tables(memo)
         assert 1 < len(tables) < 80 and memo.budget == 1 << 20
         assert memo.nbytes == _memo_bytes(memo) <= memo.budget

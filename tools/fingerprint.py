@@ -10,10 +10,10 @@ perfbench/ on the path, so both import their own specsense and share the
 benchmark code. Every output is hashed (SHA-256 of an array's dtype, shape
 and bytes, or of a repr), and the script prints each group's key count and
 every key whose hash differs or that one side lacks. For a differing key
-that holds floats on both sides, it also prints the largest absolute and
-relative difference between them, and at the end the largest of each over
-all keys, so a change can say how far its numbers moved. It exits 1 if any
-key differs. Covered:
+that holds floats on both sides, it also prints the largest absolute,
+relative and ulp difference between them, and at the end the largest
+absolute and relative one over all keys, so a change can say how far its
+numbers moved. It exits 1 if any key differs. Covered:
 
 - every output of two `figure_sweep` rounds at seed 41
 - the threshold and Pd of each of the 40 queries of one `pd_scatter` round
@@ -43,6 +43,12 @@ key differs. Covered:
   3-point Pf grids, each cold (every memo cleared) and then warm, and on
   the default grid with `special_fn._MAX_CELLS` at 1, so every table is
   built and summed one threshold at a time
+- `threshold_for_pfa` at u in {1..8, 32, 41, 42, 100, 336, 1e3, 1e4, 1e5,
+  1e6} x Pf in {1e-300, 1e-100, 1e-15, 1e-4, 0.01, 0.5, 0.999, 1 - 1e-7,
+  1 - 1e-13}, and the thresholds of 40 targets in [1e-12, 0.999] at each u
+- the AUC weights, `auc_average` on the (2, 3, 5 dB) channel and
+  `auc_instantaneous` at SNR 0.5, 3.16 and u, for u in {1..39, 100,
+  129..131, 200, 336, 1e3, 1e4, 1e5}
 - `digamma`, the gamma-shape fit, `collaborative_pd`, criterion 8's result
 - the JSON of the README's CLI invocations (selftest aside, as it prints
   timings), of `roc --simulate` with `--sls 2`, with `--fusion and --users
@@ -128,9 +134,10 @@ def _floats(value) -> list:
 
 
 def _gap(parent, change):
-    """(largest absolute, largest relative) difference between two lists of
-    floats, relative to the larger magnitude of each pair; None when the
-    lists differ in length or are empty."""
+    """(largest absolute, largest relative, largest ulp) difference between
+    two lists of floats, relative to the larger magnitude of each pair, and
+    in units in the last place, counted between the two bit patterns; None
+    when the lists differ in length or are empty."""
     a, b = np.array(parent, dtype=float), np.array(change, dtype=float)
     if a.shape != b.shape or not a.size:
         return None
@@ -138,7 +145,8 @@ def _gap(parent, change):
         same = a == b
         gap = np.where(same, 0.0, np.abs(a - b))
         rel = np.where(same, 0.0, gap / np.maximum(np.abs(a), np.abs(b)))
-    return float(gap.max()), float(rel.max())
+    ulp = np.where(same, 0, np.abs(a.view(np.int64) - b.view(np.int64)))
+    return float(gap.max()), float(rel.max()), int(ulp.max())
 
 
 def _error(fn, *args) -> str:
@@ -152,7 +160,7 @@ def _error(fn, *args) -> str:
 def _collect(root: str) -> dict[str, list]:
     """[hash, floats] of every covered output of root's specsense, keyed by name."""
     import workloads
-    from specsense import acceptance, cli, detection, entropy, fading, special_fn
+    from specsense import acceptance, auc, cli, detection, entropy, fading, special_fn
 
     if not os.path.abspath(fading.__file__).startswith(os.path.join(os.path.abspath(root), "src")):
         raise RuntimeError(f"specsense was imported from {fading.__file__}, not from {root}")
@@ -240,6 +248,18 @@ def _collect(root: str) -> dict[str, list]:
                 finally:
                     special_fn._MAX_CELLS = cells
 
+    for u in tuple(range(1, 9)) + (32, 41, 42, 100, 336, 1000, 10_000, 100_000, 1_000_000):
+        for pf in (1e-300, 1e-100, 1e-15, 1e-4, 0.01, 0.5, 0.999, 1.0 - 1e-7, 1.0 - 1e-13):
+            out[f"threshold/{u}/{pf!r}"] = detection.threshold_for_pfa(u, pf)
+        out[f"threshold/{u}/grid"] = detection._thresholds(u, np.geomspace(1e-12, 0.999, 40))
+
+    p = fading.FadingParams.from_db(2.0, 3.0, 5.0)
+    for u in tuple(range(1, 40)) + (100, 129, 130, 131, 200, 336, 1000, 10_000, 100_000):
+        out[f"auc/{u}/weights"] = auc._weights(u)
+        out[f"auc/{u}/average"] = auc.auc_average(u, p)
+        for gamma in (0.5, 3.16, float(u)):
+            out[f"auc/{u}/instantaneous/{gamma}"] = auc.auc_instantaneous(u, gamma)
+
     t = np.concatenate(([0.0], np.geomspace(1e-8, 1e3, 400)))
     for m in (0.2, 0.5, 0.7, 1.0, 2.0, 12.0):
         for ms in (1.1, 3.4, 300.0):
@@ -319,8 +339,8 @@ def main() -> int:
         line = f"DIFFERS {key}: parent {parent.get(key)} change {change.get(key)}"
         gap = _gap(*(sides[s][key][1] for s in SIDES)) if key in parent and key in change else None
         if gap is not None:
-            line += f"; largest absolute difference {gap[0]:.3g}, relative {gap[1]:.3g}"
-            for kind, value in zip(worst, gap):
+            line += f"; largest absolute difference {gap[0]:.3g}, relative {gap[1]:.3g}, {gap[2]} ulp"
+            for kind, value in zip(worst, gap[:2]):
                 if not value <= worst[kind][0]:  # NaN counts as the largest
                     worst[kind] = (value, key)
         print(line)
