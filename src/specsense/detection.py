@@ -415,13 +415,11 @@ def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
     call whatever the other rows, the table's slicing or the cache history.
     A sum past 1 + 1e-9 means a broken ladder and raises ConvergenceError.
 
-    Returns (pd array, terms_used array, last_term array), with last_term
-    c_{N-1} P(u+N-1, x).
+    Returns (pd array, terms_used array).
     """
     lam_effs = np.asarray(lam_effs, dtype=float)
     out = np.ones(lam_effs.shape[0])  # zero threshold detects everything
     used = np.zeros(lam_effs.shape[0], dtype=int)
-    last = np.zeros(lam_effs.shape[0])
     live = np.nonzero(lam_effs > 0.0)[0]
     x = 0.5 * lam_effs[live, None]
     for lo, upper in _tail_tables(u, x):
@@ -443,8 +441,7 @@ def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
             )
         out[rows] = np.clip(1.0 - miss, 0.0, 1.0)
         used[rows] = n
-        last[rows] = coeff[n - 1] * upper[np.arange(rows.shape[0]), np.minimum(n - 1, upper.shape[1] - 1)]
-    return out, used, last
+    return out, used
 
 
 def average_pd(cfg: DetectorConfig, p: FadingParams, ctl: SeriesControl | None = None) -> float:
@@ -453,8 +450,7 @@ def average_pd(cfg: DetectorConfig, p: FadingParams, ctl: SeriesControl | None =
     Evaluates the Tricomi-U series for the fading-averaged Marcum Q at the
     effective (noise-uncertainty scaled) threshold, truncated per ctl.
     """
-    value, _, _ = average_pd_detail(cfg, p, ctl)
-    return value
+    return float(_series_batch(cfg.u, [cfg.effective_threshold], p, ctl or _DEFAULT_CTL)[0][0])
 
 
 def average_pd_detail(cfg: DetectorConfig, p: FadingParams, ctl: SeriesControl | None = None):
@@ -464,13 +460,16 @@ def average_pd_detail(cfg: DetectorConfig, p: FadingParams, ctl: SeriesControl |
     within truncation_bound(cfg, p, terms), plus the ladder's defect, of
     value.
 
-    last_term reads P from the series' own table of tails P(u+i, x), which
-    ends at x + poisson_reach(x) with x = lam_eff/2, so it is exactly 0.0 whenever
-    u+N-1 passes that end, as it can at rel_tol=1e-300.
-    It then says nothing about how close the stop came to rel_tol;
-    truncation_bound(cfg, p, terms) still does."""
-    pd, used, lastv = _series_batch(cfg.u, [cfg.effective_threshold], p, ctl or _DEFAULT_CTL)
-    return float(pd[0]), int(used[0]), float(lastv[0])
+    last_term takes P(u+N-1, x), x = lam_eff/2, from _reg_p_int_shapes, as
+    truncation_bound does, so it keeps its relative accuracy where u+N-1
+    passes the end of the series' own table of tails, x + poisson_reach(x),
+    and is 0.0 only where P underflows."""
+    pd, used = _series_batch(cfg.u, [cfg.effective_threshold], p, ctl or _DEFAULT_CTL)
+    n = int(used[0])
+    if n == 0:  # a zero threshold sums no term
+        return float(pd[0]), 0, 0.0
+    tail = _reg_p_int_shapes(cfg.u + n - 1, 1, 0.5 * cfg.effective_threshold)[0]
+    return float(pd[0]), n, float(_ladder(p, n)[n - 1] * tail)
 
 
 def truncation_bound(cfg: DetectorConfig, p: FadingParams, t0: int, closed_form: bool = False) -> float:

@@ -172,18 +172,25 @@ def ln_beta(a: float, b: float) -> float:
 #
 #   phi(y) = -z e^y + a y + (b - a - 1) ln(1 + e^y)
 #
-# has a single interior maximum. Panels: a sigma-scaled core around the
-# mode plus a geometric ladder for the wings, Gauss-Legendre 32 per panel,
-# and a uniform refinement pass as the error estimate. A pass evaluates phi
-# at the new midpoints alone; the edges keep their exponents, shifted by
-# the mode's, from the pass before. A panel whose two edge exponents lie
-# _DROP under the mode is skipped: phi has one maximum, so it adds under
-# e^-50 of the mode's value per unit of width, short of a row's last bit.
-# Against a drop at e^-90, every output tools/fingerprint.py hashes and
-# 256-row blocks stay the same bit for bit, and a test holds that. Nodes
+# has a single interior maximum: phi' = a - z t + (b - a - 1) t/(1 + t)
+# has the sign of a - (z + 1 - b) t - z t^2, which starts at a > 0 and
+# crosses 0 once, at the t* solved for below, for every a > 0, z > 0 and
+# real b. Panels: a sigma-scaled core around the mode plus a geometric
+# ladder for the wings, Gauss-Legendre 32 per panel, and a uniform
+# refinement pass as the error estimate. A pass evaluates phi at the new
+# midpoints alone; the edges keep their exponents, shifted by the mode's,
+# from the pass before. A panel whose two edge exponents lie _DROP under
+# the mode is skipped: phi has one maximum, so it adds under e^-50 of the
+# mode's value per unit of width, short of a row's last bit. Against a
+# drop at e^-90, every output tools/fingerprint.py hashes and 256-row
+# blocks stay the same bit for bit, and a test holds that. For the same
+# reason a row's live edges, those within _DROP of the mode, form one run
+# around the mode edge, so the passes see only the span of these runs
+# (ln_tricomi_u_grid), about 20 of the layout's 117 edges. Nodes
 # are formed _BLOCK panels at a time, 64 KiB arrays, so a call's
 # temporaries do not grow with its rows: a 256-row ladder block peaks at
-# 1.9 MiB (tracemalloc), against 9.9 MiB with all its nodes at once. Under
+# 1.1 MiB (tracemalloc), against 9.9 MiB with all the nodes of its
+# uncropped layout at once. Under
 # glibc's default 128 KiB mmap and trim thresholds such arrays stay on the
 # heap; 256 KiB ones were trimmed and faulted in again on every call.
 # ---------------------------------------------------------------------------
@@ -209,16 +216,16 @@ def _phi(y, a, bma1, z):
     """Exponent of the U integrand on the log axis, stable for large |y|.
 
     bma1 is b - a - 1, either scalar or per-row column vector. Works in
-    place, so a call holds at most three temporaries the size of y.
+    place, so a call holds at most three temporaries the size of y. -z*t
+    saturating to -inf is the intent; the caller ignores that overflow.
     """
     out = np.minimum(y, MAXLOG)
     np.exp(out, out=out)
     sp = np.log1p(out)  # ln(1 + e^y) wherever y <= 33
-    with np.errstate(over="ignore"):  # -z*t saturating to -inf is the intent
-        out *= -z
+    out *= -z
     out += a * y
-    big = y > 33.0
-    if big.any():  # ln(1 + e^y) = y + ln(1 + e^-y), and e^-y < 1e-14 there
+    if y.max(initial=-math.inf) > 33.0:  # ln(1 + e^y) = y + ln(1 + e^-y), and e^-y < 1e-14 there
+        big = y > 33.0
         sp[big] = y[big] + np.exp(-y[big])
     sp *= bma1
     out += sp
@@ -272,21 +279,11 @@ def _interleave(even, odd):
     return out
 
 
-def ln_tricomi_u_grid(a: float, b_values, z: float) -> np.ndarray:
-    """ln U(a, b, z) for a shared (a, z) and a vector of b values.
-
-    The detection series calls it with one (a, z) pair and a whole ladder
-    of b parameters. Entries of the returned array may lie far outside
-    exp() range; callers combine them with other log factors before
-    exponentiating.
-    """
-    if not a > 0.0:
-        raise ValueError("ln_tricomi_u_grid requires a > 0")
-    if not z > 0.0:
-        raise ValueError("ln_tricomi_u_grid requires z > 0")
-    b = np.atleast_1d(np.asarray(b_values, dtype=float))
+def _layout(a: float, b, z: float):
+    """(bma1, shift, edges, phi_e) of every row's panel layout: b - a - 1 as a
+    column, phi at the mode, the edges y* + sigma * _OFFSETS, and phi - shift
+    at them. The caller ignores overflow, as _phi asks."""
     bma1 = (b - a - 1.0)[:, None]
-
     # Interior maximum of phi: z t^2 + (z + 1 - b) t - a = 0; the positive
     # root in whichever form avoids cancellation.
     lin = z + 1.0 - b
@@ -297,10 +294,38 @@ def ln_tricomi_u_grid(a: float, b_values, z: float) -> np.ndarray:
     # curvature -phi'' at the mode sets the core scale
     curv = z * t_star - bma1[:, 0] * t_star / (1.0 + t_star) ** 2
     sigma = np.minimum(np.maximum(1.0 / np.sqrt(np.maximum(curv, 1e-8)), 1e-6), 1e4)
-
     shift = _phi(y_star, a, bma1[:, 0], z)
     edges = y_star[:, None] + sigma[:, None] * _OFFSETS[None, :]
-    phi_e = _phi(edges, a, bma1, z) - shift[:, None]
+    return bma1, shift, edges, _phi(edges, a, bma1, z) - shift[:, None]
+
+
+@np.errstate(over="ignore")  # _phi's -z*t saturating to -inf
+def ln_tricomi_u_grid(a: float, b_values, z: float) -> np.ndarray:
+    """ln U(a, b, z) for a shared (a, z) and a vector of b values.
+
+    The detection series calls it with one (a, z) pair and a whole ladder
+    of b parameters. Entries of the returned array may lie far outside
+    exp() range; callers combine them with other log factors before
+    exponentiating. a, b and z must be finite.
+
+    Every row's panels span the same columns of _OFFSETS: from one before
+    the first to one after the last edge where any row of the call lies
+    within _DROP of its mode, and always the mode edge. phi rises to its one
+    maximum and falls past it, so the panels outside are skipped on every
+    pass whatever the call's other rows, and a row keeps its bits.
+    """
+    if not a > 0.0:
+        raise ValueError("ln_tricomi_u_grid requires a > 0")
+    if not z > 0.0:
+        raise ValueError("ln_tricomi_u_grid requires z > 0")
+    b = np.atleast_1d(np.asarray(b_values, dtype=float))
+    if not (a < math.inf and z < math.inf and np.isfinite(b).all()):
+        raise ValueError("ln_tricomi_u_grid requires finite a, b and z")
+
+    bma1, shift, edges, phi_e = _layout(a, b, z)
+    live = np.flatnonzero((phi_e > -_DROP).any(axis=0) | (_OFFSETS == 0.0))
+    span = slice(max(live[0] - 1, 0), live[-1] + 2)
+    edges, phi_e = edges[:, span], phi_e[:, span]
 
     # A row stops refining once it converges, so its value depends on its
     # own b alone and not on which other rows share the call.

@@ -388,6 +388,16 @@ class TestAveragePd:
         assert pd_val == average_pd(DetectorConfig(u=2, threshold=7.0), CH)
         assert 10 <= used <= 200
         assert 0.0 <= last < 1e-10
+        assert average_pd_detail(DetectorConfig(u=2, threshold=0.0), CH) == (1.0, 0, 0.0)
+
+    def test_last_term_keeps_its_accuracy_past_the_series_table(self):
+        # at rel_tol=1e-300, u+N-1 = 680 is the top of the series' own tail
+        # table, which read P(680, x) about 3 times too small
+        cfg = DetectorConfig(u=336, threshold=threshold_for_pfa(336, 1e-8))
+        _, used, last = average_pd_detail(cfg, CH, SeriesControl(rel_tol=1e-300))
+        tail = _reg_p_int_shapes(cfg.u + used - 1, 1, 0.5 * cfg.effective_threshold)[0]
+        assert last > 0.0
+        assert last == detection._ladder(CH, used)[used - 1] * tail
 
     def test_truncation_failure_raises(self):
         with pytest.raises(ConvergenceError):
@@ -902,7 +912,7 @@ class TestBlockLadder:
             stop = _first_stop(cfg.u, x, p, ctl.rel_tol)
             while tails[stop] * (1.0 - float(np.sum(coeff[:stop]))) > ctl.rel_tol:
                 stop += min(max(16, stop // 2), 256)
-            got, used, _ = _series_batch(cfg.u, [cfg.effective_threshold], p, ctl)
+            got, used = _series_batch(cfg.u, [cfg.effective_threshold], p, ctl)
             assert used[0] == stop
             assert abs(got[0] - (1.0 - float(np.sum(tails[:stop] * coeff[:stop])))) <= 1e-13
 

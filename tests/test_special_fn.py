@@ -198,6 +198,52 @@ class TestTricomiU:
         for case, want in zip(cases, default, strict=True):
             assert ln_tricomi_u_grid(*_ladder_args(*case)).tobytes() == want.tobytes(), case
 
+    def test_live_edges_form_one_run_around_the_mode(self):
+        # phi' has the sign of a - (z + 1 - b) t - z t^2, so phi has one
+        # maximum for every b; past b = a + 1 it is not concave. The crop
+        # rests on this run, over z from 1e-20 to 1e6
+        mode = np.flatnonzero(special_fn._OFFSETS == 0.0)[0]
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            a = float(10.0 ** rng.uniform(-1.0, 4.0))
+            z = float(10.0 ** rng.uniform(-20.0, 6.0))
+            b = a + 1.0 + rng.choice([-1.0, 1.0], 64) * 10.0 ** rng.uniform(-3.0, 4.0, 64)
+            with np.errstate(over="ignore"):
+                live = special_fn._layout(a, b, z)[3] > -special_fn._DROP
+            first = live.argmax(axis=1)
+            last = live.shape[1] - 1 - live[:, ::-1].argmax(axis=1)
+            assert live[:, mode].all(), (a, z)
+            assert (live.sum(axis=1) == last - first + 1).all(), (a, z)
+
+    def test_passes_see_only_the_live_span(self, monkeypatch):
+        # every pass gets the same cropped columns: one dead edge for every
+        # row past each end of the live edges of any row, about 20 of the
+        # layout's 117 in all on pd_scatter's channels (m in [0.6, 20], m_s
+        # - 1 in [0.05, 30], -5..15 dB), where the widest 256-row block
+        # spans 24
+        widths = []
+
+        def panel_sum(edges, phi_e, *args):
+            assert (phi_e[:, [0, -1]] <= -special_fn._DROP).all()
+            return panel_sum_(edges, phi_e, *args)
+
+        def refine(edges, *args):
+            widths.append(edges.shape[1])
+            return refine_(edges, *args)
+
+        panel_sum_, refine_ = special_fn._panel_sum, special_fn._refine
+        monkeypatch.setattr(special_fn, "_panel_sum", panel_sum)
+        monkeypatch.setattr(special_fn, "_refine", refine)
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            m, ms = 0.6 * (20.0 / 0.6) ** rng.random(), 1.0 + 0.05 * 600.0 ** rng.random()
+            a, b, z = _ladder_args(m, ms, rng.uniform(-5.0, 15.0), 256)
+            with np.errstate(over="ignore"):
+                live = np.flatnonzero((special_fn._layout(a, b, z)[3] > -special_fn._DROP).any(axis=0))
+            widths.clear()
+            ln_tricomi_u_grid(a, b, z)
+            assert widths[0] == live[-1] - live[0] + 3 <= 26, (m, ms)
+
     def test_working_set_is_bounded(self):
         args = _ladder_args(2.0, 3.0, 5.0, 256)
         tracemalloc.start()
@@ -231,6 +277,11 @@ class TestTricomiU:
             ln_tricomi_u_grid(-1.0, [0.5], 1.0)
         with pytest.raises(ValueError, match="^ln_tricomi_u_grid requires z > 0$"):
             ln_tricomi_u_grid(1.0, [0.5], 0.0)
+        # each of these once returned NaN with RuntimeWarnings
+        for a, b, z in ((math.inf, [0.5], 1.0), (1.0, [0.5], math.inf), (1.0, [0.5, math.inf], 1.0),
+                        (1.0, [-math.inf], 1.0), (1.0, [math.nan, 0.5], 1.0)):
+            with pytest.raises(ValueError, match="^ln_tricomi_u_grid requires finite a, b and z$"):
+                ln_tricomi_u_grid(a, b, z)
 
 
 class TestMarcumQ:

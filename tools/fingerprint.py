@@ -19,12 +19,16 @@ numbers moved. It exits 1 if any key differs. Covered:
 - the threshold and Pd of each of the 40 queries of one `pd_scatter` round
   at seed 41, every one on a fresh channel
 - selftest criterion 4's (Pd, terms) and quadrature value at all 240 points,
-  and `truncation_bound` at each point's terms
-- cold `average_pd_detail` (value and terms) and `truncation_bound` at its
-  terms for u in {32, 336, 1e3, 1e4} at Pf = 0.01 on the channels (m, m_s,
-  dB) = (2, 3, 5), (1.3, 1.1, 0) and (20, 30, 15), every memo cleared first
+  its `last_term`, and `truncation_bound` at each point's terms
+- cold `average_pd_detail` (value and terms, and apart from them
+  `last_term`) and `truncation_bound` at its terms for u in {32, 336, 1e3,
+  1e4} at Pf = 0.01 on the channels (m, m_s, dB) = (2, 3, 5), (1.3, 1.1, 0)
+  and (20, 30, 15), every memo cleared first
 - the coefficient ladder, 120 rows, of m in {0.6, 1, 3.5, 20} x m_s in
   {1.1, 2.7, 30, 300} x {-10, 0, 7, 15} dB
+- `ln_tricomi_u_grid` where b > a + 1, so phi is not concave: 24 b values
+  from a + 1.001 to a + 1001 at a in {0.5, 3, 40} x z in {1e-6, 0.3, 20,
+  1e4}, once in one call and once a row per call, or the error's message
 - `average_pd` at u = 2, Pf = 0.01 over m in {0.5, 1, 2, 4, 20} x {-10, 0,
   10, 20} dB x m_s in {1e4, 2e4, 5e4, 1e5, 1 + 1e-6}, the edge where the
   ladder quadrature stops converging: each value, or its
@@ -157,6 +161,16 @@ def _error(fn, *args) -> str:
     return "no error"
 
 
+def _try(fn, *args):
+    """fn(*args), or its ConvergenceError's message."""
+    from specsense.special_fn import ConvergenceError
+
+    try:
+        return fn(*args)
+    except ConvergenceError as exc:
+        return f"ConvergenceError: {exc}"
+
+
 def _collect(root: str) -> dict[str, list]:
     """[hash, floats] of every covered output of root's specsense, keyed by name."""
     import workloads
@@ -174,9 +188,10 @@ def _collect(root: str) -> dict[str, list]:
         out[f"pd_scatter/0/{i}/{op.kind}"] = op.fn()
 
     for i, (cfg, p) in enumerate(acceptance._criterion4_grid()):
-        value, terms, _ = detection.average_pd_detail(cfg, p)
+        value, terms, last = detection.average_pd_detail(cfg, p)
         quad = detection.average_pd_quadrature(cfg, p)
         out[f"criterion4/{i}"] = ((value, terms, quad))
+        out[f"criterion4/{i}/last_term"] = last
         out[f"truncation_bound/{i}"] = detection.truncation_bound(cfg, p, terms)
 
     memos = {id(v): v for mod in (special_fn, detection) for v in vars(mod).values()
@@ -187,8 +202,9 @@ def _collect(root: str) -> dict[str, list]:
             p = fading.FadingParams.from_db(m, ms, db)
             for memo in memos:
                 memo.clear()
-            value, terms, _ = detection.average_pd_detail(cfg, p)
+            value, terms, last = detection.average_pd_detail(cfg, p)
             out[f"large_u/{u}/{m}/{ms}/{db}"] = (value, terms)
+            out[f"large_u/{u}/{m}/{ms}/{db}/last_term"] = last
             out[f"large_u/{u}/{m}/{ms}/{db}/truncation_bound"] = detection.truncation_bound(cfg, p, terms)
 
     for m in (0.6, 1.0, 3.5, 20.0):
@@ -196,6 +212,13 @@ def _collect(root: str) -> dict[str, list]:
             for db in (-10.0, 0.0, 7.0, 15.0):
                 p = fading.FadingParams.from_db(m, ms, db)
                 out[f"ladder/{m}/{ms}/{db}"] = (detection._ladder(p, 120)[:120].copy())
+
+    for a in (0.5, 3.0, 40.0):
+        b = a + 1.0 + np.geomspace(1e-3, 1e3, 24)
+        for z in (1e-6, 0.3, 20.0, 1e4):
+            out[f"tricomi/{a}/{z}/one_call"] = _try(special_fn.ln_tricomi_u_grid, a, b, z)
+            out[f"tricomi/{a}/{z}/row_calls"] = [_try(special_fn.ln_tricomi_u_grid, a, b[k : k + 1], z)
+                                                 for k in range(b.size)]
 
     cfg = detection.DetectorConfig(2, detection.threshold_for_pfa(2, 0.01))
     for ms in (1e4, 2e4, 5e4, 1e5, 1.0 + 1e-6):
