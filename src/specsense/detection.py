@@ -38,6 +38,7 @@ of n, each threshold on its own (special_fn._sums_to).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -656,8 +657,9 @@ def _roc_units(channel, fusion: str, n_users: int):
             raise ValueError("branch list must hold FadingParams")
         kind = "sls"
     else:
-        if not 0.0 <= float(channel) < math.inf:
-            raise ValueError("AWGN SNR must be finite and nonnegative")
+        # a real number, as pd_awgn's gamma: not a str, bytes or array that float() would read
+        if not (isinstance(channel, numbers.Real) and 0.0 <= channel < math.inf):
+            raise ValueError("AWGN SNR must be finite, nonnegative and a real number")
         kind = "awgn"
     fusion = fusion.lower()
     if fusion not in ("none", "or", "and"):

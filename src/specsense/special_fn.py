@@ -4,11 +4,11 @@ Everything here is built on the standard library's math module and numpy:
 digamma and ln x - digamma(x) from one Bernoulli tail, log-beta, the
 Tricomi confluent hypergeometric function on a log grid, every Poisson(x)
 table over a threshold grid, and the generalized Marcum Q as a Poisson
-mixture of gamma tails, vectorized over the threshold. A grid's SNR-free
-tables, the F-fading series' upper tails P(u+i, x) and marcum_q_grid's
-lower running sums, share one byte-bounded memo, _tails (a _Memo, as are
-detection's two caches). Log-gammas come from math.lgamma, those of
-j! < 2048 tabulated once. At zero noncentrality the Marcum Q is the
+mixture of gamma tails, vectorized over the threshold. A grid's tables,
+the F-fading series' upper tails P(u+i, x) and marcum_q_grid's lower
+running sums, and marcum_q_grid's per-(order, SNR, grid) plans share one
+byte-bounded memo, _tails (a _Memo, as are detection's two caches).
+Log-gammas come from math.lgamma, those of j! < 2048 tabulated once. At zero noncentrality the Marcum Q is the
 integer-order gamma tail Q(u, x), so the false-alarm probability is the
 same Poisson-table sum. numpy supplies the node arrays for the Tricomi
 quadrature and the Poisson tables. Nothing here uses scipy; in this package
@@ -47,11 +47,13 @@ def check_count(value, name: str = "u", least: int = 1) -> int:
 
 
 class _Memo:
-    """Least recently used read-only arrays, dropped once their bytes pass
-    budget; the newest array always stays. The arrays kept under one key
-    are prefixes of one another, so the longest one wins. An entry's bytes
-    are its array's plus those of the bytes objects in its key, since a grid
-    key holds the grid itself."""
+    """Least recently used read-only entries, dropped once their bytes pass
+    budget; the newest entry always stays. An entry is an array, or a tuple
+    of arrays and scalars (marcum_q_grid's plans). The arrays kept under one
+    key are prefixes of one another, so the longest one wins; a tuple is a
+    pure function of its key, so the first one stays. An entry's bytes are
+    its arrays' plus those of the bytes objects in its key, since a grid key
+    holds the grid itself."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -59,8 +61,8 @@ class _Memo:
         self._tables: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key, build=None, *args) -> np.ndarray | None:
-        """The array under key; else build(*args)'s, now kept, or None without build."""
+    def get(self, key, build=None, *args):
+        """The entry under key; else build(*args)'s, now kept, or None without build."""
         self._lock.acquire()  # cheaper than `with` on a warm hit
         try:
             table = self._tables.get(key)
@@ -71,24 +73,35 @@ class _Memo:
             self._lock.release()
         return None if build is None else self.put(key, build(*args))
 
-    def put(self, key, table: np.ndarray) -> np.ndarray:
+    def put(self, key, table):
         """Keep table read-only under key unless a longer one is; return the kept one."""
-        table.setflags(write=False)
+        for part in _arrays(table):
+            part.setflags(write=False)
+        size = _entry_bytes(table)
         with self._lock:
             kept = self._tables.get(key)
-            if kept is None or kept.shape[0] < table.shape[0]:
-                self.nbytes += table.nbytes + (_key_bytes(key) if kept is None else -kept.nbytes)
+            if kept is None or _entry_bytes(kept) < size:
+                self.nbytes += size + (_key_bytes(key) if kept is None else -_entry_bytes(kept))
                 self._tables[key] = kept = table
             self._tables.move_to_end(key)
             while self.nbytes > self.budget and len(self._tables) > 1:
                 old_key, old = self._tables.popitem(last=False)
-                self.nbytes -= old.nbytes + _key_bytes(old_key)
+                self.nbytes -= _entry_bytes(old) + _key_bytes(old_key)
         return kept
 
     def clear(self) -> None:
         with self._lock:
             self._tables.clear()
             self.nbytes = 0
+
+
+def _arrays(entry) -> list:
+    """The arrays of a memo entry: the entry itself, or those in its tuple."""
+    return [part for part in entry if isinstance(part, np.ndarray)] if isinstance(entry, tuple) else [entry]
+
+
+def _entry_bytes(entry) -> int:
+    return sum(part.nbytes for part in _arrays(entry))
 
 
 def _key_bytes(key) -> int:
@@ -401,11 +414,14 @@ _MAX_WINDOW = 1 << 20  # Poisson terms per row of a marcum_q_grid call
 # F-fading series' upper tails P(u+i, x), keyed ("upper", u, bytes of x), and
 # marcum_q_grid's lower running sums, keyed ("lower", u, n_lo, bytes of the
 # unsettled x). A table depends on u, the grid and n_lo alone, not on the
-# channel, and n_lo is 0 for every g below about 150. Only a call of several
-# thresholds whose table fits in one _MAX_CELLS slice keeps it; a single
-# threshold or a sliced scan builds its table every call. Each table is at
-# most one 2 MiB slice; the paper's figure grids keep 13, 1.81 MiB in all
-# with their keys.
+# channel, and n_lo is 0 for every g below about 150. Beside its table each
+# marcum_q_grid call keeps its plan, keyed ("plan", u, g, bytes of x): the
+# settled entries, windows and Poisson(g) weights, which do depend on g.
+# Only a call of several thresholds whose table fits in one _MAX_CELLS slice
+# keeps its table and plan; a single threshold or a sliced scan builds them
+# every call. Each table is at most one 2 MiB slice, and a plan of a
+# 200-point grid about 12 KB with its key. The paper's figure grids keep 13
+# tables and 3 plans, 1.85 MiB in all with their keys.
 _tails = _Memo(4 << 20)
 
 
@@ -475,13 +491,12 @@ def _tail_tables(u: int, x):
         yield lo, _tails.put(key, np.asfortranarray(upper)) if 1 < x.shape[0] <= step else upper
 
 
-def _lower_tables(u: int, n_lo: int, x, k_lo, k_hi, bulk_hi, n_width: int):
+def _lower_tables(u: int, n_lo: int, x, k_lo, k_hi, bulk_hi, n_width: int, keep: bool):
     """(rows, k0, lower) for each slice of x: lower[:, i] = the Poisson(x)
     mass from the row's k_lo to k0 + i, a running sum and so the same
     whatever k0 or the other rows, constant past the row's k_hi, or past
-    its bulk_hi in a table kept in _tails."""
+    its bulk_hi in a table kept in _tails, as is the whole table when keep."""
     k0 = int(k_lo.min())
-    keep = 1 < x.shape[0] <= _MAX_CELLS // (int(bulk_hi.max()) - k0 + 1 + n_width)
     key = ("lower", u, n_lo, x.tobytes()) if keep else None
     kept = _tails.get(key) if keep else None
     if kept is not None:
@@ -496,6 +511,44 @@ def _lower_tables(u: int, n_lo: int, x, k_lo, k_hi, bulk_hi, n_width: int):
         lower = np.cumsum(pmf, axis=1)
         # column-major, as in _tail_tables
         yield rows, k0, _tails.put(key, np.asfortranarray(lower)) if keep else lower
+
+
+def _marcum_plan(u: int, g: float, x) -> tuple:
+    """What marcum_q_grid(u, g, x) derives from its arguments alone, before
+    it reads a table: (keep, out, live, n_lo, k_lo, k_hi, bulk_hi, w, pick),
+    out holding the entries settled with no table and live the indices of
+    the rest, or (False, out, live) when none is left. keep says that the
+    call keeps its lower table, and so this plan, in _tails: it has more
+    than one live threshold, and its table fits in one _MAX_CELLS slice."""
+    out = (x == 0.0).astype(float)  # b = 0 detects everything, b = inf nothing
+    live = np.nonzero((x > 0.0) & (x < math.inf))[0]
+    xl = x[live]
+    # past g + u - 1 the terms of Q are the small ones, below it those of 1 - Q
+    above = xl > g + u - 1.0
+    sure = _chernoff(g, xl, np.where(above, u - 1.0, float(u))) > _SURE
+    out[live[sure & ~above]] = 1.0
+    live, xl = live[~sure], xl[~sure]
+    if live.size == 0:
+        return False, out, live
+    n_lo = max(0, math.floor(g - poisson_reach(g)))
+    if g > 0.0:
+        peak = 0.5 * (g - u - 1.0 + np.sqrt((u - 1.0 + g) ** 2 + 4.0 * g * xl))
+        far = np.maximum(g, np.minimum(xl - u, peak))
+        n_top = np.ceil(far + poisson_reach(far))
+    else:  # the point mass at n = 0, leaving Q(u, x) itself
+        n_top = np.zeros_like(xl)
+    reach = poisson_reach(xl)
+    k_lo = np.maximum(0.0, np.floor(np.minimum(xl, u + n_lo - 1.0) - reach))
+    bulk_hi = np.ceil(xl + reach)
+    k_hi = np.minimum(u + n_top - 1.0, bulk_hi)
+    if max(n_top.max() - n_lo, (k_hi - k_lo).max()) >= _MAX_WINDOW:
+        raise ConvergenceError(f"marcum_q needs over {_MAX_WINDOW} Poisson terms (u={u}, g={g})")
+    n_hi = max(int(n_top.max()), n_lo)
+    w = poisson_pmf(g, n_lo, n_hi, n_lo, n_hi, _ln_factorials(n_lo, n_hi)) if g > 0.0 else np.ones(1)
+    w /= w[: math.ceil(g + poisson_reach(g)) - n_lo + 1].sum()
+    pick = (n_top - n_lo).astype(int)
+    keep = 1 < live.size <= _MAX_CELLS // (int(bulk_hi.max()) - int(k_lo.min()) + 1 + w.shape[0])
+    return keep, out, live, n_lo, k_lo, k_hi, bulk_hi, w, pick
 
 
 def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
@@ -516,40 +569,27 @@ def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
     the rounding of ln k!. Each row's mixture is summed by _sums_to, term
     by term up to its own n_top, so an entry depends on its own x alone.
 
-    The table of running sums Q(k+1, x) depends on g through n_lo alone. A
-    call kept in _tails runs its rows to bulk_hi, so a warm call only
-    weighs, sums and picks; a row reads the same entries up to its n_top
-    as the k_hi-wide rows of a single threshold, bit for bit.
+    All of this up to the table is the call's plan (_marcum_plan), a
+    function of (u, g, x). The table of running sums Q(k+1, x) depends on
+    g through n_lo alone. A call that keeps its table in _tails, which runs
+    its rows to bulk_hi, keeps its plan there too, so a warm call only reads
+    both, sums and picks; a row reads the same entries up to its n_top as
+    the k_hi-wide rows of a single threshold, bit for bit. A plan whose
+    table was dropped builds it again.
     """
     x = np.array(x, dtype=float, ndmin=1)
-    out = (x == 0.0).astype(float)  # b = 0 detects everything, b = inf nothing
-    live = np.nonzero((x > 0.0) & (x < math.inf))[0]
-    xl = x[live]
-    # past g + u - 1 the terms of Q are the small ones, below it those of 1 - Q
-    above = xl > g + u - 1.0
-    sure = _chernoff(g, xl, np.where(above, u - 1.0, float(u))) > _SURE
-    out[live[sure & ~above]] = 1.0
-    live, xl = live[~sure], xl[~sure]
-    if live.size == 0:
+    key = ("plan", u, g, x.tobytes())
+    plan = _tails.get(key) if x.shape[0] > 1 else None
+    if plan is None:
+        plan = _marcum_plan(u, g, x)
+        if plan[0]:
+            _tails.put(key, plan)
+    keep, out, live, *window = plan
+    out = out.copy()
+    if not window:
         return out
-    n_lo = max(0, math.floor(g - poisson_reach(g)))
-    if g > 0.0:
-        peak = 0.5 * (g - u - 1.0 + np.sqrt((u - 1.0 + g) ** 2 + 4.0 * g * xl))
-        far = np.maximum(g, np.minimum(xl - u, peak))
-        n_top = np.ceil(far + poisson_reach(far))
-    else:  # the point mass at n = 0, leaving Q(u, x) itself
-        n_top = np.zeros_like(xl)
-    reach = poisson_reach(xl)
-    k_lo = np.maximum(0.0, np.floor(np.minimum(xl, u + n_lo - 1.0) - reach))
-    bulk_hi = np.ceil(xl + reach)
-    k_hi = np.minimum(u + n_top - 1.0, bulk_hi)
-    if max(n_top.max() - n_lo, (k_hi - k_lo).max()) >= _MAX_WINDOW:
-        raise ConvergenceError(f"marcum_q needs over {_MAX_WINDOW} Poisson terms (u={u}, g={g})")
-    n_hi = max(int(n_top.max()), n_lo)
-    w = poisson_pmf(g, n_lo, n_hi, n_lo, n_hi, _ln_factorials(n_lo, n_hi)) if g > 0.0 else np.ones(1)
-    w /= w[: math.ceil(g + poisson_reach(g)) - n_lo + 1].sum()
-    pick = (n_top - n_lo).astype(int)
-    for rows, k0, lower in _lower_tables(u, n_lo, xl, k_lo, k_hi, bulk_hi, w.shape[0]):
+    n_lo, k_lo, k_hi, bulk_hi, w, pick = window
+    for rows, k0, lower in _lower_tables(u, n_lo, x[live], k_lo, k_hi, bulk_hi, w.shape[0], keep):
         whole = np.where(k_hi[rows] == bulk_hi[rows], lower[:, -1], 1.0)  # constant past bulk_hi
         # term i is w_i Q(u + n_lo + i, x) / whole; past the table's last
         # column every row's Q is constant, so q ends there (or is that one

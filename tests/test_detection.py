@@ -145,13 +145,33 @@ class TestNonFiniteInputs:
             with pytest.raises(ValueError, match="^pf_grid entries must be finite"):
                 roc_curve(CH, cfg, pf_grid=grid)
 
-    @pytest.mark.parametrize("snr", (math.inf, math.nan))
-    def test_roc_awgn_snr(self, snr):
+    @pytest.mark.parametrize(
+        "snr, pd_error",
+        [
+            (math.inf, "^gamma must be finite"),
+            (math.nan, "^gamma must be finite"),
+            ("5", None),
+            (b"5", None),
+            (np.array([5.0]), None),
+        ],
+        ids=["inf", "nan", "str", "bytes", "array"],
+    )
+    def test_roc_awgn_snr(self, snr, pd_error):
+        # float() reads each of the last three as 5.0; pd_awgn raises
+        # TypeError on them, so the ROC takes none of them either
         cfg = DetectorConfig(u=2, threshold=1.0)
         with pytest.raises(ValueError, match="^AWGN SNR must be finite"):
             roc_curve(snr, cfg, pf_grid=[0.1, 0.5])
-        with pytest.raises(ValueError, match="^gamma must be finite"):
+        with pytest.raises(TypeError) if pd_error is None else pytest.raises(ValueError, match=pd_error):
             pd_awgn(cfg, snr)
+
+    @pytest.mark.parametrize("snr", (True, np.float32(5.0), np.int64(5), 5))
+    def test_roc_awgn_snr_takes_what_pd_awgn_takes(self, snr):
+        cfg = DetectorConfig(u=2, threshold=1.0)
+        curve = roc_curve(snr, cfg, pf_grid=[0.1, 0.5])
+        assert curve.meta["awgn_snr"] == float(snr)
+        lam = float(detection._grid_thresholds(2, np.array([0.1, 0.5]).tobytes())[1])
+        assert curve.pd[1] == pd_awgn(DetectorConfig(2, lam), snr)
 
 
 class TestFalseAlarm:
@@ -991,17 +1011,31 @@ def _count_tables(monkeypatch) -> list:
 
 
 def _memo_tables(memo=special_fn._tails) -> list:
+    """The tables a memo keeps: its array entries, leaving out the plans of
+    marcum_q_grid, which are tuples."""
     with memo._lock:
-        return list(memo._tables.values())
+        return [t for t in memo._tables.values() if isinstance(t, np.ndarray)]
+
+
+def _memo_plans(memo=special_fn._tails) -> list:
+    with memo._lock:
+        return [t for t in memo._tables.values() if isinstance(t, tuple)]
+
+
+def _memo_arrays(memo=special_fn._tails) -> list:
+    """Every array a memo holds: its tables and those in its plans."""
+    return _memo_tables(memo) + [a for plan in _memo_plans(memo) for a in plan if isinstance(a, np.ndarray)]
 
 
 def _memo_bytes(memo=special_fn._tails) -> int:
-    """The bytes a memo holds: each kept array's, plus those of the bytes
-    objects in its key (a threshold grid's, say)."""
+    """The bytes a memo holds: each kept array's, or those of the arrays in
+    a kept plan, plus those of the bytes objects in its key (a threshold
+    grid's, say)."""
     with memo._lock:
         items = list(memo._tables.items())
     return sum(
-        t.nbytes + sum(len(part) for part in (key if isinstance(key, tuple) else ()) if isinstance(part, bytes))
+        sum(a.nbytes for a in (t if isinstance(t, tuple) else (t,)) if isinstance(a, np.ndarray))
+        + sum(len(part) for part in (key if isinstance(key, tuple) else ()) if isinstance(part, bytes))
         for key, t in items
     )
 
@@ -1340,14 +1374,33 @@ class TestAwgnLowerTailMemo:
 
         monkeypatch.setattr(special_fn, "poisson_pmf", checked)
 
+    @staticmethod
+    def _no_plan(monkeypatch):
+        """Patch special_fn's settling, Poisson pmf and ln j! to fail: a call
+        that reads its kept plan and table makes none of these calls."""
+
+        def unexpected(*args):
+            raise AssertionError("a warm AWGN ROC built its plan")
+
+        for name in ("_chernoff", "poisson_pmf", "_ln_factorials"):
+            monkeypatch.setattr(special_fn, name, unexpected)
+
+    @staticmethod
+    def _g(gamma):
+        """marcum_q_grid's g at AWGN SNR gamma, as roc_curve forms it."""
+        a = math.sqrt(2.0 * gamma)
+        return 0.5 * a * a
+
     @pytest.mark.parametrize("u", [1, 2, 8, 32, 200])
     @pytest.mark.parametrize("beta", [0.0, 2.0])
     def test_warm_rocs_equal_cold_ones(self, u, beta, monkeypatch, cold_ladders):
-        # 3.16 and 31.6 share n_lo = 0 and so one table; 1e3 has n_lo = 675
-        # and keeps its own; a memo hit builds nothing
+        # 0, 3.16 and 31.6 share n_lo = 0 and so one table; 1e3 has n_lo = 675
+        # and keeps its own; each SNR keeps its plan beside them, so a memo
+        # hit builds, settles and weighs nothing
         cfg = DetectorConfig(u=u, threshold=1.0, noise_uncertainty_db=beta)
+        snrs = (0.0, 3.16, 31.6, 1e3)
         cold = {}
-        for gamma in (3.16, 31.6, 1e3):
+        for gamma in snrs:
             special_fn._tails.clear()
             cold[gamma] = roc_curve(gamma, cfg, self.GRID).points
         special_fn._tails.clear()
@@ -1355,25 +1408,84 @@ class TestAwgnLowerTailMemo:
         with monkeypatch.context() as patch:
             self._no_table(patch)
             assert roc_curve(31.6, cfg, self.GRID).points == cold[31.6]
+            assert roc_curve(0.0, cfg, self.GRID).points == cold[0.0]
         assert roc_curve(1e3, cfg, self.GRID).points == cold[1e3]
-        assert sorted(key[:3] for key in special_fn._tails._tables) == [("lower", u, 0), ("lower", u, 675)]
+        assert sorted(key[:3] for key in special_fn._tails._tables) == [("lower", u, 0), ("lower", u, 675)] + [
+            ("plan", u, self._g(gamma)) for gamma in snrs
+        ]
         with monkeypatch.context() as patch:
-            self._no_table(patch)
-            for gamma in (3.16, 1e3, 31.6):
+            self._no_plan(patch)
+            for gamma in (3.16, 1e3, 0.0, 31.6):
                 assert roc_curve(gamma, cfg, self.GRID).points == cold[gamma]
 
-    def test_kept_tables_are_read_only_within_the_budget(self, cold_ladders):
+    @pytest.mark.parametrize("u", [2, 8])
+    @pytest.mark.parametrize("g", [0.0, 0.7, 40.0, 1e3])
+    def test_a_warm_plan_keeps_its_settled_entries(self, u, g, monkeypatch, cold_ladders):
+        # b = 0, b = inf, entries settled as 0 far above g and as 1 far
+        # below it, and live ones between: a warm call settles nothing
+        # again, and every entry is its single-threshold call
+        x = np.concatenate(([0.0, math.inf, 1e-300, 1e-3, 1e13, 1e16], np.geomspace(0.05, 3.0 * g + 60.0, 30)))
+        singles = [special_fn.marcum_q_grid(u, g, [v])[0] for v in x]
+        assert _memo_tables() == _memo_plans() == []
+        cold = special_fn.marcum_q_grid(u, g, x)
+        assert cold.tolist() == singles
+        (plan,) = _memo_plans()
+        live = plan[2]
+        assert 1 < live.size <= x.size - 4 and {0.0, 1.0} <= set(cold[np.setdiff1d(np.arange(x.size), live)])
+        with monkeypatch.context() as patch:
+            self._no_plan(patch)
+            assert special_fn.marcum_q_grid(u, g, x).tolist() == singles
+
+    def test_plans_at_many_snrs_stay_read_only_within_the_budget(self, cold_ladders):
+        # 200 SNRs from -20 to 30 dB on one grid: each keeps a plan, those
+        # past about 21.8 dB their own table too, so the oldest are dropped
         memo = special_fn._tails
-        for k in range(40):
-            curve = roc_curve(3.16, DetectorConfig(u=2, threshold=1.0), pf_grid=np.geomspace(1e-4, 0.9, 160 + k))
-            tables = _memo_tables(memo)
+        cfg = DetectorConfig(u=2, threshold=1.0)
+        snrs = np.geomspace(1e-2, 1e3, 200)
+        for k, gamma in enumerate(snrs):
+            curve = roc_curve(float(gamma), cfg)
             assert memo.nbytes == _memo_bytes(memo) <= memo.budget == 4 << 20
-            assert all(not t.flags.writeable for t in tables)
-        assert len(tables) > 1
-        assert tables[-1].shape[0] == 199
-        # the last curve, read from the newest table, is pd_awgn at its thresholds
-        lams = detection._grid_thresholds(2, np.geomspace(1e-4, 0.9, 199).tobytes())
-        assert [pd_awgn(DetectorConfig(2, float(lam)), 3.16) for lam in lams[::9]] == curve.pd[::9].tolist()
+            if k % 20 == 0:
+                assert all(not a.flags.writeable for a in _memo_arrays(memo))
+        plans = _memo_plans(memo)
+        assert 20 < len(plans) < 200 and all(not a.flags.writeable for a in _memo_arrays(memo))
+        # the last curve, read from its kept plan and table, is pd_awgn at its thresholds
+        assert roc_curve(float(snrs[-1]), cfg).points == curve.points
+        lams = detection._grid_thresholds(2, detection._DEFAULT_PF_GRID.tobytes())
+        assert [pd_awgn(DetectorConfig(2, float(lam)), float(snrs[-1])) for lam in lams[::9]] == curve.pd[::9].tolist()
+
+    def test_a_plan_whose_table_was_dropped_builds_it_again(self, monkeypatch, cold_ladders):
+        cfg = DetectorConfig(u=2, threshold=1.0)
+        cold = roc_curve(3.16, cfg).points
+        (key,) = [key for key in special_fn._tails._tables if key[0] == "plan"]
+        plan = special_fn._tails.get(key)
+        (table,) = _memo_tables()
+        special_fn._tails.clear()
+        special_fn._tails.put(key, plan)
+
+        def unexpected(*args):
+            raise AssertionError("a kept plan was settled again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(special_fn, "_chernoff", unexpected)
+            assert roc_curve(3.16, cfg).points == cold
+        assert _memo_plans() == [plan]
+        (rebuilt,) = _memo_tables()
+        assert rebuilt is not table and np.array_equal(rebuilt, table)
+
+    def test_a_plan_is_kept_only_with_its_table(self, monkeypatch, cold_ladders):
+        cfg = DetectorConfig(u=2, threshold=threshold_for_pfa(2, 0.1))
+        pfa(cfg)
+        pd_awgn(cfg, 3.16)
+        marcum_q(2, 1.0, 2.5)
+        roc_curve(3.16, cfg, pf_grid=[0.1])
+        for cells in (2000, 1):
+            monkeypatch.setattr(special_fn, "_MAX_CELLS", cells)
+            roc_curve(3.16, cfg)
+        assert special_fn._tails._tables == {} and special_fn._tails.nbytes == 0
+        monkeypatch.undo()
+        roc_curve(3.16, cfg)
+        assert sorted(key[0] for key in special_fn._tails._tables) == ["lower", "plan"]
 
     def test_single_thresholds_and_sliced_scans_keep_nothing(self, monkeypatch, cold_ladders):
         cfg = DetectorConfig(u=2, threshold=threshold_for_pfa(2, 0.1))
@@ -1400,7 +1512,7 @@ class TestAwgnLowerTailMemo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [key[:3] for key in special_fn._tails._tables] == [("lower", 200, 9060)]
+        assert [key[:3] for key in special_fn._tails._tables] == [("plan", 200, self._g(1e4)), ("lower", 200, 9060)]
         assert peak <= 16 * 2**20
         lams = detection._grid_thresholds(200, grid.tobytes())
         want = [pd_awgn(DetectorConfig(200, float(lam), 8.5), 1e4) for lam in lams]
@@ -1420,19 +1532,19 @@ class TestSharedTableMemo:
         )
 
     def test_both_kinds_of_table_share_one_memo(self, monkeypatch, cold_ladders):
-        # three upper-tail grids (plain, OR of 3, SLS of 2) and the one lower
-        # table that the three AWGN SNRs share
+        # three upper-tail grids (plain, OR of 3, SLS of 2), the one lower
+        # table that the three AWGN SNRs share and the plan of each SNR
         cold = self._figure()
         memo = special_fn._tails
         with memo._lock:
             keys = list(memo._tables)
         tables = _memo_tables()
-        assert sorted(key[0] for key in keys) == ["lower", "upper", "upper", "upper"]
-        assert len(set(keys)) == len(tables) == 4
-        assert all(not t.flags.writeable for t in tables)
+        assert sorted(key[0] for key in keys) == ["lower", "plan", "plan", "plan", "upper", "upper", "upper"]
+        assert len(set(keys)) == len(tables) + len(_memo_plans()) == 7 and len(tables) == 4
+        assert all(not t.flags.writeable for t in _memo_arrays())
         assert memo.nbytes == _memo_bytes(memo) <= memo.budget == 4 << 20
         with monkeypatch.context() as patch:
-            TestAwgnLowerTailMemo._no_table(patch)
+            TestAwgnLowerTailMemo._no_plan(patch)
             assert self._figure() == cold
         with memo._lock:
             assert set(memo._tables) == set(keys)

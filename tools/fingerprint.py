@@ -42,6 +42,10 @@ numbers moved. It exits 1 if any key differs. Covered:
   cold, with every `_Memo` that `special_fn` or `detection` binds cleared
   (whatever each tree names them), then again, warm; plus `pd_awgn` and
   `pfa` at every 7th threshold of each grid
+- AWGN ROCs at SNR 3.16, 31.6, 1e3, 3.16 and 31.6 in turn on the 40 targets
+  in [1e-12, 0.999], for u in {2, 8} x noise uncertainty in {0, 2} dB,
+  every memo cleared before each sequence and not within it, so the later
+  calls read the plans and tables that the earlier ones kept
 - fading, fusion (OR of 3), SLS (2 branches) and AWGN (SNR 0, 3.16 and
   31.6) ROCs at u in {2, 8} x noise uncertainty in {0, 2} dB: on 1-, 2- and
   3-point Pf grids, each cold (every memo cleared) and then warm, and on
@@ -245,6 +249,14 @@ def _collect(root: str) -> dict[str, list]:
                     out[f"awgn/{u}/{name}/{beta}/{gamma}/pd_awgn"] = [
                         detection.pd_awgn(detection.DetectorConfig(u, float(v), beta), gamma) for v in lams
                     ]
+
+    for u in (2, 8):
+        for beta in (0.0, 2.0):
+            cfg = detection.DetectorConfig(u, 1.0, beta)
+            for memo in memos:
+                memo.clear()
+            for i, gamma in enumerate((3.16, 31.6, 1e3, 3.16, 31.6)):
+                out[f"awgn_interleaved/{u}/{beta}/{i}/{gamma}"] = detection.roc_curve(gamma, cfg, grids["deep"])
 
     p, q = fading.FadingParams.from_db(2.0, 3.0, 5.0), fading.FadingParams.from_db(1.3, 2.7, 6.0)
     rocs = {
