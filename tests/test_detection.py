@@ -1436,6 +1436,19 @@ class TestAwgnLowerTailMemo:
             self._no_plan(patch)
             assert special_fn.marcum_q_grid(u, g, x).tolist() == singles
 
+    def test_kept_tables_are_read_only_within_the_budget(self, cold_ladders):
+        memo = special_fn._tails
+        for k in range(40):
+            curve = roc_curve(3.16, DetectorConfig(u=2, threshold=1.0), pf_grid=np.geomspace(1e-4, 0.9, 160 + k))
+            tables = _memo_tables(memo)
+            assert memo.nbytes == _memo_bytes(memo) <= memo.budget == 4 << 20
+            assert all(not t.flags.writeable for t in _memo_arrays(memo))
+        assert len(tables) > 1
+        assert tables[-1].shape[0] == 199
+        # the last curve, read from the newest table, is pd_awgn at its thresholds
+        lams = detection._grid_thresholds(2, np.geomspace(1e-4, 0.9, 199).tobytes())
+        assert [pd_awgn(DetectorConfig(2, float(lam)), 3.16) for lam in lams[::9]] == curve.pd[::9].tolist()
+
     def test_plans_at_many_snrs_stay_read_only_within_the_budget(self, cold_ladders):
         # 200 SNRs from -20 to 30 dB on one grid: each keeps a plan, those
         # past about 21.8 dB their own table too, so the oldest are dropped
