@@ -657,8 +657,12 @@ def _roc_units(channel, fusion: str, n_users: int):
             raise ValueError("branch list must hold FadingParams")
         kind = "sls"
     else:
-        # a real number, as pd_awgn's gamma: not a str, bytes or array that float() would read
-        if not (isinstance(channel, numbers.Real) and 0.0 <= channel < math.inf):
+        # a real number or 0-d real array, as pd_awgn's gamma takes: not a
+        # str, bytes or longer array, which float() would read or refuse
+        real = isinstance(channel, (numbers.Real, np.bool_)) or (
+            isinstance(channel, np.ndarray) and channel.shape == () and channel.dtype.kind in "biuf"
+        )
+        if not (real and 0.0 <= channel < math.inf):
             raise ValueError("AWGN SNR must be finite, nonnegative and a real number")
         kind = "awgn"
     fusion = fusion.lower()

@@ -75,8 +75,11 @@ class _Memo:
 
     def put(self, key, table):
         """Keep table read-only under key unless a longer one is; return the kept one."""
-        for part in _arrays(table):
-            part.setflags(write=False)
+        if type(table) is tuple:
+            for part in _arrays(table):
+                part.setflags(write=False)
+        else:
+            table.setflags(write=False)
         size = _entry_bytes(table)
         with self._lock:
             kept = self._tables.get(key)
@@ -95,13 +98,14 @@ class _Memo:
             self.nbytes = 0
 
 
-def _arrays(entry) -> list:
-    """The arrays of a memo entry: the entry itself, or those in its tuple."""
-    return [part for part in entry if isinstance(part, np.ndarray)] if isinstance(entry, tuple) else [entry]
+def _arrays(entry: tuple) -> list:
+    """The arrays in a tuple entry of a memo."""
+    return [part for part in entry if isinstance(part, np.ndarray)]
 
 
 def _entry_bytes(entry) -> int:
-    return sum(part.nbytes for part in _arrays(entry))
+    """An entry's bytes: its array's, or those of the arrays in its tuple."""
+    return sum(part.nbytes for part in _arrays(entry)) if type(entry) is tuple else entry.nbytes
 
 
 def _key_bytes(key) -> int:
@@ -578,14 +582,15 @@ def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
     table was dropped builds it again.
     """
     x = np.array(x, dtype=float, ndmin=1)
-    key = ("plan", u, g, x.tobytes())
-    plan = _tails.get(key) if x.shape[0] > 1 else None
+    key = ("plan", u, g, x.tobytes()) if x.shape[0] > 1 else None
+    plan = _tails.get(key) if key else None
     if plan is None:
         plan = _marcum_plan(u, g, x)
         if plan[0]:
             _tails.put(key, plan)
     keep, out, live, *window = plan
-    out = out.copy()
+    if keep:  # a kept plan's arrays are read-only
+        out = out.copy()
     if not window:
         return out
     n_lo, k_lo, k_hi, bulk_hi, w, pick = window

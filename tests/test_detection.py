@@ -153,11 +153,12 @@ class TestNonFiniteInputs:
             ("5", None),
             (b"5", None),
             (np.array([5.0]), None),
+            (np.array("5"), None),
         ],
-        ids=["inf", "nan", "str", "bytes", "array"],
+        ids=["inf", "nan", "str", "bytes", "array", "str-array"],
     )
     def test_roc_awgn_snr(self, snr, pd_error):
-        # float() reads each of the last three as 5.0; pd_awgn raises
+        # float() reads each of the last four as 5.0; pd_awgn raises
         # TypeError on them, so the ROC takes none of them either
         cfg = DetectorConfig(u=2, threshold=1.0)
         with pytest.raises(ValueError, match="^AWGN SNR must be finite"):
@@ -165,7 +166,7 @@ class TestNonFiniteInputs:
         with pytest.raises(TypeError) if pd_error is None else pytest.raises(ValueError, match=pd_error):
             pd_awgn(cfg, snr)
 
-    @pytest.mark.parametrize("snr", (True, np.float32(5.0), np.int64(5), 5))
+    @pytest.mark.parametrize("snr", (True, np.True_, np.float32(5.0), np.int64(5), 5, np.array(5.0), np.array(5)))
     def test_roc_awgn_snr_takes_what_pd_awgn_takes(self, snr):
         cfg = DetectorConfig(u=2, threshold=1.0)
         curve = roc_curve(snr, cfg, pf_grid=[0.1, 0.5])
@@ -1434,6 +1435,9 @@ class TestAwgnLowerTailMemo:
         assert 1 < live.size <= x.size - 4 and {0.0, 1.0} <= set(cold[np.setdiff1d(np.arange(x.size), live)])
         with monkeypatch.context() as patch:
             self._no_plan(patch)
+            warm = special_fn.marcum_q_grid(u, g, x)
+            assert warm.tolist() == singles
+            warm[:] = -1.0  # the caller's own array, not the kept plan's
             assert special_fn.marcum_q_grid(u, g, x).tolist() == singles
 
     def test_kept_tables_are_read_only_within_the_budget(self, cold_ladders):
@@ -1506,13 +1510,13 @@ class TestAwgnLowerTailMemo:
         pd_awgn(cfg, 3.16)
         marcum_q(2, 1.0, 2.5)
         roc_curve(3.16, cfg, pf_grid=[0.1])
-        assert _memo_tables() == []
+        assert _memo_tables() == _memo_plans() == []
         monkeypatch.setattr(special_fn, "_MAX_CELLS", 2000)
         sliced = roc_curve(3.16, cfg).points
-        assert _memo_tables() == []
+        assert _memo_tables() == _memo_plans() == []
         monkeypatch.undo()
         assert roc_curve(3.16, cfg).points == sliced
-        assert len(_memo_tables()) == 1
+        assert len(_memo_tables()) == len(_memo_plans()) == 1
 
     def test_a_kept_table_at_large_snr_stays_small(self, cold_ladders):
         # u = 200 at 8.5 dB of noise uncertainty puts the thresholds near
@@ -1593,7 +1597,7 @@ class TestOneRowSums:
         special_fn._tails.clear()
         assert self._curves(cfg) == whole
         assert len(rows) > 1000 and set(rows) == {1}
-        assert _memo_tables() == []
+        assert _memo_tables() == _memo_plans() == []
 
     @pytest.mark.parametrize("points", [1, 2, 3])
     @pytest.mark.parametrize("beta", [0.0, 2.0])
