@@ -45,9 +45,9 @@ import math
 
 import numpy as np
 
-from .detection import _ladder, _u_tables
+from .detection import _ladder
 from .fading import FadingParams
-from .special_fn import _ln_factorials, check_count, poisson_pmf
+from .special_fn import _ln_factorials, _u_tables, check_count, poisson_pmf
 
 __all__ = ["auc_instantaneous", "auc_average"]
 
@@ -55,7 +55,7 @@ __all__ = ["auc_instantaneous", "auc_average"]
 def _weights(u: int) -> np.ndarray:
     """Rows (w, ln i!) for i = 0..K-1, with w_i = P(Binomial(2u-1, 1/2) >=
     u+i) and K the first i where w_i <= 1e-20, or u; the area functions
-    keep them in detection._u_tables.
+    keep them in special_fn._u_tables.
 
     The binomial masses at k = u+i, relative to the one at k = u, follow
     from their ratios (2u-1-k)/(k+1) for i up to min(u-1, J), J = ceil(10

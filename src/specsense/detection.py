@@ -5,9 +5,8 @@ vectorized call for pd_awgn and the AWGN ROC alike), the average detection
 probability over F composite fading via a confluent hypergeometric series,
 collaborative OR/AND fusion, square-law selection diversity, worst-case
 noise-power uncertainty, and ROC generation. The Poisson tables of both
-ROCs, and the memo that keeps them per threshold grid, live in special_fn;
-_u_tables keeps the AUC weights per u, grid thresholds, and each grid's
-stop vectors per channel.
+ROCs, and the memos that keep what a named threshold grid needs, live in
+special_fn; roc_curve alone names a grid, and so decides what a call keeps.
 
 The average-Pd series here is the exact complementary rearrangement of the
 direct Tricomi-U expansion: using the normalization identity
@@ -37,6 +36,7 @@ of n, each threshold on its own (special_fn._sums_to).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -50,6 +50,7 @@ from .special_fn import (
     _reg_p_int_shapes,
     _sums_to,
     _tail_tables,
+    _u_tables,
     ConvergenceError,
     check_count,
     ln_beta,
@@ -205,13 +206,6 @@ _MAX_HALLEY = 20
 # Q(u, x) = pf: there ln Q is so flat that its rounding error moves x by
 # more than _STEP_TOL, while ln P stays well conditioned.
 _NEAR_ONE = 1e-6
-
-
-# auc._weights' tables, the thresholds of unit-Pf grids and the stop vectors
-# of _series_batch, keyed ("auc", u), ("grid", u, bytes of the grid) and
-# ("stops", u, bytes of x, channel, ctl): 221 KB for the paper's figures,
-# keys included, and 10 KB per AUC table at u = 1e4.
-_u_tables = _Memo(1 << 20)
 
 
 def _thresholds(u: int, pf) -> np.ndarray:
@@ -403,18 +397,19 @@ def _stops(u: int, lam_effs, upper, p: FadingParams, ctl: SeriesControl) -> np.n
         n[short] = np.minimum(k + np.clip(k // 2, _MIN_BLOCK, _MAX_BLOCK), ctl.max_terms)
 
 
-def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
+def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl, name=None):
     """Average Pd for a batch of effective thresholds sharing one channel.
 
     The complementary series miss = sum_{n<N} c_n P(u+n, x), on the
     channel's cached ladder c and the grid's tail table from
     special_fn._tail_tables, with N from _stops, is summed by
     special_fn._sums_to, which adds each row's terms in order of n. A grid
-    whose table is kept keeps its N per channel and ctl in _u_tables, so a
-    warm ROC runs no _stops; a single threshold keeps nothing. Every
-    reduction adds one term at a time, so a row equals its single-threshold
-    call whatever the other rows, the table's slicing or the cache history.
-    A sum past 1 + 1e-9 means a broken ladder and raises ConvergenceError.
+    named by roc_curve whose table is kept keeps its N per channel and ctl
+    beside it in _u_tables, so a warm ROC runs no _stops; a call without a
+    name keeps nothing. Every reduction adds one term at a time, so a row
+    equals its single-threshold call whatever the other rows, the table's
+    slicing or the cache history. A sum past 1 + 1e-9 means a broken ladder
+    and raises ConvergenceError.
 
     Returns (pd array, terms_used array).
     """
@@ -423,13 +418,12 @@ def _series_batch(u: int, lam_effs, p: FadingParams, ctl: SeriesControl):
     used = np.zeros(lam_effs.shape[0], dtype=int)
     live = np.nonzero(lam_effs > 0.0)[0]
     x = 0.5 * lam_effs[live, None]
-    for lo, upper in _tail_tables(u, x):
+    for lo, upper in _tail_tables(u, x, name):
         rows = live[lo : lo + upper.shape[0]]
-        if 1 < upper.shape[0] == x.shape[0]:  # a whole grid, whose table is kept
-            key = ("stops", u, x.tobytes(), p, ctl)
-            n = _u_tables.get(key, _stops, u, lam_effs[rows], upper, p, ctl)
-        else:
+        if upper.flags.writeable:  # a table kept in _tails is read-only
             n = _stops(u, lam_effs[rows], upper, p, ctl)
+        else:
+            n = _u_tables.get(("stops", *name, p, ctl), _stops, u, lam_effs[rows], upper, p, ctl)
         top = int(n.max())
         coeff = _ladder(p, top)
         # P is 0 past the table, so the sum stops at its last column
@@ -616,12 +610,12 @@ def sls_pfa(u: int, lam: float, branches: int) -> float:
     return _fuse(pfa(DetectorConfig(u=u, threshold=lam)), branches, "or")
 
 
-def _sls_batch(u: int, lam_effs, branches) -> np.ndarray:
+def _sls_batch(u: int, lam_effs, branches, name=None) -> np.ndarray:
     """Square-law selection Pd at each effective threshold. Selection fires
     when any branch does, so over independent branches the misses multiply,
-    in branch order; _series_batch sums each distinct branch once, and one
-    branch gives its own Pd."""
-    pds = {bp: _series_batch(u, lam_effs, bp, _DEFAULT_CTL)[0] for bp in dict.fromkeys(branches)}
+    in branch order; _series_batch sums each distinct branch once, on the
+    grid's name, and one branch gives its own Pd."""
+    pds = {bp: _series_batch(u, lam_effs, bp, _DEFAULT_CTL, name)[0] for bp in dict.fromkeys(branches)}
     if len(branches) == 1:
         return pds[branches[0]]
     return 1.0 - math.prod(1.0 - pds[bp] for bp in branches)
@@ -637,13 +631,6 @@ def sls_average_pd(cfg: DetectorConfig, branch_params) -> float:
     if not branch_params:
         raise ValueError("sls_average_pd needs at least one branch")
     return float(_sls_batch(cfg.u, [cfg.effective_threshold], branch_params)[0])
-
-
-def _grid_thresholds(u: int, unit_pf: bytes) -> np.ndarray:
-    """_thresholds of a unit-Pf grid given by its float64 bytes, read-only
-    and kept in _u_tables; the paper's figures sweep many channels over a
-    few (u, grid) pairs."""
-    return _u_tables.get(("grid", u, unit_pf), _thresholds, u, np.frombuffer(unit_pf))
 
 
 def _roc_units(channel, fusion: str, n_users: int):
@@ -697,6 +684,11 @@ def roc_curve(
     targets the OR of its branch false alarms; the unit threshold is
     recovered by the closed-form inverse before the unit Pd is computed.
     One user or one branch gives the plain curve exactly.
+
+    The unit-Pf grid is named once, by u and a 16-byte blake2b digest of
+    its targets, which keys its thresholds. A grid of several targets
+    passes (u, digest, alpha) down, and what it needs is kept under that
+    name (see special_fn._tails).
     """
     if pf_grid is None:
         pf_grid = _DEFAULT_PF_GRID  # valid as built
@@ -710,7 +702,10 @@ def roc_curve(
             raise ValueError("pf_grid must be strictly increasing")
 
     kind, rule, n_units = _roc_units(channel, fusion, n_users)
-    lams = _grid_thresholds(cfg.u, _unit_target(pf_grid, n_units, rule).tobytes())
+    unit = _unit_target(pf_grid, n_units, rule)
+    digest = hashlib.blake2b(unit.tobytes(), digest_size=16).digest()
+    lams = _u_tables.get(("grid", cfg.u, digest), _thresholds, cfg.u, unit)
+    name = (cfg.u, digest, cfg.alpha) if pf_grid.size > 1 else None
     lam_effs = cfg.alpha ** 2 * lams
     meta = {
         "kind": kind,
@@ -720,15 +715,15 @@ def roc_curve(
         "n_units": n_units,
     }
     if kind == "sls":
-        pd_vals = _sls_batch(cfg.u, lam_effs, channel)
+        pd_vals = _sls_batch(cfg.u, lam_effs, channel, name)
         meta["branches"] = [(b.m, b.m_s, b.mean_snr) for b in channel]
     elif kind == "fading":
-        pd_vals = _fuse(_series_batch(cfg.u, lam_effs, channel, _DEFAULT_CTL)[0], n_units, rule)
+        pd_vals = _fuse(_series_batch(cfg.u, lam_effs, channel, _DEFAULT_CTL, name)[0], n_units, rule)
         meta["channel"] = (channel.m, channel.m_s, channel.mean_snr)
     else:
         # the same squares of square roots as pd_awgn's marcum_q call
         a, b = math.sqrt(2.0 * float(channel)), np.sqrt(lam_effs)
-        pd_vals = _fuse(marcum_q_grid(cfg.u, 0.5 * a * a, 0.5 * b * b), n_units, rule)
+        pd_vals = _fuse(marcum_q_grid(cfg.u, 0.5 * a * a, 0.5 * b * b, name), n_units, rule)
         meta["awgn_snr"] = float(channel)
     sweep = f"{pf_grid.size} pf targets in [{pf_grid[0]:.3g}, {pf_grid[-1]:.3g}]"
     return RocCurve(np.column_stack((pf_grid, pd_vals)), sweep, meta)

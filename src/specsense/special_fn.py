@@ -4,10 +4,8 @@ Everything here is built on the standard library's math module and numpy:
 digamma and ln x - digamma(x) from one Bernoulli tail, log-beta, the
 Tricomi confluent hypergeometric function on a log grid, every Poisson(x)
 table over a threshold grid, and the generalized Marcum Q as a Poisson
-mixture of gamma tails, vectorized over the threshold. A grid's tables,
-the F-fading series' upper tails P(u+i, x) and marcum_q_grid's lower
-running sums, and marcum_q_grid's per-(order, SNR, grid) plans share one
-byte-bounded memo, _tails (a _Memo, as are detection's two caches).
+mixture of gamma tails, vectorized over the threshold. The memos of named
+threshold grids, _tails and _u_tables, live here (see _tails).
 Log-gammas come from math.lgamma, those of j! < 2048 tabulated once. At zero noncentrality the Marcum Q is the
 integer-order gamma tail Q(u, x), so the false-alarm probability is the
 same Poisson-table sum. numpy supplies the node arrays for the Tricomi
@@ -49,11 +47,10 @@ def check_count(value, name: str = "u", least: int = 1) -> int:
 class _Memo:
     """Least recently used read-only entries, dropped once their bytes pass
     budget; the newest entry always stays. An entry is an array, or a tuple
-    of arrays and scalars (marcum_q_grid's plans). The arrays kept under one
-    key are prefixes of one another, so the longest one wins; a tuple is a
-    pure function of its key, so the first one stays. An entry's bytes are
-    its arrays' plus those of the bytes objects in its key, since a grid key
-    holds the grid itself."""
+    of arrays (marcum_q_grid's plans). The arrays kept under one key are
+    prefixes of one another, so the longest one wins; a tuple is a pure
+    function of its key, so the first one stays. A key names what it keeps
+    (a grid by its digest, never by its bytes), so only entries count."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -75,21 +72,17 @@ class _Memo:
 
     def put(self, key, table):
         """Keep table read-only under key unless a longer one is; return the kept one."""
-        if type(table) is tuple:
-            for part in _arrays(table):
-                part.setflags(write=False)
-        else:
-            table.setflags(write=False)
+        for part in table if type(table) is tuple else (table,):
+            part.setflags(write=False)
         size = _entry_bytes(table)
         with self._lock:
             kept = self._tables.get(key)
             if kept is None or _entry_bytes(kept) < size:
-                self.nbytes += size + (_key_bytes(key) if kept is None else -_entry_bytes(kept))
+                self.nbytes += size - (0 if kept is None else _entry_bytes(kept))
                 self._tables[key] = kept = table
             self._tables.move_to_end(key)
             while self.nbytes > self.budget and len(self._tables) > 1:
-                old_key, old = self._tables.popitem(last=False)
-                self.nbytes -= _entry_bytes(old) + _key_bytes(old_key)
+                self.nbytes -= _entry_bytes(self._tables.popitem(last=False)[1])
         return kept
 
     def clear(self) -> None:
@@ -98,19 +91,9 @@ class _Memo:
             self.nbytes = 0
 
 
-def _arrays(entry: tuple) -> list:
-    """The arrays in a tuple entry of a memo."""
-    return [part for part in entry if isinstance(part, np.ndarray)]
-
-
 def _entry_bytes(entry) -> int:
     """An entry's bytes: its array's, or those of the arrays in its tuple."""
-    return sum(part.nbytes for part in _arrays(entry)) if type(entry) is tuple else entry.nbytes
-
-
-def _key_bytes(key) -> int:
-    """Bytes held by the bytes objects in a tuple key; 0 for any other key."""
-    return sum(len(part) for part in key if isinstance(part, bytes)) if isinstance(key, tuple) else 0
+    return sum(part.nbytes for part in entry) if type(entry) is tuple else entry.nbytes
 
 
 # Asymptotic tail coefficients -B_{2n}/(2n): psi(x) ~ ln x - 1/(2x)
@@ -414,19 +397,20 @@ _SURE = 800.0  # a sum of terms all below exp(-_SURE) rounds to 0
 _MAX_CELLS = 1 << 18  # cells per slice of a Poisson table, bounding its temporaries
 _MAX_WINDOW = 1 << 20  # Poisson terms per row of a marcum_q_grid call
 
-# Poisson(x) tail tables of threshold grids, both kinds in one memo: the
-# F-fading series' upper tails P(u+i, x), keyed ("upper", u, bytes of x), and
-# marcum_q_grid's lower running sums, keyed ("lower", u, n_lo, bytes of the
-# unsettled x). A table depends on u, the grid and n_lo alone, not on the
-# channel, and n_lo is 0 for every g below about 150. Beside its table each
-# marcum_q_grid call keeps its plan, keyed ("plan", u, g, bytes of x): the
-# settled entries, windows and Poisson(g) weights, which do depend on g.
-# Only a call of several thresholds whose table fits in one _MAX_CELLS slice
-# keeps its table and plan; a single threshold or a sliced scan builds them
-# every call. Each table is at most one 2 MiB slice, and a plan of a
-# 200-point grid about 12 KB with its key. The paper's figure grids keep 13
-# tables and 3 plans, 1.85 MiB in all with their keys.
+# A caller that sweeps several thresholds (detection.roc_curve) names its
+# grid once, (u, digest, alpha): a 16-byte blake2b digest of the unit-Pf
+# targets and the noise-uncertainty factor. Keys are (kind, *name, ...); a
+# call without a name keeps nothing. _tails keeps the Poisson tables, which
+# vary with the grid alone: ("upper", *name), the fading series' P(u+i, x),
+# and ("lower", *name, n_lo, first live row, live rows), marcum_q_grid's
+# running sums; n_lo is 0 below g of about 150, so a figure's AWGN curves
+# share one. A table wider than one _MAX_CELLS slice, 2 MiB, is kept nowhere.
 _tails = _Memo(4 << 20)
+# _u_tables keeps what varies with the channel or the SNR too, so sweeping
+# either evicts no table: ("grid", u, digest) thresholds, ("stops", *name,
+# channel, ctl), ("plan", *name, g), 10.4 KB for 200 thresholds, and ("auc",
+# u) weights, 10 KB at u = 1e4.
+_u_tables = _Memo(1 << 20)
 
 
 def _sums_to(a, b, stop, scale=None) -> np.ndarray:
@@ -475,13 +459,14 @@ def _reg_p_int_shapes(u: int, count: int, x) -> np.ndarray:
     return upper[:, :count] if np.ndim(x) else upper[0, :count]
 
 
-def _tail_tables(u: int, x):
+def _tail_tables(u: int, x, name=None):
     """(lo, upper) for each slice of the column x = lam_eff/2 from row lo:
     upper[:, i] = P(u+i, x), each row to its own x + poisson_reach(x) and 0
-    past it, then a last column of zeros past every top. A grid's table
-    comes from _tails when kept there."""
-    key = ("upper", u, x.tobytes())
-    kept = _tails.get(key)
+    past it, then a last column of zeros past every top. The table of a
+    named grid that fits in one slice is kept in _tails, read-only; any
+    other table is a fresh writable array."""
+    key = name and ("upper", *name)
+    kept = key and _tails.get(key)
     if kept is not None:
         yield 0, kept
         return
@@ -491,39 +476,41 @@ def _tail_tables(u: int, x):
     ln_fact = _ln_factorials(u, top)
     for lo in range(0, x.shape[0], step):
         upper = _upper_tails(poisson_pmf(x[lo : lo + step], u, top, u, tops[lo : lo + step], ln_fact))
-        # a kept table is column-major, so _sums_to reads each column in one run
-        yield lo, _tails.put(key, np.asfortranarray(upper)) if 1 < x.shape[0] <= step else upper
+        if key and step >= x.shape[0]:
+            # column-major, so _sums_to reads each column in one run
+            upper = _tails.put(key, np.asfortranarray(upper))
+        yield lo, upper
 
 
-def _lower_tables(u: int, n_lo: int, x, k_lo, k_hi, bulk_hi, n_width: int, keep: bool):
+def _lower_tables(x, k_lo, k_hi, bulk_hi, n_width: int, key=None):
     """(rows, k0, lower) for each slice of x: lower[:, i] = the Poisson(x)
     mass from the row's k_lo to k0 + i, a running sum and so the same
-    whatever k0 or the other rows, constant past the row's k_hi, or past
-    its bulk_hi in a table kept in _tails, as is the whole table when keep."""
+    whatever k0 or the other rows, constant past the row's k_hi. A table
+    given a key that fits in one slice runs its rows to bulk_hi instead and
+    is kept in _tails under the key, read-only; any other table is a fresh
+    writable array."""
     k0 = int(k_lo.min())
-    key = ("lower", u, n_lo, x.tobytes()) if keep else None
-    kept = _tails.get(key) if keep else None
+    kept = key and _tails.get(key)
     if kept is not None:
         yield slice(None), k0, kept
         return
-    last = bulk_hi if keep else k_hi
-    step = x.shape[0] if keep else max(1, _MAX_CELLS // (int(k_hi.max()) - k0 + 1 + n_width))
+    whole = key and x.shape[0] <= _MAX_CELLS // (int(bulk_hi.max()) - k0 + 1 + n_width)
+    last = bulk_hi if whole else k_hi
+    step = x.shape[0] if whole else max(1, _MAX_CELLS // (int(k_hi.max()) - k0 + 1 + n_width))
     for lo in range(0, x.shape[0], step):
         rows = slice(lo, lo + step)
         k0, k1 = int(k_lo[rows].min()), int(last[rows].max())
         pmf = poisson_pmf(x[rows, None], k0, k1, k_lo[rows, None], last[rows, None], _ln_factorials(k0, k1))
         lower = np.cumsum(pmf, axis=1)
         # column-major, as in _tail_tables
-        yield rows, k0, _tails.put(key, np.asfortranarray(lower)) if keep else lower
+        yield rows, k0, _tails.put(key, np.asfortranarray(lower)) if whole else lower
 
 
-def _marcum_plan(u: int, g: float, x) -> tuple:
+def _marcum_plan(u: int, g: float, x, n_lo: int) -> tuple:
     """What marcum_q_grid(u, g, x) derives from its arguments alone, before
-    it reads a table: (keep, out, live, n_lo, k_lo, k_hi, bulk_hi, w, pick),
-    out holding the entries settled with no table and live the indices of
-    the rest, or (False, out, live) when none is left. keep says that the
-    call keeps its lower table, and so this plan, in _tails: it has more
-    than one live threshold, and its table fits in one _MAX_CELLS slice."""
+    it reads a table: (out, live, k_lo, k_hi, bulk_hi, w, pick), out
+    holding the entries settled with no table and live the indices of the
+    rest, or (out, live) when none is left."""
     out = (x == 0.0).astype(float)  # b = 0 detects everything, b = inf nothing
     live = np.nonzero((x > 0.0) & (x < math.inf))[0]
     xl = x[live]
@@ -533,8 +520,7 @@ def _marcum_plan(u: int, g: float, x) -> tuple:
     out[live[sure & ~above]] = 1.0
     live, xl = live[~sure], xl[~sure]
     if live.size == 0:
-        return False, out, live
-    n_lo = max(0, math.floor(g - poisson_reach(g)))
+        return out, live
     if g > 0.0:
         peak = 0.5 * (g - u - 1.0 + np.sqrt((u - 1.0 + g) ** 2 + 4.0 * g * xl))
         far = np.maximum(g, np.minimum(xl - u, peak))
@@ -551,11 +537,10 @@ def _marcum_plan(u: int, g: float, x) -> tuple:
     w = poisson_pmf(g, n_lo, n_hi, n_lo, n_hi, _ln_factorials(n_lo, n_hi)) if g > 0.0 else np.ones(1)
     w /= w[: math.ceil(g + poisson_reach(g)) - n_lo + 1].sum()
     pick = (n_top - n_lo).astype(int)
-    keep = 1 < live.size <= _MAX_CELLS // (int(bulk_hi.max()) - int(k_lo.min()) + 1 + w.shape[0])
-    return keep, out, live, n_lo, k_lo, k_hi, bulk_hi, w, pick
+    return out, live, k_lo, k_hi, bulk_hi, w, pick
 
 
-def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
+def marcum_q_grid(u: int, g: float, x, name=None) -> np.ndarray:
     """Q_u(sqrt(2g), sqrt(2x)) for one g >= 0 and an array of x >= 0.
 
     The direct Poisson(g) mixture sum_n w_n Q(u+n, x), each Q(u+n, x) the
@@ -575,34 +560,35 @@ def marcum_q_grid(u: int, g: float, x) -> np.ndarray:
 
     All of this up to the table is the call's plan (_marcum_plan), a
     function of (u, g, x). The table of running sums Q(k+1, x) depends on
-    g through n_lo alone. A call that keeps its table in _tails, which runs
-    its rows to bulk_hi, keeps its plan there too, so a warm call only reads
-    both, sums and picks; a row reads the same entries up to its n_top as
-    the k_hi-wide rows of a single threshold, bit for bit. A plan whose
-    table was dropped builds it again.
+    g through n_lo and the live rows alone. A named call whose live rows
+    form one run keeps that table, run to bulk_hi, and then its plan (see
+    _tails), so a warm call only reads both, sums and picks; a row reads the
+    same entries up to its n_top as the k_hi-wide rows of a single
+    threshold, bit for bit. A plan whose table was dropped builds it again.
     """
     x = np.array(x, dtype=float, ndmin=1)
-    key = ("plan", u, g, x.tobytes()) if x.shape[0] > 1 else None
-    plan = _tails.get(key) if key else None
-    if plan is None:
-        plan = _marcum_plan(u, g, x)
-        if plan[0]:
-            _tails.put(key, plan)
-    keep, out, live, *window = plan
-    if keep:  # a kept plan's arrays are read-only
-        out = out.copy()
+    n_lo = max(0, math.floor(g - poisson_reach(g)))
+    plan = name and _u_tables.get(("plan", *name, g))
+    kept = plan is not None
+    out, live, *window = plan if kept else _marcum_plan(u, g, x, n_lo)
     if not window:
         return out
-    n_lo, k_lo, k_hi, bulk_hi, w, pick = window
-    for rows, k0, lower in _lower_tables(u, n_lo, x[live], k_lo, k_hi, bulk_hi, w.shape[0], keep):
+    k_lo, k_hi, bulk_hi, w, pick = window
+    # live is sorted (np.nonzero), so rows that form one run are named by its start and length
+    run = name and live[-1] - live[0] + 1 == live.size
+    key = ("lower", *name, n_lo, int(live[0]), live.size) if run else None
+    result = out.copy()  # a plan's out stays as the plan settled it
+    for rows, k0, lower in _lower_tables(x[live], k_lo, k_hi, bulk_hi, w.shape[0], key):
         whole = np.where(k_hi[rows] == bulk_hi[rows], lower[:, -1], 1.0)  # constant past bulk_hi
         # term i is w_i Q(u + n_lo + i, x) / whole; past the table's last
         # column every row's Q is constant, so q ends there (or is that one
         # column) and _sums_to repeats it
         s = u + n_lo - 1 - k0
         q = lower[:, min(s, lower.shape[1] - 1) : s + w.shape[0]]
-        out[live[rows]] = np.minimum(_sums_to(q, w, pick[rows] + 1, whole), 1.0)
-    return out
+        result[live[rows]] = np.minimum(_sums_to(q, w, pick[rows] + 1, whole), 1.0)
+    if not (kept or lower.flags.writeable):  # the table is kept, and so its plan
+        _u_tables.put(("plan", *name, g), (out, live, *window))
+    return result
 
 
 def marcum_q(u: int, a: float, b: float) -> float:

@@ -6,6 +6,7 @@ independent scipy route), against closed forms where they exist, and for
 the documented diagnostics and failure modes.
 """
 
+import hashlib
 import math
 import sys
 import threading
@@ -171,7 +172,7 @@ class TestNonFiniteInputs:
         cfg = DetectorConfig(u=2, threshold=1.0)
         curve = roc_curve(snr, cfg, pf_grid=[0.1, 0.5])
         assert curve.meta["awgn_snr"] == float(snr)
-        lam = float(detection._grid_thresholds(2, np.array([0.1, 0.5]).tobytes())[1])
+        lam = float(detection._thresholds(2, np.array([0.1, 0.5]))[1])
         assert curve.pd[1] == pd_awgn(DetectorConfig(2, lam), snr)
 
 
@@ -314,7 +315,7 @@ class TestThresholdInversion:
         # differently on another CPU
         assert math.isclose(lam, want, rel_tol=1e-15)
         assert peak <= 4 << 20
-        assert retained <= 1 << 16 and _memo_tables(detection._u_tables) == []
+        assert retained <= 1 << 16 and _memo_tables(special_fn._u_tables) == []
 
     def test_iteration_cap_names_u_and_pf(self, monkeypatch):
         monkeypatch.setattr(detection, "_MAX_HALLEY", 1)
@@ -942,8 +943,8 @@ class TestBlockLadder:
         # order on the kept tail table, bit for bit
         cfg = DetectorConfig(u=2, threshold=1.0, noise_uncertainty_db=2.0)
         curve = roc_curve(CH, cfg)
-        lam_effs = cfg.alpha ** 2 * detection._grid_thresholds(2, detection._DEFAULT_PF_GRID.tobytes())
-        upper = special_fn._tails.get(("upper", 2, (0.5 * lam_effs[:, None]).tobytes()))
+        lam_effs = cfg.alpha ** 2 * detection._thresholds(2, detection._DEFAULT_PF_GRID)
+        upper = special_fn._tails.get(("upper", *_grid_name(2, detection._DEFAULT_PF_GRID, cfg.alpha)))
         for pd_i, lam, row in zip(curve.pd, lam_effs, upper):
             _, used, _ = average_pd_detail(DetectorConfig(u=2, threshold=lam), CH)
             miss = 0.0
@@ -1011,34 +1012,33 @@ def _count_tables(monkeypatch) -> list:
     return built
 
 
+def _grid_name(u, grid, alpha=1.0) -> tuple:
+    """The name roc_curve gives a unit-Pf grid at noise-uncertainty factor
+    alpha, which heads the keys of what the grid keeps."""
+    return u, hashlib.blake2b(np.asarray(grid, dtype=float).tobytes(), digest_size=16).digest(), alpha
+
+
 def _memo_tables(memo=special_fn._tails) -> list:
-    """The tables a memo keeps: its array entries, leaving out the plans of
-    marcum_q_grid, which are tuples."""
+    """The arrays a memo keeps as entries: every entry of _tails, leaving
+    out the plans of marcum_q_grid in _u_tables, which are tuples."""
     with memo._lock:
         return [t for t in memo._tables.values() if isinstance(t, np.ndarray)]
 
 
-def _memo_plans(memo=special_fn._tails) -> list:
+def _memo_plans(memo=special_fn._u_tables) -> list:
     with memo._lock:
         return [t for t in memo._tables.values() if isinstance(t, tuple)]
 
 
 def _memo_arrays(memo=special_fn._tails) -> list:
     """Every array a memo holds: its tables and those in its plans."""
-    return _memo_tables(memo) + [a for plan in _memo_plans(memo) for a in plan if isinstance(a, np.ndarray)]
+    return _memo_tables(memo) + [a for plan in _memo_plans(memo) for a in plan]
 
 
 def _memo_bytes(memo=special_fn._tails) -> int:
     """The bytes a memo holds: each kept array's, or those of the arrays in
-    a kept plan, plus those of the bytes objects in its key (a threshold
-    grid's, say)."""
-    with memo._lock:
-        items = list(memo._tables.items())
-    return sum(
-        sum(a.nbytes for a in (t if isinstance(t, tuple) else (t,)) if isinstance(a, np.ndarray))
-        + sum(len(part) for part in (key if isinstance(key, tuple) else ()) if isinstance(part, bytes))
-        for key, t in items
-    )
+    a kept plan."""
+    return sum(a.nbytes for a in _memo_arrays(memo))
 
 
 def _ladder_rows(p):
@@ -1202,26 +1202,28 @@ class TestMemo:
         built = memo.put("c", np.ones(2))
         assert memo.get("b") is None and memo.get("c") is built and memo.nbytes == 16
 
-    def test_bytes_in_a_key_count_toward_the_budget(self):
-        # a grid key holds the grid itself: 16 B of key beside a 16 B array
-        memo = detection._Memo(100)
-        grid = np.array([0.1, 0.5]).tobytes()
-        memo.put(("grid", 2, grid), np.ones(2))
-        assert memo.nbytes == 32
-        memo.put(("grid", 2, grid), np.ones(3))
-        assert memo.nbytes == 40
-        memo.put(("grid", 3, grid), np.ones(3))
-        assert memo.nbytes == 80
-        # a third entry passes 100 B, so the oldest goes with its key
-        memo.put(("grid", 5, grid), np.ones(2))
-        assert memo.get(("grid", 2, grid)) is None and memo.nbytes == 72
+    def test_no_key_holds_a_grid(self, cold_ladders):
+        # a grid is named by a 16-byte digest, so after a figure round of
+        # fading, fusion, SLS and AWGN curves at several u and noise
+        # uncertainties no kept key holds a longer bytes object, and each
+        # memo's bytes are its arrays' alone
+        TestGridPmfMemo._figure()
+        TestSharedTableMemo._figure()
+        auc_instantaneous(2, 3.16)
+        memos = (special_fn._tails, special_fn._u_tables)
+        with memos[0]._lock, memos[1]._lock:
+            keys = [key for memo in memos for key in memo._tables]
+        digests = [part for key in keys for part in key if isinstance(part, bytes)]
+        assert len(keys) > 60 and len(digests) == len(keys) - 1  # the AUC table is named by u
+        assert all(len(part) == 16 for part in digests)
+        assert all(memo.nbytes == _memo_bytes(memo) for memo in memos)
 
 
 class TestUTables:
     def test_retained_bytes_stay_within_the_budget(self, cold_ladders):
         # 40 areas at distinct u past 1e4 build 40 tables of 8-16 KB, and
         # the 40 inversions between them keep nothing
-        memo = detection._u_tables
+        memo = special_fn._u_tables
         tracemalloc.start()
         try:
             for u in range(10_000, 20_000, 250):
@@ -1239,6 +1241,20 @@ class TestUTables:
 
 
 class TestGridPmfMemo:
+    @staticmethod
+    def _figure():
+        """figure_sweep's fading, fusion and SLS curves: twelve (u, effective
+        grid) tables."""
+        for ch in FIGURE_CHANNELS:
+            for u in (1, 2, 5):
+                for beta in (0.0, 2.0):
+                    roc_curve(ch, DetectorConfig(u=u, threshold=1.0, noise_uncertainty_db=beta))
+            for rule in ("or", "and"):
+                for n in (3, 8):
+                    roc_curve(ch, DetectorConfig(u=2, threshold=1.0), fusion=rule, n_users=n)
+            for branches in (2, 4):
+                roc_curve([ch] * branches, DetectorConfig(u=2, threshold=1.0))
+
     def test_one_table_per_u_and_effective_grid(self, monkeypatch, cold_ladders):
         built = _count_tables(monkeypatch)
         for ch in FIGURE_CHANNELS:
@@ -1268,10 +1284,10 @@ class TestGridPmfMemo:
             for beta in (0.0, 2.0):
                 cfg = DetectorConfig(u=u, threshold=1.0, noise_uncertainty_db=beta)
                 roc_curve(CH, cfg)
-                x = 0.5 * (cfg.alpha ** 2 * detection._grid_thresholds(u, grid.tobytes()))[:, None]
+                x = 0.5 * (cfg.alpha ** 2 * detection._thresholds(u, grid))[:, None]
                 tops = np.ceil(x + poisson_reach(x))
                 top = int(tops.max()) + 1
-                kept = special_fn._tails._tables["upper", u, x.tobytes()]
+                kept = special_fn._tails._tables["upper", *_grid_name(u, grid, cfg.alpha)]
                 assert not kept.flags.writeable
                 assert np.array_equal(kept, _upper_tails(poisson_pmf(x, u, top, u, tops, _ln_factorials(u, top))))
         tables = _memo_tables()
@@ -1304,6 +1320,25 @@ class TestGridPmfMemo:
         special_fn._tails.clear()
         assert roc_curve(FIGURE_CHANNELS[1], cfg).points == warm
 
+    def test_one_off_awgn_rocs_evict_no_table(self, monkeypatch, cold_ladders):
+        # 400 AWGN ROCs at distinct SNRs keep their plans in _u_tables,
+        # beside one shared lower table, so the fading table stays in _tails
+        # and the next fading ROC builds none
+        cfg = DetectorConfig(u=2, threshold=1.0)
+        chans = [FadingParams.from_db(2.0, 3.0, db) for db in (0.0, 5.0, 10.0)]
+        cold = roc_curve(chans[0], cfg).points
+        for ch in chans:
+            roc_curve(ch, cfg)
+        for gamma in np.geomspace(1e-2, 1e2, 400):
+            roc_curve(float(gamma), cfg)
+
+        def unexpected(*args):
+            raise AssertionError("a fading ROC built a table")
+
+        for name in ("poisson_pmf", "_upper_tails"):
+            monkeypatch.setattr(special_fn, name, unexpected)
+        assert roc_curve(chans[0], cfg).points == cold
+
     def test_a_warm_roc_keeps_its_stops(self, monkeypatch, cold_ladders):
         # each grid's stop vector is kept per channel beside its table, so a
         # second pass runs no _stops and gives the same points bit for bit;
@@ -1318,8 +1353,8 @@ class TestGridPmfMemo:
 
         cold = curves()
         average_pd(DetectorConfig(u=3, threshold=2.0), CH)
-        with detection._u_tables._lock:
-            stops = [key for key in detection._u_tables._tables if key[0] == "stops"]
+        with special_fn._u_tables._lock:
+            stops = [key for key in special_fn._u_tables._tables if key[0] == "stops"]
         # 5 channels on the plain grid, 2 branches and CH on their own grids
         assert len(stops) == 8 and {key[1] for key in stops} == {2}
 
@@ -1330,25 +1365,14 @@ class TestGridPmfMemo:
         assert curves() == cold
 
     def test_the_figure_grids_stay_kept_within_the_budget(self, monkeypatch, cold_ladders):
-        # figure_sweep's fading, fusion and SLS curves: twelve (u, effective grid)
-        # tables, all kept, so a second pass builds none
-        def figure():
-            for ch in FIGURE_CHANNELS:
-                for u in (1, 2, 5):
-                    for beta in (0.0, 2.0):
-                        roc_curve(ch, DetectorConfig(u=u, threshold=1.0, noise_uncertainty_db=beta))
-                for rule in ("or", "and"):
-                    for n in (3, 8):
-                        roc_curve(ch, DetectorConfig(u=2, threshold=1.0), fusion=rule, n_users=n)
-                for branches in (2, 4):
-                    roc_curve([ch] * branches, DetectorConfig(u=2, threshold=1.0))
-
-        figure()
+        # all twelve tables of the figure's curves are kept, so a second pass
+        # builds none
+        self._figure()
         tables = _memo_tables()
         assert len(tables) == 12
         assert special_fn._tails.nbytes == _memo_bytes() <= special_fn._tails.budget == 4 << 20
         built = _count_tables(monkeypatch)
-        figure()
+        self._figure()
         assert built == []
 
     @pytest.mark.parametrize("ch", FIGURE_CHANNELS)
@@ -1396,7 +1420,7 @@ class TestAwgnLowerTailMemo:
     @pytest.mark.parametrize("beta", [0.0, 2.0])
     def test_warm_rocs_equal_cold_ones(self, u, beta, monkeypatch, cold_ladders):
         # 0, 3.16 and 31.6 share n_lo = 0 and so one table; 1e3 has n_lo = 675
-        # and keeps its own; each SNR keeps its plan beside them, so a memo
+        # and keeps its own; each SNR keeps its plan in _u_tables, so a memo
         # hit builds, settles and weighs nothing
         cfg = DetectorConfig(u=u, threshold=1.0, noise_uncertainty_db=beta)
         snrs = (0.0, 3.16, 31.6, 1e3)
@@ -1411,9 +1435,14 @@ class TestAwgnLowerTailMemo:
             assert roc_curve(31.6, cfg, self.GRID).points == cold[31.6]
             assert roc_curve(0.0, cfg, self.GRID).points == cold[0.0]
         assert roc_curve(1e3, cfg, self.GRID).points == cold[1e3]
-        assert sorted(key[:3] for key in special_fn._tails._tables) == [("lower", u, 0), ("lower", u, 675)] + [
-            ("plan", u, self._g(gamma)) for gamma in snrs
-        ]
+        name = _grid_name(u, self.GRID, cfg.alpha)
+        with special_fn._tails._lock:
+            assert sorted((key[:4], key[4]) for key in special_fn._tails._tables) == [
+                (("lower", *name), 0), (("lower", *name), 675)
+            ]
+        with special_fn._u_tables._lock:
+            plans = [key for key in special_fn._u_tables._tables if key[0] == "plan"]
+        assert sorted(plans) == [("plan", *name, self._g(gamma)) for gamma in snrs]
         with monkeypatch.context() as patch:
             self._no_plan(patch)
             for gamma in (3.16, 1e3, 0.0, 31.6):
@@ -1423,62 +1452,100 @@ class TestAwgnLowerTailMemo:
     @pytest.mark.parametrize("g", [0.0, 0.7, 40.0, 1e3])
     def test_a_warm_plan_keeps_its_settled_entries(self, u, g, monkeypatch, cold_ladders):
         # b = 0, b = inf, entries settled as 0 far above g and as 1 far
-        # below it, and live ones between: a warm call settles nothing
+        # below it, and live ones between, sorted as a ROC grid's are so
+        # that the live rows form one run: a warm call settles nothing
         # again, and every entry is its single-threshold call
         x = np.concatenate(([0.0, math.inf, 1e-300, 1e-3, 1e13, 1e16], np.geomspace(0.05, 3.0 * g + 60.0, 30)))
+        x.sort()
+        name = (u, b"sorted", 1.0)
         singles = [special_fn.marcum_q_grid(u, g, [v])[0] for v in x]
         assert _memo_tables() == _memo_plans() == []
-        cold = special_fn.marcum_q_grid(u, g, x)
+        cold = special_fn.marcum_q_grid(u, g, x, name)
         assert cold.tolist() == singles
         (plan,) = _memo_plans()
-        live = plan[2]
+        live = plan[1]
         assert 1 < live.size <= x.size - 4 and {0.0, 1.0} <= set(cold[np.setdiff1d(np.arange(x.size), live)])
         with monkeypatch.context() as patch:
             self._no_plan(patch)
-            warm = special_fn.marcum_q_grid(u, g, x)
+            warm = special_fn.marcum_q_grid(u, g, x, name)
             assert warm.tolist() == singles
             warm[:] = -1.0  # the caller's own array, not the kept plan's
-            assert special_fn.marcum_q_grid(u, g, x).tolist() == singles
+            assert special_fn.marcum_q_grid(u, g, x, name).tolist() == singles
+
+    @pytest.mark.parametrize("u", [2, 8])
+    @pytest.mark.parametrize("g", [0.0, 0.7, 40.0])
+    def test_live_rows_out_of_one_run_keep_nothing(self, u, g, cold_ladders):
+        # b = 0, b = inf and settled entries between two runs of live ones:
+        # a named call keeps no table and no plan, and every entry is its
+        # single-threshold call, cold and again
+        top = np.geomspace(0.05, 3.0 * g + 60.0, 15)
+        x = np.concatenate((top, [0.0, math.inf, 1e-300, 1e16], np.geomspace(0.1, 2.0 * g + 50.0, 15)))
+        singles = [special_fn.marcum_q_grid(u, g, [v])[0] for v in x]
+        for _ in range(2):
+            assert special_fn.marcum_q_grid(u, g, x, (u, b"unsorted", 1.0)).tolist() == singles
+            assert _memo_tables() == _memo_plans() == []
+
+    @pytest.mark.parametrize(
+        "gs, x",
+        [
+            # one start, two lengths: 900 settles as 0 at g = 0, not at g = 100
+            ((0.0, 100.0), np.concatenate((np.geomspace(0.05, 60.0, 30), [900.0, 1e4]))),
+            # one length, two starts: from g = 1000 to 1000.5, 11.7 settles
+            # as 1 and 3590.7 no longer settles as 0
+            ((1000.0, 1000.5), np.concatenate(([11.7], np.geomspace(20.0, 3000.0, 20), [3590.7]))),
+        ],
+    )
+    def test_a_lower_table_is_named_by_its_run(self, gs, x, cold_ladders):
+        # two SNRs that share n_lo on one named grid but not their live run
+        # keep a table each, and every call equals its single-threshold calls
+        singles = {g: [special_fn.marcum_q_grid(2, g, [v])[0] for v in x] for g in gs}
+        for _ in range(2):
+            for g in gs:
+                assert special_fn.marcum_q_grid(2, g, x, (2, b"runs", 1.0)).tolist() == singles[g]
+        with special_fn._tails._lock:
+            keys = list(special_fn._tails._tables)
+        assert len(keys) == 2 and keys[0][4] == keys[1][4]
 
     def test_kept_tables_are_read_only_within_the_budget(self, cold_ladders):
-        memo = special_fn._tails
+        memo, small = special_fn._tails, special_fn._u_tables
         for k in range(40):
             curve = roc_curve(3.16, DetectorConfig(u=2, threshold=1.0), pf_grid=np.geomspace(1e-4, 0.9, 160 + k))
             tables = _memo_tables(memo)
             assert memo.nbytes == _memo_bytes(memo) <= memo.budget == 4 << 20
-            assert all(not t.flags.writeable for t in _memo_arrays(memo))
+            assert small.nbytes == _memo_bytes(small) <= small.budget == 1 << 20
+            assert all(not t.flags.writeable for t in _memo_arrays(memo) + _memo_arrays(small))
         assert len(tables) > 1
         assert tables[-1].shape[0] == 199
         # the last curve, read from the newest table, is pd_awgn at its thresholds
-        lams = detection._grid_thresholds(2, np.geomspace(1e-4, 0.9, 199).tobytes())
+        lams = detection._thresholds(2, np.geomspace(1e-4, 0.9, 199))
         assert [pd_awgn(DetectorConfig(2, float(lam)), 3.16) for lam in lams[::9]] == curve.pd[::9].tolist()
 
     def test_plans_at_many_snrs_stay_read_only_within_the_budget(self, cold_ladders):
-        # 200 SNRs from -20 to 30 dB on one grid: each keeps a plan, those
-        # past about 21.8 dB their own table too, so the oldest are dropped
-        memo = special_fn._tails
+        # 200 SNRs from -20 to 30 dB on one grid: each keeps a plan in
+        # _u_tables, those past about 21.8 dB their own table in _tails too,
+        # so the oldest are dropped
+        memos = (special_fn._tails, special_fn._u_tables)
         cfg = DetectorConfig(u=2, threshold=1.0)
         snrs = np.geomspace(1e-2, 1e3, 200)
         for k, gamma in enumerate(snrs):
             curve = roc_curve(float(gamma), cfg)
-            assert memo.nbytes == _memo_bytes(memo) <= memo.budget == 4 << 20
+            assert all(memo.nbytes == _memo_bytes(memo) <= memo.budget for memo in memos)
             if k % 20 == 0:
-                assert all(not a.flags.writeable for a in _memo_arrays(memo))
-        plans = _memo_plans(memo)
-        assert 20 < len(plans) < 200 and all(not a.flags.writeable for a in _memo_arrays(memo))
+                assert all(not a.flags.writeable for memo in memos for a in _memo_arrays(memo))
+        plans = _memo_plans()
+        assert 20 < len(plans) < 200 and all(not a.flags.writeable for memo in memos for a in _memo_arrays(memo))
+        assert [memo.budget for memo in memos] == [4 << 20, 1 << 20]
         # the last curve, read from its kept plan and table, is pd_awgn at its thresholds
         assert roc_curve(float(snrs[-1]), cfg).points == curve.points
-        lams = detection._grid_thresholds(2, detection._DEFAULT_PF_GRID.tobytes())
+        lams = detection._thresholds(2, detection._DEFAULT_PF_GRID)
         assert [pd_awgn(DetectorConfig(2, float(lam)), float(snrs[-1])) for lam in lams[::9]] == curve.pd[::9].tolist()
 
     def test_a_plan_whose_table_was_dropped_builds_it_again(self, monkeypatch, cold_ladders):
         cfg = DetectorConfig(u=2, threshold=1.0)
         cold = roc_curve(3.16, cfg).points
-        (key,) = [key for key in special_fn._tails._tables if key[0] == "plan"]
-        plan = special_fn._tails.get(key)
+        (plan,) = _memo_plans()
         (table,) = _memo_tables()
         special_fn._tails.clear()
-        special_fn._tails.put(key, plan)
 
         def unexpected(*args):
             raise AssertionError("a kept plan was settled again")
@@ -1499,10 +1566,10 @@ class TestAwgnLowerTailMemo:
         for cells in (2000, 1):
             monkeypatch.setattr(special_fn, "_MAX_CELLS", cells)
             roc_curve(3.16, cfg)
-        assert special_fn._tails._tables == {} and special_fn._tails.nbytes == 0
+        assert special_fn._tails._tables == {} and special_fn._tails.nbytes == 0 and _memo_plans() == []
         monkeypatch.undo()
         roc_curve(3.16, cfg)
-        assert sorted(key[0] for key in special_fn._tails._tables) == ["lower", "plan"]
+        assert [key[0] for key in special_fn._tails._tables] == ["lower"] and len(_memo_plans()) == 1
 
     def test_single_thresholds_and_sliced_scans_keep_nothing(self, monkeypatch, cold_ladders):
         cfg = DetectorConfig(u=2, threshold=threshold_for_pfa(2, 0.1))
@@ -1529,9 +1596,11 @@ class TestAwgnLowerTailMemo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [key[:3] for key in special_fn._tails._tables] == [("plan", 200, self._g(1e4)), ("lower", 200, 9060)]
+        name = _grid_name(200, grid, cfg.alpha)
+        assert [key[:5] for key in special_fn._tails._tables] == [("lower", *name, 9060)]
+        assert [key for key in special_fn._u_tables._tables if key[0] == "plan"] == [("plan", *name, self._g(1e4))]
         assert peak <= 16 * 2**20
-        lams = detection._grid_thresholds(200, grid.tobytes())
+        lams = detection._thresholds(200, grid)
         want = [pd_awgn(DetectorConfig(200, float(lam), 8.5), 1e4) for lam in lams]
         assert curve.pd.tolist() == want
 
@@ -1549,22 +1618,23 @@ class TestSharedTableMemo:
         )
 
     def test_both_kinds_of_table_share_one_memo(self, monkeypatch, cold_ladders):
-        # three upper-tail grids (plain, OR of 3, SLS of 2), the one lower
-        # table that the three AWGN SNRs share and the plan of each SNR
+        # three upper-tail grids (plain, OR of 3, SLS of 2) and the one lower
+        # table that the three AWGN SNRs share; the plan of each SNR is kept
+        # in _u_tables
         cold = self._figure()
-        memo = special_fn._tails
-        with memo._lock:
-            keys = list(memo._tables)
+        memo, small = special_fn._tails, special_fn._u_tables
+        with memo._lock, small._lock:
+            keys = list(memo._tables) + [key for key in small._tables if key[0] == "plan"]
         tables = _memo_tables()
         assert sorted(key[0] for key in keys) == ["lower", "plan", "plan", "plan", "upper", "upper", "upper"]
         assert len(set(keys)) == len(tables) + len(_memo_plans()) == 7 and len(tables) == 4
-        assert all(not t.flags.writeable for t in _memo_arrays())
+        assert all(not t.flags.writeable for t in _memo_arrays() + _memo_arrays(small))
         assert memo.nbytes == _memo_bytes(memo) <= memo.budget == 4 << 20
         with monkeypatch.context() as patch:
             TestAwgnLowerTailMemo._no_plan(patch)
             assert self._figure() == cold
-        with memo._lock:
-            assert set(memo._tables) == set(keys)
+        with memo._lock, small._lock:
+            assert set(memo._tables) | {key for key in small._tables if key[0] == "plan"} == set(keys)
 
 
 class TestOneRowSums:
@@ -1595,6 +1665,7 @@ class TestOneRowSums:
             monkeypatch.setattr(module, "_sums_to", counted)
         monkeypatch.setattr(special_fn, "_MAX_CELLS", 1)
         special_fn._tails.clear()
+        special_fn._u_tables.clear()
         assert self._curves(cfg) == whole
         assert len(rows) > 1000 and set(rows) == {1}
         assert _memo_tables() == _memo_plans() == []
@@ -1638,4 +1709,4 @@ class TestOneRowSums:
                     assert part in str(info.value)
         finally:  # the planted ladder and the stops found on it go
             detection._ladders.clear()
-            detection._u_tables.clear()
+            special_fn._u_tables.clear()

@@ -18,7 +18,9 @@ also carries its bound from BENCHMARK.json, a verdict (better,
 within_bound, unresolved or worse; see _judge) and whether it meets the
 gain rule: at least 9 wins in 10 pairs and a median gap wider than the
 parent's IQR. Each side also records its `src/` line count, the measure
-of `wc -l src/specsense/*.py`. Entries for other
+of `wc -l src/specsense/*.py`, and beside it its code lines: those lines
+that hold a token of code, so not blank lines, comments or docstrings (a
+string that is a statement on its own). Entries for other
 workloads already in the file are kept, so one file can collect several
 invocations. The machine, Python, numpy and scipy versions are recorded
 too. Uses the standard library only.
@@ -38,6 +40,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
@@ -60,6 +63,26 @@ def _src_lines(root: str) -> int:
     for path in glob.glob(os.path.join(root, "src", "specsense", "*.py")):
         with open(path, "rb") as fh:
             total += fh.read().count(b"\n")
+    return total
+
+
+def _code_lines(root: str) -> int:
+    """Lines of root's src/specsense/*.py that hold a token of code: not
+    blank, not only a comment, and not within a docstring."""
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
+              tokenize.ENDMARKER}
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "specsense", "*.py")):
+        with open(path, "rb") as fh:
+            toks = [t for t in tokenize.tokenize(fh.readline) if t.type not in layout]
+        lines = set()
+        for i, tok in enumerate(toks):
+            # a string that starts a statement and ends it is a docstring
+            doc = tok.type == tokenize.STRING and toks[i + 1].type == tokenize.NEWLINE and (
+                i == 0 or toks[i - 1].type == tokenize.NEWLINE)
+            if tok.type != tokenize.NEWLINE and not doc:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(lines)
     return total
 
 
@@ -191,6 +214,7 @@ def main() -> int:
                            "uncommitted_changes": bool(_git("status", "--porcelain").strip())}}
         for side in SIDES:
             refs[side]["src_lines"] = _src_lines(roots[side])
+            refs[side]["src_code_lines"] = _code_lines(roots[side])
 
         out_path = os.path.join(REPO, f"BENCH_{args.pr}.json")
         doc = {"workloads": {}}

@@ -42,6 +42,10 @@ numbers moved. It exits 1 if any key differs. Covered:
   cold, with every `_Memo` that `special_fn` or `detection` binds cleared
   (whatever each tree names them), then again, warm; plus `pd_awgn` and
   `pfa` at every 7th threshold of each grid
+- churn: at u in {2, 8} x noise uncertainty in {0, 2} dB, every memo
+  cleared first and not within the sequence, a fading ROC on the (2, 3,
+  5 dB) channel, then 50 one-off AWGN ROCs at SNRs from 0.01 to 100, then
+  the same fading ROC, all on the default Pf grid
 - AWGN ROCs at SNR 3.16, 31.6, 1e3, 3.16 and 31.6 in turn on the 40 targets
   in [1e-12, 0.999], for u in {2, 8} x noise uncertainty in {0, 2} dB,
   every memo cleared before each sequence and not within it, so the later
@@ -237,7 +241,7 @@ def _collect(root: str) -> dict[str, list]:
     grids = {"default": detection._DEFAULT_PF_GRID, "deep": np.geomspace(1e-12, 0.999, 40)}
     for u in (1, 2, 8, 32, 200):
         for name, grid in grids.items():
-            lams = detection._grid_thresholds(u, grid.tobytes())[::7]
+            lams = detection._thresholds(u, grid)[::7]
             out[f"awgn/{u}/{name}/pfa"] = [detection.pfa(detection.DetectorConfig(u, float(v))) for v in lams]
             for beta in (0.0, 2.0):
                 cfg = detection.DetectorConfig(u, 1.0, beta)
@@ -259,6 +263,16 @@ def _collect(root: str) -> dict[str, list]:
                 out[f"awgn_interleaved/{u}/{beta}/{i}/{gamma}"] = detection.roc_curve(gamma, cfg, grids["deep"])
 
     p, q = fading.FadingParams.from_db(2.0, 3.0, 5.0), fading.FadingParams.from_db(1.3, 2.7, 6.0)
+    for u in (2, 8):
+        for beta in (0.0, 2.0):
+            cfg = detection.DetectorConfig(u, 1.0, beta)
+            for memo in memos:
+                memo.clear()
+            out[f"churn/{u}/{beta}/fading/cold"] = detection.roc_curve(p, cfg)
+            for gamma in np.geomspace(1e-2, 1e2, 50):
+                out[f"churn/{u}/{beta}/awgn/{gamma!r}"] = detection.roc_curve(float(gamma), cfg)
+            out[f"churn/{u}/{beta}/fading/after"] = detection.roc_curve(p, cfg)
+
     rocs = {
         "fading": lambda cfg, grid: detection.roc_curve(p, cfg, grid),
         "fusion": lambda cfg, grid: detection.roc_curve(p, cfg, grid, fusion="or", n_users=3),
